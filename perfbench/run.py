@@ -7,7 +7,9 @@ Run it from the root of a gkm checkout; it imports gkm from ``src/`` and
 runs the ``gkm`` command line as ``python3 -m gkm.cli`` with that path.
 A run sets up its workload several times (``setup_s`` is the median), then
 repeats closed-loop passes for ``--seconds`` (at least three). ``--trace 0`` reports the
-end-to-end metrics. ``--trace 1`` alternates untraced and traced passes,
+end-to-end metrics; a workload with a ``reference`` burst reports its times
+at that burst's reference speed (``calibrate.py``), raw times beside them.
+``--trace 1`` alternates untraced and traced passes,
 probes each layer, and reports the per-layer metrics, including the
 tracing overhead (traced minus untraced median).
 
@@ -23,8 +25,10 @@ import sys
 
 # BLAS threads are pinned in the benchmark's own environment, before numpy
 # loads, and child processes inherit the setting; gkm itself is untouched.
+# One thread keeps the benchmark's load on one CPU of a shared host (a
+# second BLAS thread competes with other tenants, and gkm's blocks are small).
 NPROC = len(os.sched_getaffinity(0))
-BLAS_THREADS = NPROC
+BLAS_THREADS = 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
@@ -129,7 +133,7 @@ def measure(wl, seconds: float, trace: bool) -> dict:
     from spans import Tracer, durations, self_times
     from workloads import Recorder
 
-    plain, traced = Recorder(), Recorder()
+    plain, traced = Recorder(wl.reference), Recorder(wl.reference)
     tracer = Tracer() if trace else None
     report: dict = {}
 
@@ -171,29 +175,36 @@ def measure(wl, seconds: float, trace: bool) -> dict:
             began = time.perf_counter()
             rec.run_pass(lambda: wl.run_pass(rec, state, tracer if use_tracer else None, report))
             lengths.append(time.perf_counter() - began)
-            if not trace and statistics.median(plain.samples.get("setup", [1.0])) < CHEAP_SETUP_S:
+            if not trace and statistics.median(plain.times("setup") or [1.0]) < CHEAP_SETUP_S:
                 set_up(1, SETUP_BUDGET_S)
 
+    samples, per_pass = plain.finish(scaled=True)
+    samples_raw, per_pass_raw = plain.finish(scaled=False)
     result = {
         "attempted": plain.attempted + traced.attempted,
         "failed": plain.failed + traced.failed,
         "failures": plain.failures + traced.failures,
-        "timings": {f"{k}_s": summary(v) for k, v in plain.samples.items()},
-        "per_pass": {f"{k}_s": summary(v) for k, v in plain.per_pass.items()},
+        "timings": {f"{k}_s": summary(v) for k, v in samples.items()},
+        "per_pass": {f"{k}_s": summary(v) for k, v in per_pass.items()},
+        "timings_raw": {f"{k}_s": summary(v) for k, v in samples_raw.items()},
+        "per_pass_raw": {f"{k}_s": summary(v) for k, v in per_pass_raw.items()},
+        "reference": wl.reference,
+        "reference_slowness": summary(plain.slowness()) if wl.reference else None,
         "peak_rss_mb": peak_rss_mb(),
         "extras": report,
     }
     if trace:
-        result["traced_per_pass"] = {f"{k}_s": summary(v) for k, v in traced.per_pass.items()}
+        traced_samples, traced_per_pass = traced.finish(scaled=True)
+        result["traced_per_pass"] = {f"{k}_s": summary(v) for k, v in traced_per_pass.items()}
         layer = wl.probe(state) if state is not None else {}
         for k in ("setup", "train", "pass"):
-            a = plain.samples.get(k) if k == "setup" else plain.per_pass.get(k)
-            b = traced.samples.get(k) if k == "setup" else traced.per_pass.get(k)
+            a = samples.get(k) if k == "setup" else per_pass.get(k)
+            b = traced_samples.get(k) if k == "setup" else traced_per_pass.get(k)
             layer[f"trace_overhead.{k}_s"] = (
                 statistics.median(b) - statistics.median(a) if a and b else 0.0
             )
         result["per_layer"] = layer
-        n_traced = max(len(traced.per_pass.get("pass", [])), 1)
+        n_traced = max(len(traced_per_pass.get("pass", [])), 1)
         selfs = self_times(tracer.spans[setup_spans:])
         result["span_self_s_per_pass"] = {k: sum(v) / n_traced for k, v in sorted(selfs.items())}
         layer_self: dict[str, float] = {}
@@ -206,9 +217,11 @@ def measure(wl, seconds: float, trace: bool) -> dict:
     return result
 
 
-def reported_table(result: dict) -> dict:
-    """The ten reported end-to-end figures of one workload (None = n/a)."""
-    t = {**result["per_pass"], "setup_s": result["timings"].get("setup_s")}
+def reported_table(result: dict, raw: bool = False) -> dict:
+    """The ten reported end-to-end figures of one workload (None = n/a);
+    times at reference speed, or as measured when ``raw``."""
+    per_pass, timings = ("per_pass_raw", "timings_raw") if raw else ("per_pass", "timings")
+    t = {**result[per_pass], "setup_s": result[timings].get("setup_s")}
     ex = result["extras"]
     out = {}
     for name, _ in REPORTED_METRICS:
@@ -251,12 +264,19 @@ def run_one(args) -> int:
     result["environment"] = environment(args.workload, args.seed, args.smoke)
     result["layer_to_end_to_end"] = wl.layers
     result["reported_metrics"] = reported_table(result)
+    raw = reported_table(result, raw=True)
 
     print(f"# gkm benchmark: {json.dumps(result['environment'])}")
+    if wl.reference:
+        print(f"# times at the speed of reference burst {wl.reference!r}; raw = as measured; "
+              f"burst time over nominal {fmt(result['reference_slowness'])}")
     for name, unit in REPORTED_METRICS:
-        print(f"{name:<16} {fmt(result['reported_metrics'][name]):<44} {unit}")
+        line = f"{name:<16} {fmt(result['reported_metrics'][name]):<44} {unit}"
+        if unit == "s":
+            line += f"  raw {fmt(raw[name])}"
+        print(line)
     for name, v in sorted(result["timings"].items()):
-        print(f"per operation {name:<24} {fmt(v)} s")
+        print(f"per operation {name:<24} {fmt(v)} s  raw {fmt(result['timings_raw'][name])}")
     for name, v in sorted(result["extras"].items()):
         print(f"computed {name:<40} {fmt(v)}")
     print(f"attempted {result['attempted']}  failed {result['failed']}")

@@ -3,7 +3,7 @@
     python3 perfbench/selfcheck.py
 
 For every workload of the benchmark (those in BENCHMARK.json and
-converge-30, which runs outside the gated set), runs ``run.py --smoke``
+cli-knn-2000 and converge-30, which run outside the gated set), runs ``run.py --smoke``
 untraced and traced, and asserts that the run exits 0, that its output checks pass, and
 that its last line is the result object carrying exactly the declared
 end-to-end (untraced) or per-layer (traced) metric names, each with its
@@ -36,7 +36,7 @@ def main() -> int:
         1: {m["name"]: m["unit"] for m in spec["per_layer"]},
     }
     problems = []
-    for workload in [w["name"] for w in spec["workloads"]] + ["converge-30"]:
+    for workload in [w["name"] for w in spec["workloads"]] + ["cli-knn-2000", "converge-30"]:
         for trace in (0, 1):
             proc = run(["--workload", workload, "--seed", "0", "--seconds", "1",
                         "--trace", str(trace), "--smoke"])

@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+import calibrate
 import gkm
-from gkm import data, graph, harness, optimizer
+from gkm import data, graph, harness, labelprop, optimizer
 from gkm.kernel import KernelSpec
 from gkm.losses import LossSpec, SmoothnessSpec
 
@@ -54,6 +55,12 @@ PER_LAYER = {
     "kernel.predict_block_mb": "MB",
     "harness.evaluate_s": "s",
     "cli.import_s": "s",
+    "data.load_libsvm_s": "s",
+    "graph.write_edges_s": "s",
+    "graph.read_edges_s": "s",
+    "optimizer.save_model_s": "s",
+    "optimizer.load_model_s": "s",
+    "labelprop.solve_exact_s": "s",
     "trace_overhead.setup_s": "s",
     "trace_overhead.train_s": "s",
     "trace_overhead.pass_s": "s",
@@ -65,6 +72,7 @@ HINGE = LossSpec("hinge")
 P2 = SmoothnessSpec(2.0)
 SEPARATION = data.separation_for_bayes_accuracy(0.95)
 MB = 2.0**20
+IO_N = labelprop.MAX_DENSE_VERTICES  # the size of cli-knn-2000
 
 HERE = Path(__file__).resolve().parent
 
@@ -78,24 +86,30 @@ class Recorder:
 
     ``op`` runs one operation, times it and checks its result; an exception,
     a non-zero exit code or a failed check counts the operation as failed
-    and records no time for it. Inside ``run_pass`` the times also add up
-    per kind into that pass's totals, and the operations' times into the
-    pass's own total, ``per_pass["pass"]``.
+    and records no time for it. Right after the operation the workload's
+    ``reference`` bursts measure how slowly the CPU runs (see
+    ``calibrate``; a workload without a reference is not scaled).
+    ``finish`` reports every sample raw or scaled to reference speed.
+    Inside ``run_pass`` the samples also add up per kind into that pass's
+    totals, and the whole operations' times into the pass's own total,
+    ``"pass"``.
     """
 
-    def __init__(self):
-        self.samples: dict[str, list[float]] = {}
-        self.per_pass: dict[str, list[float]] = {}
+    def __init__(self, reference: str | None):
+        self.reference = reference
+        # (kind, seconds, slowness, pass number or None, whole operation)
+        self.records: list[tuple[str, float, float, int | None, bool]] = []
         self.attempted = 0
         self.failed = 0
         self.failures: list[str] = []
-        self._pass: dict[str, float] | None = None
-        self._pass_wall = 0.0
+        self._pass_no: int | None = None
+        self._passes_started = 0
+        self._good_passes: list[int] = []
+        self._slowness = 1.0
 
-    def add(self, kind: str, seconds: float) -> None:
-        self.samples.setdefault(kind, []).append(seconds)
-        if self._pass is not None:
-            self._pass[kind] = self._pass.get(kind, 0.0) + seconds
+    def add(self, kind: str, seconds: float, whole_op: bool = False) -> None:
+        """One sample, at the speed measured after the last operation."""
+        self.records.append((kind, seconds, self._slowness, self._pass_no, whole_op))
 
     def op(self, kind: str, work, check=None):
         self.attempted += 1
@@ -103,19 +117,25 @@ class Recorder:
             start = time.perf_counter()
             result = work()
             elapsed = time.perf_counter() - start
+            slowness = calibrate.speed_after(self.reference, elapsed) if self.reference else 1.0
             if check is not None:
                 check(result)
         except Exception as exc:  # a failed operation is counted, not fatal
             self.failed += 1
             self.failures.append(f"{kind}: {type(exc).__name__}: {exc}")
             return None
-        self.add(kind, elapsed)
-        self._pass_wall += elapsed
+        self._slowness = slowness
+        self.add(kind, elapsed, whole_op=True)
         return result
+
+    def times(self, kind: str) -> list[float]:
+        """The raw times recorded so far for one kind."""
+        return [r[1] for r in self.records if r[0] == kind]
 
     def run_pass(self, body) -> None:
         """Run one pass; a pass without failures adds one sample per kind."""
-        self._pass, self._pass_wall = {}, 0.0
+        self._pass_no = self._passes_started
+        self._passes_started += 1
         failed_before = self.failed
         try:
             body()
@@ -123,11 +143,31 @@ class Recorder:
             self.failed += 1
             self.failures.append(f"pass: {type(exc).__name__}: {exc}")
         finally:
-            totals, self._pass = self._pass, None
+            number, self._pass_no = self._pass_no, None
         if self.failed == failed_before:
-            totals["pass"] = self._pass_wall
-            for kind, seconds in totals.items():
-                self.per_pass.setdefault(kind, []).append(seconds)
+            self._good_passes.append(number)
+
+    def finish(self, scaled: bool) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+        """Samples per kind and pass totals per kind, at reference speed
+        (``scaled``) or as measured."""
+        samples: dict[str, list[float]] = {}
+        passes: dict[int, dict[str, float]] = {n: {} for n in self._good_passes}
+        for kind, seconds, slowness, number, whole_op in self.records:
+            if scaled:
+                seconds /= slowness
+            samples.setdefault(kind, []).append(seconds)
+            if number in passes:
+                for key in (kind, "pass") if whole_op else (kind,):
+                    passes[number][key] = passes[number].get(key, 0.0) + seconds
+        per_pass: dict[str, list[float]] = {}
+        for totals in passes.values():
+            for key, seconds in totals.items():
+                per_pass.setdefault(key, []).append(seconds)
+        return samples, per_pass
+
+    def slowness(self) -> list[float]:
+        """Reference burst time over its nominal time, per operation."""
+        return [r[2] for r in self.records if r[4]]
 
 
 def require(ok: bool, message: str) -> None:
@@ -169,7 +209,7 @@ def import_time_s() -> float:
     return float(out.stdout.strip())
 
 
-def probe_layers(dataset, truth, spec, cfg, import_s=None) -> dict:
+def probe_layers(dataset, truth, spec, cfg, scratch: Path, import_s=None) -> dict:
     """Per-layer measurements on a workload's own inputs.
 
     ``optimizer.step_us`` is (train(T) - train(1)) / (T - 1) with diagnostics
@@ -209,6 +249,31 @@ def probe_layers(dataset, truth, spec, cfg, import_s=None) -> dict:
     if import_s is None:
         import_s, _ = median_time(import_time_s, reps=3, budget_s=10.0)
     out["cli.import_s"] = import_s
+    out.update(probe_io(ds, cfg, scratch))
+    return out
+
+
+def probe_io(dataset, cfg, scratch: Path) -> dict:
+    """The file and propagation layers the command line uses (the calls that
+    ``gkm graph export``, ``train``, ``predict`` and ``labelprop`` make in
+    cli-knn-2000), in process, on up to IO_N evenly spaced points of a
+    workload's inputs with a kNN graph (k=10)."""
+    step = max(1, dataset.n // IO_N)
+    sub = dataset.subset(np.arange(0, dataset.n, step)[:IO_N])
+    edges = graph.build_graph(sub, graph.GraphSpec("knn", SIGMA, k=10))
+    model, _ = optimizer.train(
+        sub, edges, replace(cfg, T=min(cfg.T, IO_N), diagnostics_every=None), KERNEL
+    )
+    paths = {k: str(scratch / f"probe-{k}.txt") for k in ("data", "edges", "model")}
+    out = {}
+    data.save_libsvm(sub, paths["data"])
+    out["data.load_libsvm_s"], _ = median_time(lambda: data.load_libsvm(paths["data"]))
+    out["graph.write_edges_s"], _ = median_time(lambda: graph.write_edges(edges, paths["edges"]))
+    out["graph.read_edges_s"], explicit = median_time(lambda: graph.read_edges(paths["edges"], sub.n))
+    out["optimizer.save_model_s"], _ = median_time(lambda: optimizer.save_model(model, paths["model"]))
+    out["optimizer.load_model_s"], _ = median_time(lambda: optimizer.load_model(paths["model"]))
+    problem = labelprop.PropagationProblem(explicit, sub.labels)
+    out["labelprop.solve_exact_s"], _ = median_time(lambda: labelprop.solve_exact(problem))
     return out
 
 
@@ -225,6 +290,7 @@ class StandIn550:
     draws, T=5000, implicit full graph. One pass is the whole selection."""
 
     name = "standin-550"
+    reference = "loop"  # times scaled to this burst's speed (calibrate.py)
     why = (
         "Gram-cache side: the per-step Python loop is nearly all the cost, so a "
         "step-loop change shows here and a kernel-block or memory change must read no change"
@@ -244,6 +310,7 @@ class StandIn550:
     DATA_SEED = 0  # criterion 05's instance; the 0.90 bar is set on it
 
     def __init__(self, seed: int, scratch: Path, smoke: bool = False):
+        self.scratch = scratch
         n = 80 if smoke else 550
         self.T = 300 if smoke else 5000
         self.grid = [1.0] if smoke else [2.0**k for k in range(-3, 4)]
@@ -290,7 +357,7 @@ class StandIn550:
         # the stand-in never evaluates J; the probe times the sampled
         # objective gkm would compute on this graph of > 1e5 edges
         cfg = replace(self.config, seed=draw, objective_mode="sampled")
-        return probe_layers(hidden, test, self.spec, cfg)
+        return probe_layers(hidden, test, self.spec, cfg, self.scratch)
 
 
 class Stream10k:
@@ -299,6 +366,7 @@ class Stream10k:
     then evaluate on all points."""
 
     name = "stream-10k"
+    reference = "blocks"  # times scaled to this burst's speed (calibrate.py)
     why = (
         "streaming side of the Gram cap: the sampled objective and evaluate "
         "materialise support x targets kernel blocks, so chunked blocks and a blocked trainer show here"
@@ -314,6 +382,7 @@ class Stream10k:
     }
 
     def __init__(self, seed: int, scratch: Path, smoke: bool = False):
+        self.scratch = scratch
         n = 2100 if smoke else 10_000  # smoke: just past the Gram cap
         self.seed = seed
         self.full = data.synth_two_gaussians(n, 50, SEPARATION, seed)
@@ -353,7 +422,7 @@ class Stream10k:
 
     def probe(self, state):
         hidden, truth, _ = state
-        return probe_layers(hidden, truth, self.spec, self.config)
+        return probe_layers(hidden, truth, self.spec, self.config, self.scratch)
 
 
 class CliKnn2000:
@@ -361,6 +430,10 @@ class CliKnn2000:
     graph export --graph knn --k 10, train --graph knn, predict, labelprop."""
 
     name = "cli-knn-2000"
+    # Raw times: the work runs in child processes and is mostly cold
+    # imports, whose speed neither burst tracks (scaling made the spread
+    # over seeds worse, also with the burst run inside the child).
+    reference = None
     why = (
         "the only workload with parsing and writing, the explicit-edge sampler, the kNN build, "
         "model save/load and a cold import per process"
@@ -456,7 +529,7 @@ class CliKnn2000:
         import_s = statistics.median(self.import_times) if self.import_times else None
         # gkm train's "auto" objective is exact on a kNN graph this small
         cfg = replace(self.config, objective_mode="exact")
-        return probe_layers(self.hidden, self.truth, self.spec, cfg, import_s=import_s)
+        return probe_layers(self.hidden, self.truth, self.spec, cfg, self.dir, import_s=import_s)
 
 
 class Converge30:
@@ -464,10 +537,12 @@ class Converge30:
     objective): hinge p=2 (subgradient oracle) and logistic p=2 (Armijo
     oracle), T in {500, 2000, 8000}, five SGD seeds drawn from the workload
     seed. Runnable on its own and in ``--workload all``, but not gated in
-    BENCHMARK.json: its times spread beyond the largest allowed bound from
-    one set of runs to the next on a shared 2-CPU machine (see README)."""
+    BENCHMARK.json: its ~10 s passes leave few samples per run, and a fourth
+    gated workload would not fit the time all gated runs may take (see
+    README)."""
 
     name = "converge-30"
+    reference = "loop"  # times scaled to this burst's speed (calibrate.py)
     why = (
         "the reference oracle is ~90% of the run and both solver branches run, "
         "so an oracle change that speeds one branch and slows the other shows"
@@ -483,6 +558,7 @@ class Converge30:
     DATA_SEED = 2  # the workload seed picks the SGD seeds, not the data
 
     def __init__(self, seed: int, scratch: Path, smoke: bool = False):
+        self.scratch = scratch
         self.full = data.synth_two_gaussians(30, 50, SEPARATION, seed=self.DATA_SEED)
         self.T_grid = [50, 200] if smoke else [500, 2000, 8000]
         self.seeds = [5 * seed + k for k in range(2 if smoke else 5)]
@@ -529,7 +605,7 @@ class Converge30:
         require(runs is not None, "run_convergence_experiment failed")
         require(len(oracle_calls) == len(self.configs), "oracle calls were not observed")
         oracle_s = sum(c[1] for c in oracle_calls)
-        rec.add("train", rec.samples["converge"][-1] - oracle_s)
+        rec.add("train", rec.records[-1][1] - oracle_s)
         for kind, seconds, iterations in oracle_calls:
             rec.add(f"oracle.{kind}", seconds)
             report[f"harness.reference_{kind}_iterations"] = iterations
@@ -547,7 +623,7 @@ class Converge30:
     def probe(self, state):
         hidden, truth, _ = state
         cfg = replace(self.configs[0], T=max(self.T_grid), seed=self.seeds[0])
-        return probe_layers(hidden, truth, self.spec, cfg)
+        return probe_layers(hidden, truth, self.spec, cfg, self.scratch)
 
 
 WORKLOADS = {w.name: w for w in (StandIn550, Stream10k, CliKnn2000, Converge30)}
