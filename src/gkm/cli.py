@@ -55,6 +55,16 @@ def _graph_spec(args, sigma_l: float) -> graph_mod.GraphSpec:
     )
 
 
+def _write_lines(path, lines) -> None:
+    """Write to the file at path, or to standard output when path is None."""
+    out = sys.stdout if path is None else open(path, "w")
+    try:
+        out.writelines(lines)
+    finally:
+        if path is not None:
+            out.close()
+
+
 def _load_training_data(args):
     dataset, _ = data_mod.load_libsvm(args.data)
     if getattr(args, "hide_fraction", None):
@@ -103,13 +113,7 @@ def _cmd_predict(args) -> int:
     model = optimizer.load_model(args.model_in)
     dataset, _ = data_mod.load_libsvm(args.data)
     preds = optimizer.predict_batch(model, dataset.points)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
-        for p in preds:
-            out.write(f"{int(p):+d}\n")
-    finally:
-        if args.out is not None:
-            out.close()
+    _write_lines(args.out, (f"{int(p):+d}\n" for p in preds))
     return EXIT_OK
 
 
@@ -147,13 +151,7 @@ def _cmd_labelprop(args) -> int:
     problem = labelprop.PropagationProblem(edges, np.array(labels, dtype=np.int8))
     f = labelprop.solve_exact(problem)
     hard = labelprop.threshold_labels(f)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
-        for fi, yi in zip(f, hard):
-            out.write(f"{repr(float(fi))} {int(yi):+d}\n")
-    finally:
-        if args.out is not None:
-            out.close()
+    _write_lines(args.out, (f"{repr(float(fi))} {int(yi):+d}\n" for fi, yi in zip(f, hard)))
     return EXIT_OK
 
 

@@ -8,13 +8,14 @@ labeled index as a bare integer below ``labeled_count``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
 
 from .exceptions import DegenerateSplitError, InvalidLabelError, ParseError
-from .kernel import SparseVector
+from .kernel import SparseVector, gram_sq_dists
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -92,7 +93,8 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
     permutation applied to put labeled points first (new[i] = old[perm[i]]).
 
     Labels +1/1/-1 are accepted (also their float spellings); 0 means
-    unlabeled. Feature indices must be strictly increasing within a line.
+    unlabeled. Feature indices must be strictly increasing within a line,
+    and labels and feature values must be finite.
     """
     points: list[SparseVector] = []
     labels: list[int] = []
@@ -106,6 +108,8 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
                 y = float(tokens[0])
             except ValueError:
                 raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
+            if not math.isfinite(y):
+                raise ParseError(f"non-finite label {tokens[0]!r}", lineno)
             if y not in (-1.0, 0.0, 1.0):
                 raise InvalidLabelError(f"line {lineno}: label must be -1, 0 or +1, got {tokens[0]}")
             pairs = []
@@ -117,6 +121,8 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
                     raise ParseError(f"expected idx:val, got {tok!r}", lineno) from None
+                if not math.isfinite(val):
+                    raise ParseError(f"non-finite feature value {tok!r}", lineno)
                 pairs.append((idx, val))
             try:
                 points.append(SparseVector.from_pairs(pairs))
@@ -146,21 +152,8 @@ def hide_labels(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, 
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError("fraction must lie in [0, 1)")
-    if dataset.unlabeled_count:
-        raise ValueError("hide_labels expects a fully labeled dataset")
-    n = dataset.n
-    k = int(round(fraction * n))
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(n, size=k, replace=False)
-    new_labels = dataset.labels.copy()
-    new_labels[chosen] = 0
-    for cls in (-1, 1):
-        had = np.count_nonzero(dataset.labels == cls)
-        if had and not np.count_nonzero(new_labels == cls):
-            raise DegenerateSplitError(f"class {cls:+d} would lose all labels")
-    pts, lab, perm = _reorder_labeled_first(dataset.points, new_labels)
-    truth = Dataset(pts, dataset.labels[perm])
-    return Dataset(pts, lab), truth
+    k = int(round(fraction * dataset.n))
+    return apply_mask(dataset, np.random.default_rng(seed).choice(dataset.n, size=k, replace=False))
 
 
 def load_mask(path) -> np.ndarray:
@@ -187,7 +180,7 @@ def save_mask(indices, path) -> None:
 def apply_mask(dataset: Dataset, indices) -> tuple[Dataset, Dataset]:
     """hide_labels with an externally supplied index set instead of a draw."""
     if dataset.unlabeled_count:
-        raise ValueError("apply_mask expects a fully labeled dataset")
+        raise ValueError("label hiding expects a fully labeled dataset")
     indices = np.asarray(indices, dtype=np.int64)
     new_labels = dataset.labels.copy()
     new_labels[indices] = 0
@@ -234,6 +227,5 @@ def median_pairwise_distance(dataset: Dataset, cap: int = 1000, seed: int = 0) -
         keep = rng.choice(n, size=cap, replace=False)
         X, sq = X[keep], sq[keep]
         n = cap
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     iu = np.triu_indices(n, k=1)
-    return float(np.sqrt(np.median(np.maximum(d2[iu], 0.0))))
+    return float(np.sqrt(np.median(gram_sq_dists(X, sq)[iu])))

@@ -22,7 +22,7 @@ from .exceptions import (
     InvalidKError,
     ParseError,
 )
-from .kernel import SparseVector, squared_distance
+from .kernel import SparseVector, gram_sq_dists, squared_distance
 
 GRAPH_KINDS = ("full", "knn", "eps")
 
@@ -84,8 +84,7 @@ class FullyConnectedEdges:
     def weights_for(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         X, sq = self.dataset.dense()
         d2 = sq[us] + sq[vs] - 2.0 * np.einsum("ij,ij->i", X[us], X[vs])
-        np.maximum(d2, 0.0, out=d2)
-        return np.maximum(np.exp(-d2 / (2.0 * self.sigma_s**2)), _WEIGHT_FLOOR)
+        return _gaussian_weights(np.maximum(d2, 0.0, out=d2), self.sigma_s)
 
     def sample_batch(self, rng: np.random.Generator, size: int):
         if self.n_edges == 0:
@@ -163,18 +162,6 @@ def sample_edge(edges: EdgeSet, rng: np.random.Generator):
     return int(us[0]), int(vs[0]), float(ws[0])
 
 
-def _pairwise_sq_dists(dataset: Dataset) -> np.ndarray:
-    X, sq = dataset.dense()
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
-def _drop_labeled_pairs(pairs: set[tuple[int, int]], l: int):
-    return sorted(p for p in pairs if not (p[0] < l and p[1] < l))
-
-
 def _gaussian_weights(d2: np.ndarray, sigma_s: float) -> np.ndarray:
     return np.maximum(np.exp(-d2 / (2.0 * sigma_s**2)), _WEIGHT_FLOOR)
 
@@ -193,21 +180,21 @@ def build_knn(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     nominates the other; ties broken toward the lower index."""
     if spec.kind != "knn":
         raise ValueError("spec kind must be 'knn'")
-    n, k = dataset.n, spec.k
+    n, k, l = dataset.n, spec.k, dataset.labeled_count
     if k >= n:
         raise InvalidKError(f"k = {k} must be below n = {n}")
-    d2 = _pairwise_sq_dists(dataset)
-    pairs: set[tuple[int, int]] = set()
-    order_tiebreak = np.arange(n)
+    d2 = gram_sq_dists(*dataset.dense())
+    nn = np.empty((n, k), dtype=np.int64)
     for i in range(n):
         row = d2[i].copy()
         row[i] = np.inf
-        nn = np.lexsort((order_tiebreak, row))[:k]
-        for j in nn:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    kept = _drop_labeled_pairs(pairs, dataset.labeled_count)
-    us = np.array([p[0] for p in kept], dtype=np.int64)
-    vs = np.array([p[1] for p in kept], dtype=np.int64)
+        nn[i] = np.argsort(row, kind="stable")[:k]
+    rows, cols = np.repeat(np.arange(n), k), nn.ravel()
+    # canonical pairs u < v, deduplicated, in (u, v) order
+    code = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    us, vs = code // n, code % n
+    keep = ~((us < l) & (vs < l))
+    us, vs = us[keep], vs[keep]
     ws = _gaussian_weights(d2[us, vs], spec.sigma_s) if us.size else np.empty(0)
     return ExplicitEdges(us, vs, ws, n)
 
@@ -217,7 +204,7 @@ def build_eps(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     if spec.kind != "eps":
         raise ValueError("spec kind must be 'eps'")
     n, l = dataset.n, dataset.labeled_count
-    d2 = _pairwise_sq_dists(dataset)
+    d2 = gram_sq_dists(*dataset.dense())
     iu, iv = np.triu_indices(n, k=1)
     keep = (d2[iu, iv] <= spec.epsilon**2) & ~((iu < l) & (iv < l))
     us, vs = iu[keep].astype(np.int64), iv[keep].astype(np.int64)

@@ -11,7 +11,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import NoLabeledDataError, NotConvergedError
 from .graph import EdgeSet
-from .kernel import KernelSpec, kernel_matrix_from_sq_dists
+from .kernel import KernelSpec, gram_sq_dists, kernel_matrix_from_sq_dists
 from .losses import loss_grad_scalar, loss_value, lp_grad_scalar, lp_value
 from .optimizer import Diagnostics, ModelState, TrainConfig, objective, predict_batch, train
 
@@ -60,11 +60,7 @@ class ReferenceSolution:
 
 
 def _gram(dataset: Dataset, kernel: KernelSpec) -> np.ndarray:
-    X, sq = dataset.dense()
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return kernel_matrix_from_sq_dists(kernel, d2)
+    return kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*dataset.dense()))
 
 
 def solve_reference_optimum(

@@ -137,7 +137,3 @@ def gradient_bound_A(spec: LossSpec, R: float) -> float:
         raise ValueError("R must be positive")
     return float(R)
 
-
-def loss_from_token(token: str, tau: float = 0.5, epsilon: float = 0.1) -> LossSpec:
-    """Build a LossSpec from its CLI token."""
-    return LossSpec(kind=token, tau=tau, epsilon=epsilon)

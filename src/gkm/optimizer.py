@@ -29,7 +29,13 @@ from .exceptions import (
     ParseError,
 )
 from .graph import EXACT_EDGE_CAP, EdgeSet
-from .kernel import KernelSpec, SparseVector, kernel_matrix_from_sq_dists
+from .kernel import (
+    KernelSpec,
+    SparseVector,
+    block_decisions,
+    gram_sq_dists,
+    kernel_matrix_from_sq_dists,
+)
 from .losses import LossSpec, SmoothnessSpec, loss_value, lp_value
 
 OBJECTIVE_MODES = ("auto", "exact", "sampled")
@@ -101,15 +107,12 @@ class ModelState:
     t: int
     config: TrainConfig
     sigma_s: float
-    use_averaged: bool = True
     labels: np.ndarray | None = None
 
     def coefficients(self, which: str = "model") -> tuple[np.ndarray, float]:
-        """(coefs, scale) of the requested iterate; "model" follows
-        use_averaged."""
-        if which == "model":
-            which = "averaged" if self.use_averaged else "current"
-        if which == "averaged":
+        """(coefs, scale) of the requested iterate; the model predicts with
+        the averaged one."""
+        if which in ("model", "averaged"):
             return self.beta, self.scale_avg
         if which == "current":
             return self.alpha, self.scale_w
@@ -124,12 +127,8 @@ class _Geometry:
         self.X, self.sq = dataset.dense()
         self.n = dataset.n
         self.kxx = kernel.sigma_f**2 + kernel.offset
-        self._inv2sl2 = 1.0 / (2.0 * kernel.sigma_l**2)
         if self.n <= gram_cap:
-            d2 = self.sq[:, None] + self.sq[None, :] - 2.0 * (self.X @ self.X.T)
-            np.maximum(d2, 0.0, out=d2)
-            np.fill_diagonal(d2, 0.0)
-            self.K = kernel_matrix_from_sq_dists(kernel, d2)
+            self.K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(self.X, self.sq))
         else:
             self.K = None
             # support rows gathered contiguously as coefficients get touched
@@ -166,31 +165,6 @@ class _Geometry:
             return float(self.K[i, j])
         d2 = max(self.sq[i] + self.sq[j] - 2.0 * float(self.X[i] @ self.X[j]), 0.0)
         return float(kernel_matrix_from_sq_dists(self.kernel, np.float64(d2)))
-
-    def decisions_at(self, coefs: np.ndarray, scale: float, targets=None) -> np.ndarray:
-        """Vectorized decisions for many targets (all points when None)."""
-        sup = np.flatnonzero(coefs)
-        m = self.n if targets is None else len(targets)
-        if sup.size == 0:
-            return np.zeros(m)
-        Xs, sqs = self.X[sup], self.sq[sup]
-        Xt = self.X if targets is None else self.X[targets]
-        sqt = self.sq if targets is None else self.sq[targets]
-        d2 = sqs[:, None] + sqt[None, :] - 2.0 * (Xs @ Xt.T)
-        np.maximum(d2, 0.0, out=d2)
-        return scale * (coefs[sup] @ kernel_matrix_from_sq_dists(self.kernel, d2))
-
-    def norm_sq_of(self, coefs: np.ndarray, scale: float) -> float:
-        sup = np.flatnonzero(coefs)
-        if sup.size == 0:
-            return 0.0
-        Xs, sqs = self.X[sup], self.sq[sup]
-        d2 = sqs[:, None] + sqs[None, :] - 2.0 * (Xs @ Xs.T)
-        np.maximum(d2, 0.0, out=d2)
-        np.fill_diagonal(d2, 0.0)
-        K = kernel_matrix_from_sq_dists(self.kernel, d2)
-        c = coefs[sup]
-        return max(float(scale * scale * (c @ K @ c)), 0.0)
 
 
 def _fast_loss_grad(spec: LossSpec):
@@ -366,7 +340,7 @@ def train(
                 if every is not None and (t % every == 0 or t == T):
                     bar = (2.0 / (t * (t + 1.0))) * (Q * u - v)
                     j_avg = _objective_core(
-                        bar, 1.0, dataset, graph, config, geom, diag_rng
+                        bar, 1.0, dataset, graph, config, kernel, diag_rng
                     )
                     trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
@@ -407,37 +381,42 @@ def _objective_core(
     dataset: Dataset,
     graph: EdgeSet,
     config: TrainConfig,
-    geom: _Geometry,
+    kernel: KernelSpec,
     rng: np.random.Generator | None,
     cap: int = EXACT_EDGE_CAP,
 ) -> float:
+    """J from one decision evaluation: at every point when the edge term is
+    exact, otherwise at the support, the labeled points and the sampled edge
+    endpoints. The regularizer is scale * c . dec[support]."""
     l = dataset.labeled_count
-    reg = 0.5 * geom.norm_sq_of(coefs, scale)
+    exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
+    us = vs = np.empty(0, dtype=np.int64)
+    if exact:
+        us, vs, ws = graph.enumerate_edges(cap)
+    elif graph.n_edges > 0:
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        us, vs, ws = graph.sample_batch(rng, config.objective_samples)
+
+    sup = np.flatnonzero(coefs)
+    dec = np.zeros(dataset.n)
+    if sup.size:
+        X, sq = dataset.dense()
+        at = slice(None) if exact else np.unique(np.concatenate([sup, np.arange(l), us, vs]))
+        dec[at] = scale * block_decisions(kernel, coefs[sup], X[sup], sq[sup], X[at], sq[at])
+
+    reg = 0.5 * max(float(scale * (coefs[sup] @ dec[sup])), 0.0)
     lab = 0.0
     if l:
-        dec_l = geom.decisions_at(coefs, scale, np.arange(l))
-        losses = loss_value(config.loss, dec_l, dataset.labels[:l].astype(np.float64))
+        losses = loss_value(config.loss, dec[:l], dataset.labels[:l].astype(np.float64))
         lab = config.C / l * float(np.sum(losses))
     edge = 0.0
-    if graph.n_edges > 0:
-        mode = _resolve_mode(config, graph)
-        if mode == "exact":
-            us, vs, ws = graph.enumerate_edges(cap)
-            dec = geom.decisions_at(coefs, scale)
-            t_e = dec[us] - dec[vs]
-            edge = config.C_prime / graph.n_edges * float(
-                ws @ lp_value(config.smoothness, t_e)
-            )
+    if us.size:
+        t_e = lp_value(config.smoothness, dec[us] - dec[vs])
+        if exact:
+            edge = config.C_prime / graph.n_edges * float(ws @ t_e)
         else:
-            if rng is None:
-                rng = np.random.default_rng(config.seed)
-            us, vs, ws = graph.sample_batch(rng, config.objective_samples)
-            targets = np.concatenate([us, vs])
-            dec = geom.decisions_at(coefs, scale, targets)
-            t_e = dec[: us.size] - dec[us.size :]
-            edge = config.C_prime * float(
-                np.mean(ws * lp_value(config.smoothness, t_e))
-            )
+            edge = config.C_prime * float(np.mean(ws * t_e))
     return reg + lab + edge
 
 
@@ -467,15 +446,14 @@ def objective(
             raise ValueError("kernel is required with raw coefficients")
     if coefs.shape != (dataset.n,):
         raise ValueError("coefficient array must align with the dataset")
-    geom = _Geometry(dataset, kernel, gram_cap=0)  # no Gram cache for one shot
-    return _objective_core(coefs, scale, dataset, graph, config, geom, rng, cap)
+    return _objective_core(coefs, scale, dataset, graph, config, kernel, rng, cap)
 
 
-def decision_values(state: ModelState, points: Sequence[SparseVector]) -> np.ndarray:
-    """Decision function of the model on arbitrary points."""
-    coefs, scale = state.coefficients()
+def _decisions(state: ModelState, which: str, points: Sequence[SparseVector]) -> np.ndarray:
+    """Decision values of the requested iterate at arbitrary points."""
+    coefs, scale = state.coefficients(which)
     sup = np.flatnonzero(coefs)
-    if sup.size == 0:
+    if sup.size == 0 or len(points) == 0:
         return np.zeros(len(points))
     sup_pts = [state.points[i] for i in sup]
     dim = max(
@@ -487,10 +465,12 @@ def decision_values(state: ModelState, points: Sequence[SparseVector]) -> np.nda
     Xq = np.stack([p.to_dense(dim) for p in points])
     sqs = np.einsum("ij,ij->i", Xs, Xs)
     sqq = np.einsum("ij,ij->i", Xq, Xq)
-    d2 = sqs[:, None] + sqq[None, :] - 2.0 * (Xs @ Xq.T)
-    np.maximum(d2, 0.0, out=d2)
-    K = kernel_matrix_from_sq_dists(state.kernel, d2)
-    return scale * (coefs[sup] @ K)
+    return scale * block_decisions(state.kernel, coefs[sup], Xs, sqs, Xq, sqq)
+
+
+def decision_values(state: ModelState, points: Sequence[SparseVector]) -> np.ndarray:
+    """Decision function of the model on arbitrary points."""
+    return _decisions(state, "model", points)
 
 
 def predict(state: ModelState, x: SparseVector) -> int:
@@ -507,18 +487,8 @@ def hilbert_norm(state: ModelState, which: str = "current") -> float:
     """RKHS norm of the requested iterate via the kernel quadratic form."""
     coefs, scale = state.coefficients(which)
     sup = np.flatnonzero(coefs)
-    if sup.size == 0:
-        return 0.0
-    sup_pts = [state.points[i] for i in sup]
-    dim = max(max(p.max_index for p in sup_pts), 1)
-    Xs = np.stack([p.to_dense(dim) for p in sup_pts])
-    sq = np.einsum("ij,ij->i", Xs, Xs)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    K = kernel_matrix_from_sq_dists(state.kernel, d2)
-    c = coefs[sup]
-    return math.sqrt(max(float(scale * scale * (c @ K @ c)), 0.0))
+    dec = _decisions(state, which, [state.points[i] for i in sup])
+    return math.sqrt(max(float(scale * (coefs[sup] @ dec)), 0.0))
 
 
 MODEL_FORMAT_TAG = "gkm-model 1"
@@ -558,51 +528,67 @@ def save_model(state: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    """Rebuild a prediction-ready ModelState from a model file."""
+    """Rebuild a prediction-ready ModelState from a model file.
+
+    A missing or malformed line raises ParseError naming it.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != MODEL_FORMAT_TAG:
         raise ParseError(f"not a model file (missing '{MODEL_FORMAT_TAG}' header)", 1)
-    fields: dict[str, str] = {}
+    header: dict[str, int] = {}  # key -> index of its line
     cursor = 1
     while cursor < len(lines) and not lines[cursor].startswith("support "):
-        key, _, rest = lines[cursor].partition(" ")
-        fields[key] = rest
+        header[lines[cursor].partition(" ")[0]] = cursor
         cursor += 1
     if cursor == len(lines):
         raise ParseError("missing support section")
-    k = int(lines[cursor].split()[1])
-    cursor += 1
+    at = cursor  # the line being parsed, named in errors
 
-    kern_tok = fields["kernel"].split()
-    kernel = KernelSpec(
-        sigma_f=float(kern_tok[1]), sigma_l=float(kern_tok[3]), offset=float(kern_tok[5])
-    )
-    cfg_tok = fields["config"].split()
-    cfg_map = dict(zip(cfg_tok[::2], cfg_tok[1::2]))
-    config = TrainConfig(
-        C=float(cfg_map["C"]),
-        C_prime=float(cfg_map["C_prime"]),
-        loss=LossSpec(cfg_map["loss"], tau=float(cfg_map["tau"]), epsilon=float(cfg_map["epsilon"])),
-        smoothness=SmoothnessSpec(float(cfg_map["p"])),
-        T=int(cfg_map["T"]),
-        seed=int(cfg_map["seed"]),
-        objective_mode=cfg_map.get("objective_mode", "auto"),
-    )
+    def field(key: str) -> list[str]:
+        nonlocal at
+        if key not in header:
+            raise ParseError(f"missing '{key}' line")
+        at = header[key]
+        return lines[at].split()[1:]
 
-    coefs = np.zeros(k)
-    points: list[SparseVector] = []
-    sup_labels: list[int] = []
-    for j in range(k):
-        tok = lines[cursor + j].split()
-        coefs[j] = float(tok[0])
-        sup_labels.append(int(tok[1]))
-        pairs = []
-        for t in tok[2:]:
-            idx_s, _, val_s = t.partition(":")
-            pairs.append((int(idx_s), float(val_s)))
-        points.append(SparseVector.from_pairs(pairs))
-    if cursor + k >= len(lines) or lines[cursor + k] != "end":
+    try:
+        tok = field("kernel")
+        kv = dict(zip(tok[::2], tok[1::2]))
+        kernel = KernelSpec(float(kv["sigma_f"]), float(kv["sigma_l"]), float(kv["offset"]))
+        tok = field("config")
+        kv = dict(zip(tok[::2], tok[1::2]))
+        config = TrainConfig(
+            C=float(kv["C"]),
+            C_prime=float(kv["C_prime"]),
+            loss=LossSpec(kv["loss"], tau=float(kv["tau"]), epsilon=float(kv["epsilon"])),
+            smoothness=SmoothnessSpec(float(kv["p"])),
+            T=int(kv["T"]),
+            seed=int(kv["seed"]),
+            objective_mode=kv.get("objective_mode", "auto"),
+        )
+        sigma_s = float(field("sigma_s")[0])
+        t = int(field("t")[0]) if "t" in header else config.T + 1
+        at = cursor
+        k = int(lines[at].split()[1])
+        coefs = np.zeros(k)
+        points: list[SparseVector] = []
+        sup_labels: list[int] = []
+        for j in range(k):
+            at = cursor + 1 + j
+            if at == len(lines) or lines[at] == "end":
+                raise ParseError(f"support section ends after {j} of {k} points", at + 1)
+            tok = lines[at].split()
+            coefs[j] = float(tok[0])
+            sup_labels.append(int(tok[1]))
+            pairs = []
+            for feat in tok[2:]:
+                idx_s, _, val_s = feat.partition(":")
+                pairs.append((int(idx_s), float(val_s)))
+            points.append(SparseVector.from_pairs(pairs))
+    except (ValueError, IndexError, KeyError) as exc:
+        raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at + 1) from None
+    if cursor + k + 1 >= len(lines) or lines[cursor + k + 1] != "end":
         raise ParseError("missing 'end' terminator")
 
     return ModelState(
@@ -612,9 +598,8 @@ def load_model(path) -> ModelState:
         scale_w=1.0,
         beta=coefs,
         scale_avg=1.0,
-        t=int(fields.get("t", config.T + 1)),
+        t=t,
         config=config,
-        sigma_s=float(fields["sigma_s"]),
-        use_averaged=True,
+        sigma_s=sigma_s,
         labels=np.array(sup_labels, dtype=np.int8),
     )

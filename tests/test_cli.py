@@ -172,6 +172,60 @@ class TestConverge:
         assert len(lines) == 1 + 4
 
 
+def malformed_models():
+    """Edits of a valid model file's lines, one per malformation."""
+
+    def drop(prefix):
+        return lambda lines: [ln for ln in lines if not ln.startswith(prefix)]
+
+    def replace(prefix, line):
+        return lambda lines: [line if ln.startswith(prefix) else ln for ln in lines]
+
+    def support_section(edit):
+        """edit(first support point line) -> lines that replace the section."""
+
+        def apply(lines):
+            at = next(i for i, ln in enumerate(lines) if ln.startswith("support "))
+            return lines[:at] + edit(lines[at + 1])
+
+        return apply
+
+    cases = [
+        ("no-kernel", drop("kernel ")),
+        ("no-config", drop("config ")),
+        ("no-sigma_s", drop("sigma_s ")),
+        ("kernel-not-numeric", replace("kernel ", "kernel sigma_f one sigma_l 1.0 offset 0.0")),
+        ("kernel-short", replace("kernel ", "kernel sigma_f 1.0")),
+        ("config-missing-C", replace("config ", "config loss hinge tau 0.5 epsilon 0.1 p 2.0")),
+        ("sigma_s-not-numeric", replace("sigma_s ", "sigma_s wide")),
+        ("support-count-not-numeric", replace("support ", "support three")),
+        ("support-truncated", support_section(lambda first: ["support 3", first, "end"])),
+        ("support-cut-off", support_section(lambda first: ["support 3", first])),
+        ("coefficient-not-numeric", support_section(
+            lambda first: ["support 1", "x" + first.partition(" ")[2], "end"])),
+    ]
+    return [pytest.param(edit, id=case) for case, edit in cases]
+
+
+class TestMalformedModel:
+    @pytest.fixture(scope="class")
+    def model_lines(self, tmp_path_factory):
+        full = synth_two_gaussians(30, 2, 4.0, seed=0)
+        hidden, _ = hide_labels(full, 0.6, seed=0)
+        root = tmp_path_factory.mktemp("model")
+        save_libsvm(hidden, root / "train.txt")
+        assert run(["train", root / "train.txt", "--T", "200", "--model-out", root / "m.txt"]) == 0
+        return (root / "m.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("edit", malformed_models())
+    def test_predict_exit_two(self, tmp_path, data_file, model_lines, edit, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(edit(list(model_lines))) + "\n")
+        assert run(["predict", data_file, "--model-in", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line" in err  # a ParseError, not a raw message
+
+
 class TestValidationErrors:
     def test_missing_file_exit_two(self):
         assert run(["predict", "/nonexistent/data.txt", "--model-in", "/nonexistent/m.txt"]) == 2

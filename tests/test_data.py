@@ -61,6 +61,17 @@ class TestLoadLibsvm:
             load_libsvm(f)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "bad_line", ["+1 1:0.5 2:nan", "-1 1:inf", "0 2:-inf", "nan 1:1", "-inf 1:1"]
+    )
+    def test_non_finite_values_rejected(self, tmp_path, bad_line):
+        f = tmp_path / "d.txt"
+        f.write_text(f"+1 1:1\n{bad_line}\n")
+        with pytest.raises(ParseError) as err:
+            load_libsvm(f)
+        assert err.value.line == 2
+        assert "non-finite" in str(err.value)
+
     def test_round_trip_exact(self, tmp_path):
         ds = synth_two_gaussians(20, 3, 2.5, seed=9)
         hidden, _ = hide_labels(ds, 0.5, seed=1)

@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkm.kernel import (
+    SLAB_BYTES,
     KernelSpec,
     SparseVector,
+    block_decisions,
     decision_value,
     eval_kernel,
     feature_norm,
+    gram_sq_dists,
+    kernel_matrix_from_sq_dists,
+    sq_dist_block,
     squared_distance,
 )
 
@@ -144,3 +149,57 @@ class TestKernelSpec:
         assert spec.sigma_l == pytest.approx(1.0)
         x, y = sv((1, 1.0)), sv((1, 3.0))
         assert eval_kernel(spec, x, y) == pytest.approx(math.exp(-0.5 * 4.0), rel=1e-12)
+
+
+class TestBlockPrimitives:
+    """sq_dist_block / block_decisions against the literal one-shot formula."""
+
+    SPEC = KernelSpec(sigma_f=1.3, sigma_l=0.9, offset=0.2)
+
+    @staticmethod
+    def rows(rng, n, dim=7):
+        X = rng.standard_normal((n, dim))
+        return X, np.einsum("ij,ij->i", X, X)
+
+    @staticmethod
+    def old_block(XA, sqA, XB, sqB):
+        d2 = sqA[:, None] + sqB[None, :] - 2.0 * (XA @ XB.T)
+        np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    def test_block_equals_old_formula(self):
+        rng = np.random.default_rng(0)
+        XA, sqA = self.rows(rng, 37)
+        XB, sqB = self.rows(rng, 53)
+        assert np.array_equal(sq_dist_block(XA, sqA, XB, sqB), self.old_block(XA, sqA, XB, sqB))
+        out = np.empty((37, 53))
+        assert sq_dist_block(XA, sqA, XB, sqB, out=out) is out
+        assert np.array_equal(out, self.old_block(XA, sqA, XB, sqB))
+
+    def test_gram_equals_old_formula(self):
+        rng = np.random.default_rng(1)
+        X, sq = self.rows(rng, 64)
+        old = self.old_block(X, sq, X, sq)
+        np.fill_diagonal(old, 0.0)
+        got = gram_sq_dists(X, sq)
+        assert np.array_equal(got, old)
+        assert np.array_equal(got, got.T)
+
+    def test_one_slab_decisions_equal_one_shot_block(self):
+        rng = np.random.default_rng(2)
+        XS, sqS = self.rows(rng, 40)
+        XT, sqT = self.rows(rng, 90)
+        c = rng.standard_normal(40)
+        one_shot = c @ kernel_matrix_from_sq_dists(self.SPEC, self.old_block(XS, sqS, XT, sqT))
+        assert np.array_equal(block_decisions(self.SPEC, c, XS, sqS, XT, sqT), one_shot)
+
+    def test_chunked_decisions_match_one_shot_block(self):
+        rng = np.random.default_rng(3)
+        XS, sqS = self.rows(rng, 1100, dim=20)
+        XT, sqT = self.rows(rng, 3000, dim=20)
+        c = rng.standard_normal(1100)
+        width = SLAB_BYTES // (8 * 1100)
+        assert math.ceil(3000 / width) >= 3  # the check spans several slabs
+        one_shot = c @ kernel_matrix_from_sq_dists(self.SPEC, self.old_block(XS, sqS, XT, sqT))
+        got = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
+        assert np.allclose(got, one_shot, rtol=1e-12, atol=0.0)

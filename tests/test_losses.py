@@ -16,6 +16,7 @@ from gkm.losses import (
     lp_grad_scalar,
     lp_value,
 )
+from gkm.optimizer import _fast_loss_grad, _fast_lp_grad
 
 ALL_SPECS = [
     LossSpec("hinge"),
@@ -185,3 +186,41 @@ class TestGradientBound:
     def test_rejects_nonpositive_R(self):
         with pytest.raises(ValueError):
             gradient_bound_A(LossSpec("hinge"), 0.0)
+
+
+@st.composite
+def loss_grad_case(draw):
+    """(spec, o, y) with o often exactly at a kink: y*o = 1, y*o = 1 - tau,
+    |y - o| = epsilon, o = y, or o = 0."""
+    spec = draw(st.sampled_from(ALL_SPECS + [LossSpec("smooth-hinge", tau=1.0),
+                                            LossSpec("eps-insensitive", epsilon=0.0)]))
+    labels = st.sampled_from([-1.0, 1.0])
+    if not spec.is_classification:
+        labels = labels | st.floats(-3.0, 3.0)
+    y = draw(labels)
+    kinks = kink_positions(spec, y) + [0.0, y]
+    o = draw(st.sampled_from(kinks) | st.floats(-1e3, 1e3))
+    return spec, o, y
+
+
+class TestFastGradientCopies:
+    """The trainer's scalar closures agree with the vectorized reference."""
+
+    @given(case=loss_grad_case())
+    @settings(max_examples=600, deadline=None)
+    def test_loss_grad_matches_reference(self, case):
+        spec, o, y = case
+        fast = _fast_loss_grad(spec)(o, y)
+        ref = loss_grad_scalar(spec, o, y)
+        if spec.kind == "logistic":  # exp/(1+exp) against scipy's expit
+            assert fast == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        else:
+            assert fast == ref
+
+    @given(
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        t=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_lp_grad_matches_reference(self, p, t):
+        assert _fast_lp_grad(p)(t) == lp_grad_scalar(SmoothnessSpec(p), t)

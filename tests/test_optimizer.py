@@ -11,9 +11,9 @@ from gkm.exceptions import (
     NonFiniteStateError,
 )
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected
-from gkm.kernel import KernelSpec, SparseVector, eval_kernel
+from gkm.kernel import KernelSpec, SparseVector, eval_kernel, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
-from gkm.losses import LossSpec, SmoothnessSpec
+from gkm.losses import LossSpec, SmoothnessSpec, loss_value, lp_value
 from gkm.optimizer import (
     ModelState,
     TrainConfig,
@@ -264,6 +264,73 @@ class TestObjective:
         assert abs(draws.mean() - exact) <= 3 * se
 
 
+def old_objective(coefs, dataset, graph, config, kernel, rng):
+    """The objective as three separate kernel blocks (support x support,
+    support x labeled, support x edge endpoints), kept as the reference for
+    the single-evaluation objective."""
+
+    def decisions_at(targets):
+        X, sq = dataset.dense()
+        sup = np.flatnonzero(coefs)
+        m = dataset.n if targets is None else len(targets)
+        if sup.size == 0:
+            return np.zeros(m)
+        Xt = X if targets is None else X[targets]
+        sqt = sq if targets is None else sq[targets]
+        d2 = sq[sup][:, None] + sqt[None, :] - 2.0 * (X[sup] @ Xt.T)
+        np.maximum(d2, 0.0, out=d2)
+        return coefs[sup] @ kernel_matrix_from_sq_dists(kernel, d2)
+
+    X, sq = dataset.dense()
+    sup = np.flatnonzero(coefs)
+    reg = 0.0
+    if sup.size:
+        d2 = sq[sup][:, None] + sq[sup][None, :] - 2.0 * (X[sup] @ X[sup].T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        c = coefs[sup]
+        reg = 0.5 * max(float(c @ kernel_matrix_from_sq_dists(kernel, d2) @ c), 0.0)
+    l = dataset.labeled_count
+    losses = loss_value(config.loss, decisions_at(np.arange(l)), dataset.labels[:l].astype(float))
+    lab = config.C / l * float(np.sum(losses))
+    if config.objective_mode == "exact":
+        us, vs, ws = graph.enumerate_edges()
+        dec = decisions_at(None)
+        edge = config.C_prime / graph.n_edges * float(
+            ws @ lp_value(config.smoothness, dec[us] - dec[vs])
+        )
+    else:
+        us, vs, ws = graph.sample_batch(rng, config.objective_samples)
+        dec = decisions_at(np.concatenate([us, vs]))
+        t_e = dec[: us.size] - dec[us.size :]
+        edge = config.C_prime * float(np.mean(ws * lp_value(config.smoothness, t_e)))
+    return reg + lab + edge
+
+
+class TestSingleEvaluationObjective:
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_matches_three_block_reference(self, mode):
+        full = synth_two_gaussians(300, 5, 3.0, seed=11)
+        hidden, _ = hide_labels(full, 0.7, seed=11)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.5))
+        cfg = hinge_cfg(T=1, objective_mode=mode, objective_samples=700)
+        coefs = np.random.default_rng(0).normal(size=hidden.n)
+        coefs[np.random.default_rng(1).random(hidden.n) < 0.6] = 0.0  # partial support
+        kernel = KernelSpec(1.2, 1.7)
+        got = objective(coefs, hidden, graph, cfg, kernel, rng=np.random.default_rng(5))
+        ref = old_objective(coefs, hidden, graph, cfg, kernel, np.random.default_rng(5))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_matches_reference_for_trained_model(self, small_problem):
+        hidden, _, graph = small_problem
+        model, _ = train(hidden, graph, hinge_cfg(T=300, seed=2), KERNEL)
+        for mode in ("exact", "sampled"):
+            cfg = hinge_cfg(T=1, objective_mode=mode, objective_samples=50)
+            got = objective(model, hidden, graph, cfg, rng=np.random.default_rng(8))
+            ref = old_objective(model.beta, hidden, graph, cfg, KERNEL, np.random.default_rng(8))
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 class TestPredict:
     def test_zero_model_predicts_positive(self, small_problem):
         hidden, truth, graph = small_problem
@@ -287,6 +354,7 @@ class TestPredict:
         dec = decision_values(model, truth.points)
         preds = predict_batch(model, truth.points)
         assert np.array_equal(preds, np.where(dec >= 0, 1, -1))
+        assert predict_batch(model, []).shape == (0,)
 
     def test_two_cluster_accuracy_matches_labelprop_oracle(self):
         # the trained model and the exact propagation oracle agree on the
