@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .exceptions import DegenerateSplitError, InvalidLabelError, ParseError
 from .kernel import SparseVector, gram_sq_dists
@@ -126,7 +126,7 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
                 pairs.append((idx, val))
             try:
                 points.append(SparseVector.from_pairs(pairs))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), lineno) from None
             labels.append(int(y))
     pts, lab, perm = _reorder_labeled_first(points, labels)
@@ -165,8 +165,8 @@ def load_mask(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                idx.append(int(line))
-            except ValueError:
+                idx.append(np.int64(line))
+            except (ValueError, OverflowError):
                 raise ParseError(f"bad index {line!r}", lineno) from None
     return np.array(idx, dtype=np.int64)
 
@@ -182,6 +182,8 @@ def apply_mask(dataset: Dataset, indices) -> tuple[Dataset, Dataset]:
     if dataset.unlabeled_count:
         raise ValueError("label hiding expects a fully labeled dataset")
     indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= dataset.n):
+        raise ValueError(f"mask indices must lie in [0, {dataset.n})")
     new_labels = dataset.labels.copy()
     new_labels[indices] = 0
     for cls in (-1, 1):
@@ -214,7 +216,7 @@ def separation_for_bayes_accuracy(accuracy: float) -> float:
     """Mean separation giving the requested Bayes accuracy along one axis."""
     if not (0.5 < accuracy < 1.0):
         raise ValueError("accuracy must lie in (0.5, 1)")
-    return 2.0 * float(norm.ppf(accuracy))
+    return 2.0 * float(ndtri(accuracy))
 
 
 def median_pairwise_distance(dataset: Dataset, cap: int = 1000, seed: int = 0) -> float:

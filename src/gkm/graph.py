@@ -130,7 +130,7 @@ class ExplicitEdges:
             raise ValueError("edge arrays must align")
         if us.size and not np.all(us < vs):
             raise ValueError("edges must be canonical i < j")
-        if us.size and (np.any(ws <= 0.0) or np.any(ws > 1.0)):
+        if not np.all((ws > 0.0) & (ws <= 1.0)):
             raise ValueError("weights must lie in (0, 1]")
         self.us, self.vs, self.ws = us, vs, ws
         self.n = int(n)
@@ -243,8 +243,8 @@ def read_edges(path, n: int | None = None) -> ExplicitEdges:
                 i, j, w = int(tok[0]) - 1, int(tok[1]) - 1, float(tok[2])
             except ValueError:
                 raise ParseError(f"expected 'i j weight', got {line!r}", lineno) from None
-            if i == j or i < 0 or j < 0:
-                raise ParseError("self-loops and non-positive indices are invalid", lineno)
+            if i == j or min(i, j) < 0 or max(i, j) >= 2**63:
+                raise ParseError("self-loops and indices outside [1, 2^63] are invalid", lineno)
             us.append(min(i, j))
             vs.append(max(i, j))
             ws.append(w)

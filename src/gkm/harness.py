@@ -12,8 +12,12 @@ from .data import Dataset
 from .exceptions import NoLabeledDataError, NotConvergedError
 from .graph import EdgeSet
 from .kernel import KernelSpec, gram_sq_dists, kernel_matrix_from_sq_dists
-from .losses import loss_grad_scalar, loss_value, lp_grad_scalar, lp_value
+from .losses import loss_conjugate, loss_prox_slope, loss_value
+from .losses import lp_conjugate, lp_prox_slope, lp_value
 from .optimizer import Diagnostics, ModelState, TrainConfig, objective, predict_batch, train
+
+_GAP_RTOL = 1e-13  # certified once the duality gap is this small relative to max(J, 1)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -59,129 +63,58 @@ class ReferenceSolution:
     converged: bool
 
 
-def _gram(dataset: Dataset, kernel: KernelSpec) -> np.ndarray:
-    return kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*dataset.dense()))
-
-
 def solve_reference_optimum(
     dataset: Dataset,
     graph: EdgeSet,
     config: TrainConfig,
     kernel: KernelSpec,
     *,
-    max_iter: int = 1_000_000,
-    grad_tol: float = 1e-6,
+    max_iter: int = 10_000,
     cap: int = 200,
-    stagnation_window: int = 10_000,
-    stagnation_rtol: float = 1e-10,
 ) -> ReferenceSolution:
-    """Full-batch deterministic (sub)gradient descent on J in coefficient
-    space.
+    """Dual coordinate ascent (SDCA; Shalev-Shwartz & Zhang, JMLR 2013) on
+    J = ||w||^2 / 2 + sum_j kappa_j phi_j(a_j . w) over the labeled points
+    (a_j = Phi(x_i), kappa_j = C / l, phi_j = loss) and the edges
+    (a_j = Phi(x_u) - Phi(x_v), kappa_j = C' mu_uv / |E|, phi_j = |t|^p).
 
-    Differentiable configurations (logistic loss with p >= 2) stop once the
-    RKHS gradient norm drops below ``grad_tol`` and raise NotConvergedError
-    if the budget runs out first. Non-differentiable ones run diminishing
-    steps 2/(k+1) with best-iterate and averaged-iterate tracking, exiting
-    early only when the best value stagnates for a full window.
-    The unique minimizer exists because of the (1/2)||w||^2 term.
-    """
+    ``max_iter`` counts epochs: cyclic passes of scalar prox steps over the
+    dual slopes s_j, with w = -sum_j kappa_j s_j a_j (terms with a_j = 0 are
+    skipped). Each epoch ends with the duality gap, an upper bound on J(c) - J*.
+    Once it is <= _GAP_RTOL * max(J, 1), it is returned as ``residual``, widened
+    by the float rounding in computing it; NotConvergedError if the budget runs out."""
     n = dataset.n
     if n > cap:
         raise ValueError(f"reference solver capped at {cap} points, got {n}")
     l = dataset.labeled_count
     if l < 1:
         raise NoLabeledDataError("the objective needs at least one labeled point")
-    K = _gram(dataset, kernel)
-    y = dataset.labels[:l].astype(np.float64)
-    p = config.smoothness.p
-    C, Cp = config.C, config.C_prime
-
-    if graph.n_edges:
-        us, vs, ws = graph.enumerate_edges()
-        edge_scale = Cp / graph.n_edges
-    else:
-        us = vs = np.empty(0, dtype=np.int64)
-        ws = np.empty(0)
-        edge_scale = 0.0
-
-    def value_and_grad(c: np.ndarray):
+    K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*dataset.dense()))
+    K = np.pad(K, (0, 1))  # index n is a zero feature vector: label i is the pair (i, n)
+    y, loss, smooth = dataset.labels[:l].astype(np.float64), config.loss, config.smoothness
+    e_us, e_vs, ws = graph.enumerate_edges()
+    us, vs = np.concatenate([np.arange(l), e_us]), np.concatenate([np.full(l, n), e_vs])
+    kappa = np.concatenate([np.full(l, config.C / l), ws * config.C_prime / max(ws.size, 1)])
+    q = K[us, us] + K[vs, vs] - 2.0 * K[us, vs]
+    live = np.flatnonzero(q > 0.0).tolist()
+    s, dec, gap = np.zeros(us.size), np.zeros(n + 1), np.inf
+    for epoch in range(1, max_iter + 1):
+        for j in live:
+            u, v, gamma = us[j], vs[j], kappa[j] * q[j]
+            z = dec[u] - dec[v] + gamma * s[j]
+            new = loss_prox_slope(loss, z, y[j], gamma) if j < l else lp_prox_slope(smooth, z, gamma)
+            dec -= kappa[j] * (new - s[j]) * (K[u] - K[v])  # dec = K c as c moves
+            s[j] = new
+        ks = kappa * s  # c from the duals and dec from c: the certificate carries no drift
+        c = np.bincount(vs, ks, minlength=n + 1) - np.bincount(us, ks, minlength=n + 1)
         dec = K @ c
-        j = 0.5 * float(c @ dec)
-        g = c.copy()
-        losses = loss_value(config.loss, dec[:l], y)
-        j += C / l * float(np.sum(losses))
-        g[:l] += C / l * np.asarray(loss_grad_scalar(config.loss, dec[:l], y))
-        if us.size:
-            t_e = dec[us] - dec[vs]
-            j += edge_scale * float(ws @ lp_value(config.smoothness, t_e))
-            sp = ws * np.asarray(lp_grad_scalar(config.smoothness, t_e))
-            g += edge_scale * (
-                np.bincount(us, weights=sp, minlength=n)
-                - np.bincount(vs, weights=sp, minlength=n)
-            )
-        return j, g
-
-    smooth = config.loss.kind == "logistic" and p >= 2.0
-
-    c = np.zeros(n)
-    j_c, g = value_and_grad(c)
-    best_c, best_j = c.copy(), j_c
-
-    if smooth:
-        # Armijo backtracking along -g; linear convergence from the strongly
-        # convex quadratic core, so grad_tol is reached in a modest number of
-        # full-batch steps.
-        step = 1.0
-        for it in range(1, max_iter + 1):
-            grad_h_sq = float(g @ (K @ g))
-            if grad_h_sq <= grad_tol * grad_tol:
-                return ReferenceSolution(best_c, best_j, grad_h_sq / 2.0, it - 1, True)
-            step = min(step * 2.0, 1.0)
-            accepted = False
-            while step > 1e-18:
-                cand = c - step * g
-                j_cand, g_cand = value_and_grad(cand)
-                if j_cand <= j_c - 0.5 * step * grad_h_sq:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break  # float noise floor reached; fall through to budget error
-            c, j_c, g = cand, j_cand, g_cand
-            if j_c < best_j:
-                best_j, best_c = j_c, c.copy()
-        raise NotConvergedError(
-            f"gradient norm above {grad_tol} after {max_iter} iterations"
-        )
-
-    # Non-differentiable path: strongly convex subgradient descent.
-    bar = np.zeros(n)
-    g_h_max_sq = 0.0
-    window_best = best_j
-    next_check = stagnation_window
-    it = 0
-    for it in range(1, max_iter + 1):
-        g_h_sq = float(g @ (K @ g))
-        if g_h_sq > g_h_max_sq:
-            g_h_max_sq = g_h_sq
-        eta = 2.0 / (it + 1.0)
-        c = c - eta * g
-        bar = ((it - 1.0) / (it + 1.0)) * bar + (2.0 / (it + 1.0)) * c
-        j_c, g = value_and_grad(c)
-        if j_c < best_j:
-            best_j, best_c = j_c, c.copy()
-        if it % 16 == 0:
-            j_bar, _ = value_and_grad(bar)
-            if j_bar < best_j:
-                best_j, best_c = j_bar, bar.copy()
-        if it >= next_check:
-            if (window_best - best_j) < stagnation_rtol * max(abs(best_j), 1.0):
-                break
-            window_best = best_j
-            next_check = it + stagnation_window
-    # deterministic averaged-iterate guarantee: J(bar_K) - J* <= 2 G^2 / K
-    residual = 2.0 * g_h_max_sq / max(it, 1)
-    return ReferenceSolution(best_c, best_j, residual, it, True)
+        t = dec[us] - dec[vs]
+        phi = np.concatenate([loss_value(loss, t[:l], y), lp_value(smooth, t[l:])])
+        conj = np.concatenate([loss_conjugate(loss, s[:l], y), lp_conjugate(smooth, s[l:])])
+        gap, j_c = float(kappa @ (phi + conj - s * t)), 0.5 * float(c @ dec) + float(kappa @ phi)
+        if gap <= _GAP_RTOL * max(j_c, 1.0):  # + a few ulps of what J and its dual sum
+            size = np.abs(c) @ K @ np.abs(c) + kappa @ (np.abs(phi) + np.abs(conj) + np.abs(s * t))
+            return ReferenceSolution(c[:n], j_c, max(gap, 0.0) + 4 * _EPS * size, epoch, True)
+    raise NotConvergedError(f"duality gap {gap:.3g} still open after {max_iter} epochs")
 
 
 @dataclass
@@ -204,7 +137,7 @@ def run_convergence_experiment(
     seeds,
     kernel: KernelSpec,
     *,
-    oracle_max_iter: int = 1_000_000,
+    oracle_max_iter: int = 10_000,
 ) -> list[ConvergenceRun]:
     """Train every (config, T, seed) cell and record (J(bar_w) - J*) * T
     against the shared per-config optimum."""

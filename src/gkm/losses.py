@@ -2,7 +2,7 @@
 
 Every loss gradient factors as s * Phi(x) for a scalar s with |s| <= 1,
 which is what pins the gradient bound A to the feature-space radius R.
-All functions broadcast over numpy arrays and accept plain floats.
+All functions accept plain floats; all but the *_prox_slope ones broadcast.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, xlogy
 
 from .exceptions import InvalidLabelError
 
@@ -117,6 +117,47 @@ def loss_grad_scalar(spec: LossSpec, o, y):
     return out if out.ndim else float(out)
 
 
+def _increasing_root(g, dg, lo, hi):
+    """Root of increasing g, g(lo) <= 0 <= g(hi): Newton from hi, bisecting as rtsafe does."""
+    x, dx = hi, hi - lo
+    for _ in range(200):
+        gx = g(x)
+        lo, hi = (x, hi) if gx < 0.0 else (lo, x)
+        nx = x - gx / dg(x) if gx else x
+        if gx and not (lo < nx < hi and abs(nx - x) <= 0.5 * abs(dx)):
+            nx = 0.5 * (lo + hi)
+        if nx == x:
+            break
+        x, dx = nx, nx - x
+    return x
+
+
+def loss_prox_slope(spec: LossSpec, v: float, y: float, gamma: float) -> float:
+    """Scalar s in d loss(u, y) at u = prox_{gamma loss(., y)}(v) = v - gamma * s."""
+    if spec.kind == "logistic":
+        m = _increasing_root(lambda m: m - y * v - gamma * expit(-m),
+                             lambda m: 1.0 + gamma * expit(m) * expit(-m), y * v, y * v + gamma)
+        return -y * float(expit(-m))
+    if spec.is_classification:  # hinge is smooth-hinge with a zero-width corner
+        width = gamma + (spec.tau if spec.kind == "smooth-hinge" else 0.0)
+        return -y * min(max((1.0 - y * v) / width, 0.0), 1.0)
+    eps = spec.epsilon if spec.kind == "eps-insensitive" else 0.0  # l1 has eps = 0
+    return float(np.copysign(min(max((abs(v - y) - eps) / gamma, 0.0), 1.0), v - y))
+
+
+def loss_conjugate(spec: LossSpec, s, y):
+    """Convex conjugate sup_o [s * o - loss(o, y)]; inf off its domain."""
+    s, r = np.asarray(s, dtype=np.float64), np.multiply(y, s)
+    inside = (r >= -1.0) & (r <= 0.0) if spec.is_classification else np.abs(s) <= 1.0
+    if spec.kind == "logistic":  # clipped into the domain; the rest is masked below
+        r = np.clip(r, -1.0, 0.0)
+        r = xlogy(-r, -r) + xlogy(1.0 + r, 1.0 + r)
+    r = r + (0.5 * spec.tau * r * r if spec.kind == "smooth-hinge" else 0.0)
+    r = r + (spec.epsilon * np.abs(s) if spec.kind == "eps-insensitive" else 0.0)
+    out = np.where(inside, r, np.inf)
+    return out if out.ndim else float(out)
+
+
 def lp_value(spec: SmoothnessSpec, t):
     """|t|^p, even in t."""
     t = np.asarray(t, dtype=np.float64)
@@ -128,6 +169,30 @@ def lp_grad_scalar(spec: SmoothnessSpec, t):
     """p * sign(t) * |t|^(p-1); odd in t, zero at t = 0 for every p >= 1."""
     t = np.asarray(t, dtype=np.float64)
     out = spec.p * np.sign(t) * np.abs(t) ** (spec.p - 1.0)
+    return out if out.ndim else float(out)
+
+
+def lp_prox_slope(spec: SmoothnessSpec, v: float, gamma: float) -> float:
+    """Scalar s = lp_grad_scalar(u) at u = prox_{gamma |.|^p}(v) = v - gamma * s: closed
+    form for p in {1, 2}, else Newton on (b / p)^(1 / (p - 1)) + gamma * b = |v| for
+    b = |s|, started from an upper bound within 2x of the root."""
+    p, r = spec.p, np.float64(abs(v))
+    if p == 1.0:
+        return min(max(v / gamma, -1.0), 1.0)
+    if p == 2.0:
+        return 2.0 * v / (1.0 + 2.0 * gamma)
+    q = 1.0 / (p - 1.0)
+    with np.errstate(all="ignore"):  # numpy scalars: overflow gives inf, not an error
+        b = _increasing_root(lambda b: (b / p) ** q + gamma * b - r,
+                             lambda b: q / p * (b / p) ** (q - 1.0) + gamma,
+                             0.0, min(r / gamma, p * r ** (p - 1.0)))
+    return float(np.copysign(b, v))
+
+
+def lp_conjugate(spec: SmoothnessSpec, s):
+    """Convex conjugate of |t|^p: (p-1) (|s|/p)^(p/(p-1)); for p = 1, 0 on |s| <= 1, else inf."""
+    s, p = np.abs(np.asarray(s, dtype=np.float64)), spec.p
+    out = np.where(s <= 1.0, 0.0, np.inf) if p == 1.0 else (p - 1) * (s / p) ** (p / (p - 1))
     return out if out.ndim else float(out)
 
 

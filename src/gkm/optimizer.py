@@ -122,12 +122,12 @@ class ModelState:
 class _Geometry:
     """Decision values and kernel entries, with a Gram cache at small n."""
 
-    def __init__(self, dataset: Dataset, kernel: KernelSpec, gram_cap: int):
+    def __init__(self, dataset: Dataset, kernel: KernelSpec):
         self.kernel = kernel
         self.X, self.sq = dataset.dense()
         self.n = dataset.n
         self.kxx = kernel.sigma_f**2 + kernel.offset
-        if self.n <= gram_cap:
+        if self.n <= _GRAM_CAP:
             self.K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(self.X, self.sq))
         else:
             self.K = None
@@ -224,7 +224,6 @@ def train(
     *,
     track_step_norms: bool = False,
     record_iterates: bool = False,
-    gram_cap: int = _GRAM_CAP,
 ) -> tuple[ModelState, Diagnostics]:
     """Run the stochastic training loop for exactly config.T steps.
 
@@ -247,7 +246,7 @@ def train(
     rng = np.random.default_rng(main_ss)
     diag_rng = np.random.default_rng(diag_ss)
 
-    geom = _Geometry(dataset, kernel, gram_cap)
+    geom = _Geometry(dataset, kernel)
     n, T = dataset.n, config.T
     labels = dataset.labels.astype(np.float64).tolist()
 
@@ -580,13 +579,13 @@ def load_model(path) -> ModelState:
                 raise ParseError(f"support section ends after {j} of {k} points", at + 1)
             tok = lines[at].split()
             coefs[j] = float(tok[0])
-            sup_labels.append(int(tok[1]))
+            sup_labels.append(np.int8(tok[1]))
             pairs = []
             for feat in tok[2:]:
                 idx_s, _, val_s = feat.partition(":")
                 pairs.append((int(idx_s), float(val_s)))
             points.append(SparseVector.from_pairs(pairs))
-    except (ValueError, IndexError, KeyError) as exc:
+    except (ValueError, IndexError, KeyError, OverflowError) as exc:
         raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at + 1) from None
     if cursor + k + 1 >= len(lines) or lines[cursor + k + 1] != "end":
         raise ParseError("missing 'end' terminator")

@@ -72,6 +72,17 @@ class TestTrainPredictEval:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    def test_hide_mask_index_outside_dataset_exit_two(self, tmp_path, index, capsys):
+        path = tmp_path / "full.txt"
+        save_libsvm(synth_two_gaussians(10, 2, 4.0, seed=3), path)
+        mask = tmp_path / "mask.txt"
+        mask.write_text(f"0\n{index}\n")
+        code = run(["train", path, "--hide-mask", mask, "--T", "50",
+                    "--model-out", tmp_path / "m.txt"])
+        assert code == 2
+        assert "mask indices must lie in [0, 10)" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_certified_config_exit_zero(self, capsys):
@@ -116,6 +127,14 @@ class TestLabelprop:
         assert values[1] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert values[2] == pytest.approx(-1.0 / 3.0, abs=1e-10)
         assert hard == [1, 1, -1, -1]
+
+    def test_nan_weight_exit_two(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2 nan\n2 3 1.0\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1\n0\n-1\n")
+        assert run(["labelprop", edges, labels]) == 2
+        assert "weights must lie in (0, 1]" in capsys.readouterr().err
 
     def test_disconnected_exit_code(self, tmp_path):
         edges = tmp_path / "edges.txt"

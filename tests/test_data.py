@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gkm
 from gkm.data import (
     Dataset,
     apply_mask,
@@ -145,6 +151,11 @@ class TestHideLabels:
         with pytest.raises(DegenerateSplitError):
             apply_mask(ds, [3])  # hides the only -1 point
 
+    @pytest.mark.parametrize("index", [10, -1])
+    def test_mask_index_outside_dataset_rejected(self, index):
+        with pytest.raises(ValueError, match=r"\[0, 10\)"):
+            apply_mask(self.base(), [0, index])
+
     def test_mask_file_round_trip(self, tmp_path):
         ds = self.base()
         path = tmp_path / "mask.txt"
@@ -177,6 +188,12 @@ class TestSynth:
         # one-dimensional risk of 5 percent inverts to 2 * 1.6449
         assert separation_for_bayes_accuracy(0.95) == pytest.approx(3.2897, abs=1e-4)
 
+    @pytest.mark.parametrize("accuracy", [0.95, 0.9])
+    def test_bayes_separation_matches_norm_ppf_exactly(self, accuracy):
+        from scipy.stats import norm
+
+        assert separation_for_bayes_accuracy(accuracy) == 2.0 * float(norm.ppf(accuracy))
+
     def test_bayes_rate_empirically(self):
         sep = separation_for_bayes_accuracy(0.95)
         ds = synth_two_gaussians(20000, 1, sep, seed=3)
@@ -184,6 +201,14 @@ class TestSynth:
         preds = np.where(X[:, 0] >= 0, 1, -1)
         acc = float(np.mean(preds == ds.labels))
         assert acc == pytest.approx(0.95, abs=0.01)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs most of a second and ~40 MB on import; the CLI
+    needs nothing from it."""
+    code = "import sys, gkm.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(gkm.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_median_pairwise_distance_scale():

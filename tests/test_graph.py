@@ -229,3 +229,10 @@ class TestSerialization:
         path = tmp_path / "e.txt"
         write_edges(edges, path)
         assert path.read_text().split()[:2] == ["1", "3"]
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "0", "1.5"])
+    def test_weight_outside_unit_interval_rejected(self, tmp_path, weight):
+        path = tmp_path / "e.txt"
+        path.write_text(f"1 2 {weight}\n")
+        with pytest.raises(ValueError, match=r"weights must lie in \(0, 1\]"):
+            read_edges(path)

@@ -4,7 +4,7 @@ import pytest
 from gkm.data import Dataset, hide_labels, synth_two_gaussians
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected
 from gkm.kernel import KernelSpec, SparseVector
-from gkm.losses import LossSpec, SmoothnessSpec
+from gkm.losses import LOSS_KINDS, LossSpec, SmoothnessSpec
 from gkm.optimizer import ModelState, TrainConfig, objective, train
 from gkm.harness import (
     evaluate,
@@ -142,6 +142,36 @@ class TestReferenceOptimum:
         with pytest.raises(NoLabeledDataError):
             solve_reference_optimum(ds, graph, cfg_for("hinge", 2.0), KERNEL)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    def test_certificate_holds_for_every_loss(self, loss, p):
+        """j_star is J at the returned coefficients, and no perturbation of
+        them gets below j_star - residual."""
+        full = synth_two_gaussians(12, 2, 2.0, seed=8)
+        hidden, _ = hide_labels(full, 0.5, seed=8)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        cfg = cfg_for(loss, p, C=4.0, C_prime=0.5)
+        ref = solve_reference_optimum(hidden, graph, cfg, KERNEL)
+        assert ref.converged and 0.0 <= ref.residual <= 1e-12
+        c = ref.coefficients
+        assert objective(c, hidden, graph, cfg, KERNEL) == pytest.approx(ref.j_star, rel=1e-12)
+        rng = np.random.default_rng(0)
+        for scale in (1e-6, 1e-3, 1e-1):
+            for _ in range(10):
+                bumped = c + scale * rng.standard_normal(c.size)
+                assert objective(bumped, hidden, graph, cfg, KERNEL) >= ref.j_star - ref.residual
+
+    def test_edge_between_identical_points_is_skipped(self):
+        x, z = SparseVector.from_pairs([(1, 0.3)]), SparseVector.from_pairs([(1, -0.8)])
+        ds = Dataset((x, z, x), np.array([1, -1, 0], dtype=np.int8))
+        edges = ExplicitEdges([0, 1], [2, 2], [1.0, 0.5], n=3)
+        cfg = cfg_for("hinge", 2.0)
+        ref = solve_reference_optimum(ds, edges, cfg, KERNEL)
+        assert ref.residual <= 1e-12
+        assert objective(ref.coefficients, ds, edges, cfg, KERNEL) == pytest.approx(
+            ref.j_star, rel=1e-12
+        )
+
     def test_not_converged_on_tiny_budget(self):
         from gkm.exceptions import NotConvergedError
 
@@ -195,7 +225,7 @@ def test_distance_bound_is_twice_the_gap_bound():
     by 2 (strong convexity modulus 1): median ||bar_w - w*||^2 * T stays
     under 4 G^2 = 2 * (2 G^2)."""
     from gkm.bounds import compute_bounds
-    from gkm.harness import _gram
+    from gkm.kernel import gram_sq_dists, kernel_matrix_from_sq_dists
 
     full = synth_two_gaussians(20, 2, 4.0, seed=9)
     hidden, _ = hide_labels(full, 0.7, seed=9)
@@ -204,7 +234,7 @@ def test_distance_bound_is_twice_the_gap_bound():
     report = compute_bounds(1.0, 0.05, 2.0, 1.0, 1.0)
     assert report.condition_holds
     ref = solve_reference_optimum(hidden, graph, cfg, KERNEL)
-    K = _gram(hidden, KERNEL)
+    K = kernel_matrix_from_sq_dists(KERNEL, gram_sq_dists(*hidden.dense()))
     T = 500
     dists = []
     for seed in range(5):

@@ -11,9 +11,13 @@ from gkm.losses import (
     LossSpec,
     SmoothnessSpec,
     gradient_bound_A,
+    loss_conjugate,
     loss_grad_scalar,
+    loss_prox_slope,
     loss_value,
+    lp_conjugate,
     lp_grad_scalar,
+    lp_prox_slope,
     lp_value,
 )
 from gkm.optimizer import _fast_loss_grad, _fast_lp_grad
@@ -224,3 +228,52 @@ class TestFastGradientCopies:
     @settings(max_examples=400, deadline=None)
     def test_lp_grad_matches_reference(self, p, t):
         assert _fast_lp_grad(p)(t) == lp_grad_scalar(SmoothnessSpec(p), t)
+
+
+class TestProxAndConjugate:
+    """A prox slope s is a subgradient at its prox point u = v - gamma * s, so
+    Fenchel-Young holds there with equality; each conjugate is the sup that
+    defines it."""
+
+    @given(case=loss_grad_case(), gamma=st.floats(1e-3, 1e3))
+    @settings(max_examples=400, deadline=None)
+    def test_loss_prox_slope_meets_fenchel_young(self, case, gamma):
+        spec, v, y = case
+        s = loss_prox_slope(spec, v, y, gamma)
+        u = v - gamma * s
+        gap = loss_value(spec, u, y) + loss_conjugate(spec, s, y) - s * u
+        assert abs(gap) <= 1e-12 * max(1.0, abs(v))
+
+    @given(
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 4.0),
+        v=st.sampled_from([0.0, 1.0]) | st.floats(-1e3, 1e3),
+        gamma=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_lp_prox_slope_meets_fenchel_young(self, p, v, gamma):
+        spec = SmoothnessSpec(p)
+        s = lp_prox_slope(spec, v, gamma)
+        u = v - gamma * s
+        gap = lp_value(spec, u) + lp_conjugate(spec, s) - s * u
+        assert abs(gap) <= 1e-9 * max(1.0, abs(v))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind)
+    def test_loss_conjugate_is_the_sup(self, spec):
+        o = np.linspace(-30.0, 30.0, 600_001)
+        y = 1.0 if spec.is_classification else 0.7
+        slopes = [-0.9, -0.5, -0.1] if spec.is_classification else [-0.9, -0.3, 0.5]
+        for s in slopes:
+            sup = float(np.max(s * o - loss_value(spec, o, np.full_like(o, y))))
+            assert loss_conjugate(spec, s, y) == pytest.approx(sup, abs=1e-8)
+        outside = 0.5 if spec.is_classification else 1.5
+        assert loss_conjugate(spec, outside, y) == math.inf
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_lp_conjugate_is_the_sup(self, p):
+        spec = SmoothnessSpec(p)
+        t = np.linspace(-30.0, 30.0, 600_001)
+        for s in (-0.9, 0.5, 2.0 if p > 1.0 else 1.0):
+            sup = float(np.max(s * t - lp_value(spec, t)))
+            assert lp_conjugate(spec, s) == pytest.approx(sup, abs=1e-8)
+        if p == 1.0:
+            assert lp_conjugate(spec, 1.5) == math.inf

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gkm import optimizer as optimizer_mod
 from gkm.bounds import compute_bounds
 from gkm.data import Dataset, hide_labels, synth_two_gaussians
 from gkm.exceptions import (
@@ -165,13 +166,12 @@ class TestDeterminismAndPaths:
         m2, _ = train(hidden, graph, hinge_cfg(T=300, seed=1), KERNEL)
         assert not np.array_equal(m1.beta, m2.beta)
 
-    def test_streaming_path_matches_gram_path(self, small_problem):
+    def test_streaming_path_matches_gram_path(self, small_problem, monkeypatch):
         hidden, _, graph = small_problem
         cfg = hinge_cfg(T=400, seed=5)
         m_gram, d_gram = train(hidden, graph, cfg, KERNEL, track_step_norms=True)
-        m_str, d_str = train(
-            hidden, graph, cfg, KERNEL, track_step_norms=True, gram_cap=0
-        )
+        monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", 0)
+        m_str, d_str = train(hidden, graph, cfg, KERNEL, track_step_norms=True)
         assert np.allclose(m_gram.beta, m_str.beta, rtol=1e-10, atol=1e-14)
         assert np.allclose(d_gram.step_norm_w, d_str.step_norm_w, rtol=1e-9, atol=1e-12)
 
