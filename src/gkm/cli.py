@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import data as data_mod
 from . import graph as graph_mod
@@ -142,13 +140,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_labelprop(args) -> int:
     edges = graph_mod.read_edges(args.edges)
-    labels = []
-    with open(args.labels) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                labels.append(int(float(line)))
-    problem = labelprop.PropagationProblem(edges, np.array(labels, dtype=np.int8))
+    problem = labelprop.PropagationProblem(edges, data_mod.load_labels(args.labels))
     f = labelprop.solve_exact(problem)
     hard = labelprop.threshold_labels(f)
     _write_lines(args.out, (f"{repr(float(fi))} {int(yi):+d}\n" for fi, yi in zip(f, hard)))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import DegenerateSplitError, InvalidLabelError, ParseError
-from .kernel import SparseVector, gram_sq_dists
+from .kernel import SparseVector, dense_rows, gram_sq_dists
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -72,12 +72,7 @@ class Dataset:
     def dense(self):
         """Cached dense (X, squared row norms) view used by the numeric paths."""
         if self._dense is None:
-            d = max(self.dim, 1)
-            X = np.zeros((self.n, d), dtype=np.float64)
-            for i, p in enumerate(self.points):
-                if p.indices.size:
-                    X[i, p.indices - 1] = p.values
-            self._dense = (X, np.einsum("ij,ij->i", X, X))
+            self._dense = dense_rows(self.points)
         return self._dense
 
     def subset(self, indices) -> "Dataset":
@@ -86,6 +81,19 @@ class Dataset:
             [self.points[i] for i in indices], self.labels[indices]
         )
         return Dataset(pts, labels)
+
+
+def _label(token: str, lineno: int) -> int:
+    """A file's label token as -1, 0 or +1 (float spellings accepted)."""
+    try:
+        y = float(token)
+    except ValueError:
+        raise ParseError(f"bad label token {token!r}", lineno) from None
+    if not math.isfinite(y):
+        raise ParseError(f"non-finite label {token!r}", lineno)
+    if y not in (-1.0, 0.0, 1.0):
+        raise InvalidLabelError(f"line {lineno}: label must be -1, 0 or +1, got {token}")
+    return int(y)
 
 
 def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
@@ -104,14 +112,7 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
             if not line:
                 continue
             tokens = line.split()
-            try:
-                y = float(tokens[0])
-            except ValueError:
-                raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
-            if not math.isfinite(y):
-                raise ParseError(f"non-finite label {tokens[0]!r}", lineno)
-            if y not in (-1.0, 0.0, 1.0):
-                raise InvalidLabelError(f"line {lineno}: label must be -1, 0 or +1, got {tokens[0]}")
+            y = _label(tokens[0], lineno)
             pairs = []
             for tok in tokens[1:]:
                 idx_s, _, val_s = tok.partition(":")
@@ -128,7 +129,7 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
                 points.append(SparseVector.from_pairs(pairs))
             except (ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), lineno) from None
-            labels.append(int(y))
+            labels.append(y)
     pts, lab, perm = _reorder_labeled_first(points, labels)
     return Dataset(pts, lab), perm
 
@@ -169,6 +170,18 @@ def load_mask(path) -> np.ndarray:
             except (ValueError, OverflowError):
                 raise ParseError(f"bad index {line!r}", lineno) from None
     return np.array(idx, dtype=np.int64)
+
+
+def load_labels(path) -> np.ndarray:
+    """Read a vertex label file: one of -1, 0 (unlabeled) or +1 per line, the
+    label check of load_libsvm; blank lines are skipped."""
+    labels = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                labels.append(_label(line, lineno))
+    return np.array(labels, dtype=np.int8)
 
 
 def save_mask(indices, path) -> None:

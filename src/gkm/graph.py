@@ -220,9 +220,10 @@ def build_graph(dataset: Dataset, spec: GraphSpec) -> EdgeSet:
     return build_eps(dataset, spec)
 
 
-def write_edges(edges: EdgeSet, path, cap: int = EXACT_EDGE_CAP) -> None:
-    """Serialize as text lines ``i j weight`` with 1-based vertex indices."""
-    us, vs, ws = edges.enumerate_edges(cap)
+def write_edges(edges: EdgeSet, path) -> None:
+    """Serialize as text lines ``i j weight`` with 1-based vertex indices
+    (at most EXACT_EDGE_CAP edges)."""
+    us, vs, ws = edges.enumerate_edges()
     with open(path, "w") as fh:
         for u, v, w in zip(us, vs, ws):
             fh.write(f"{u + 1} {v + 1} {repr(float(w))}\n")

@@ -16,6 +16,7 @@ from .losses import loss_conjugate, loss_prox_slope, loss_value
 from .losses import lp_conjugate, lp_prox_slope, lp_value
 from .optimizer import Diagnostics, ModelState, TrainConfig, objective, predict_batch, train
 
+MAX_REFERENCE_POINTS = 200  # the solver holds the dense (n+1) x (n+1) Gram
 _GAP_RTOL = 1e-13  # certified once the duality gap is this small relative to max(J, 1)
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -60,7 +61,6 @@ class ReferenceSolution:
     j_star: float
     residual: float
     iterations: int
-    converged: bool
 
 
 def solve_reference_optimum(
@@ -70,7 +70,6 @@ def solve_reference_optimum(
     kernel: KernelSpec,
     *,
     max_iter: int = 10_000,
-    cap: int = 200,
 ) -> ReferenceSolution:
     """Dual coordinate ascent (SDCA; Shalev-Shwartz & Zhang, JMLR 2013) on
     J = ||w||^2 / 2 + sum_j kappa_j phi_j(a_j . w) over the labeled points
@@ -83,8 +82,8 @@ def solve_reference_optimum(
     Once it is <= _GAP_RTOL * max(J, 1), it is returned as ``residual``, widened
     by the float rounding in computing it; NotConvergedError if the budget runs out."""
     n = dataset.n
-    if n > cap:
-        raise ValueError(f"reference solver capped at {cap} points, got {n}")
+    if n > MAX_REFERENCE_POINTS:
+        raise ValueError(f"reference solver capped at {MAX_REFERENCE_POINTS} points, got {n}")
     l = dataset.labeled_count
     if l < 1:
         raise NoLabeledDataError("the objective needs at least one labeled point")
@@ -113,7 +112,7 @@ def solve_reference_optimum(
         gap, j_c = float(kappa @ (phi + conj - s * t)), 0.5 * float(c @ dec) + float(kappa @ phi)
         if gap <= _GAP_RTOL * max(j_c, 1.0):  # + a few ulps of what J and its dual sum
             size = np.abs(c) @ K @ np.abs(c) + kappa @ (np.abs(phi) + np.abs(conj) + np.abs(s * t))
-            return ReferenceSolution(c[:n], j_c, max(gap, 0.0) + 4 * _EPS * size, epoch, True)
+            return ReferenceSolution(c[:n], j_c, max(gap, 0.0) + 4 * _EPS * size, epoch)
     raise NotConvergedError(f"duality gap {gap:.3g} still open after {max_iter} epochs")
 
 

@@ -77,20 +77,15 @@ class KernelSpec:
     """Squared-exponential kernel parameters.
 
     ``sigma_f`` is the output scale (K(x,x) = sigma_f^2), ``sigma_l`` the
-    length-scale in input-distance units. ``offset`` is an optional additive
-    constant absorbing a bias term; it defaults to 0 and stays off unless a
-    caller explicitly wants the constant-feature trick.
+    length-scale in input-distance units.
     """
 
     sigma_f: float
     sigma_l: float
-    offset: float = 0.0
 
     def __post_init__(self):
         if not (self.sigma_f > 0 and self.sigma_l > 0):
             raise ValueError("sigma_f and sigma_l must be positive")
-        if self.offset < 0:
-            raise ValueError("offset must be non-negative")
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "KernelSpec":
@@ -103,14 +98,12 @@ class KernelSpec:
 def eval_kernel(spec: KernelSpec, x: SparseVector, y: SparseVector) -> float:
     """K(x, y); lies in (0, sigma_f^2] and is symmetric."""
     d2 = squared_distance(x, y)
-    return spec.sigma_f**2 * math.exp(-d2 / (2.0 * spec.sigma_l**2)) + spec.offset
+    return spec.sigma_f**2 * math.exp(-d2 / (2.0 * spec.sigma_l**2))
 
 
 def feature_norm(spec: KernelSpec, x: SparseVector) -> float:
-    """||Phi(x)|| = K(x,x)^(1/2); equals sigma_f for every x (offset off)."""
-    if spec.offset == 0.0:
-        return spec.sigma_f
-    return math.sqrt(spec.sigma_f**2 + spec.offset)
+    """||Phi(x)|| = K(x,x)^(1/2); equals sigma_f for every x."""
+    return spec.sigma_f
 
 
 def decision_value(
@@ -124,13 +117,41 @@ def decision_value(
 
 def kernel_matrix_from_sq_dists(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     """Vectorized kernel from precomputed squared distances."""
-    return spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2)) + spec.offset
+    return spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2))
 
 
 # Bytes of one support x targets slab in block_decisions. Slabs that stay in
 # a core's L2 cache ran fastest: 1-4 MB timed alike on a Xeon with 2 MB of
 # L2 per core.
 SLAB_BYTES = 2 << 20
+
+
+_SCATTER_ROWS = 1024  # rows filled per step in dense_rows; bounds its index temporaries
+
+
+def dense_rows(points: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (X, squared row norms) of sparse vectors with one column per
+    feature index that occurs, in increasing order, so memory follows the
+    distinct indices, not the largest one. Distances are unchanged: a column
+    no vector uses adds only zeros."""
+    idx = np.concatenate([p.indices for p in points] + [np.empty(0, dtype=np.int64)])
+    top = int(idx.max(initial=0))
+    # compact indices (every dense input): an occupancy table no larger than
+    # the input, much faster than np.unique
+    if top <= idx.size:
+        occupied = np.zeros(top + 1, dtype=bool)
+        occupied[idx] = True
+        cols = np.flatnonzero(occupied)
+    else:
+        cols = np.unique(idx)
+    del idx  # freed before X is allocated: peak memory stays near X alone
+    X = np.zeros((len(points), cols.size))
+    for start in range(0, len(points), _SCATTER_ROWS):
+        chunk = points[start : start + _SCATTER_ROWS]
+        rows = np.repeat(np.arange(start, start + len(chunk)), [p.indices.size for p in chunk])
+        pos = np.searchsorted(cols, np.concatenate([p.indices for p in chunk]))
+        X[rows, pos] = np.concatenate([p.values for p in chunk])
+    return X, np.einsum("ij,ij->i", X, X)
 
 
 def sq_dist_block(XA: np.ndarray, sqA: np.ndarray, XB: np.ndarray, sqB: np.ndarray, out=None):
@@ -166,6 +187,5 @@ def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
         block /= 2.0 * spec.sigma_l**2
         np.exp(block, out=block)
         block *= spec.sigma_f**2
-        block += spec.offset
         out[start:stop] = coefs @ block
     return out

@@ -28,11 +28,12 @@ from .exceptions import (
     NonFiniteStateError,
     ParseError,
 )
-from .graph import EXACT_EDGE_CAP, EdgeSet
+from .graph import EdgeSet
 from .kernel import (
     KernelSpec,
     SparseVector,
     block_decisions,
+    dense_rows,
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
 )
@@ -90,33 +91,21 @@ class Diagnostics:
     step_norm_w: np.ndarray | None = None
     step_norm_g: np.ndarray | None = None
     iterates: list[np.ndarray] | None = None
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 @dataclass
 class ModelState:
-    """Current iterate (scale_w, alpha), averaged iterate (scale_avg, beta),
-    and everything needed to evaluate decisions."""
+    """The model: coefficients ``beta`` of the averaged iterate over
+    ``points``, which it predicts with, and everything needed to evaluate
+    decisions."""
 
     kernel: KernelSpec
     points: tuple[SparseVector, ...]
-    alpha: np.ndarray
-    scale_w: float
     beta: np.ndarray
-    scale_avg: float
     t: int
     config: TrainConfig
     sigma_s: float
     labels: np.ndarray | None = None
-
-    def coefficients(self, which: str = "model") -> tuple[np.ndarray, float]:
-        """(coefs, scale) of the requested iterate; the model predicts with
-        the averaged one."""
-        if which in ("model", "averaged"):
-            return self.beta, self.scale_avg
-        if which == "current":
-            return self.alpha, self.scale_w
-        raise ValueError("which must be 'model', 'averaged' or 'current'")
 
 
 class _Geometry:
@@ -126,7 +115,7 @@ class _Geometry:
         self.kernel = kernel
         self.X, self.sq = dataset.dense()
         self.n = dataset.n
-        self.kxx = kernel.sigma_f**2 + kernel.offset
+        self.kxx = kernel.sigma_f**2
         if self.n <= _GRAM_CAP:
             self.K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(self.X, self.sq))
         else:
@@ -338,19 +327,14 @@ def train(
 
                 if every is not None and (t % every == 0 or t == T):
                     bar = (2.0 / (t * (t + 1.0))) * (Q * u - v)
-                    j_avg = _objective_core(
-                        bar, 1.0, dataset, graph, config, kernel, diag_rng
-                    )
+                    j_avg = _objective_core(bar, dataset, graph, config, kernel, diag_rng)
                     trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
     beta = (2.0 / (T * (T + 1.0))) * (Q * u - v)
     state = ModelState(
         kernel=kernel,
         points=dataset.points,
-        alpha=u.copy(),
-        scale_w=s,
         beta=beta,
-        scale_avg=1.0,
         t=T + 1,
         config=config,
         sigma_s=float(sigma_s),
@@ -376,22 +360,20 @@ def _resolve_mode(config: TrainConfig, graph: EdgeSet) -> str:
 
 def _objective_core(
     coefs: np.ndarray,
-    scale: float,
     dataset: Dataset,
     graph: EdgeSet,
     config: TrainConfig,
     kernel: KernelSpec,
     rng: np.random.Generator | None,
-    cap: int = EXACT_EDGE_CAP,
 ) -> float:
     """J from one decision evaluation: at every point when the edge term is
     exact, otherwise at the support, the labeled points and the sampled edge
-    endpoints. The regularizer is scale * c . dec[support]."""
+    endpoints. The regularizer is c . dec[support]."""
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
     if exact:
-        us, vs, ws = graph.enumerate_edges(cap)
+        us, vs, ws = graph.enumerate_edges()
     elif graph.n_edges > 0:
         if rng is None:
             rng = np.random.default_rng(config.seed)
@@ -402,9 +384,9 @@ def _objective_core(
     if sup.size:
         X, sq = dataset.dense()
         at = slice(None) if exact else np.unique(np.concatenate([sup, np.arange(l), us, vs]))
-        dec[at] = scale * block_decisions(kernel, coefs[sup], X[sup], sq[sup], X[at], sq[at])
+        dec[at] = block_decisions(kernel, coefs[sup], X[sup], sq[sup], X[at], sq[at])
 
-    reg = 0.5 * max(float(scale * (coefs[sup] @ dec[sup])), 0.0)
+    reg = 0.5 * max(float(coefs[sup] @ dec[sup]), 0.0)
     lab = 0.0
     if l:
         losses = loss_value(config.loss, dec[:l], dataset.labels[:l].astype(np.float64))
@@ -426,50 +408,35 @@ def objective(
     config: TrainConfig,
     kernel: KernelSpec | None = None,
     rng: np.random.Generator | None = None,
-    cap: int = EXACT_EDGE_CAP,
 ) -> float:
     """Full objective J: regularizer + labeled loss term + edge smoothness.
 
-    Accepts a ModelState (evaluates its predicting iterate) or a raw
+    Accepts a ModelState (evaluates its coefficients ``beta``) or a raw
     coefficient array over the dataset points. Exact mode enumerates the
-    edge universe (capped); sampled mode draws config.objective_samples
-    edges for an unbiased estimate, labeled term always exact.
+    edge universe (capped at graph.EXACT_EDGE_CAP); sampled mode draws
+    config.objective_samples edges for an unbiased estimate, labeled term
+    always exact.
     """
     if isinstance(model_or_coefs, ModelState):
-        coefs, scale = model_or_coefs.coefficients()
+        coefs = model_or_coefs.beta
         kernel = model_or_coefs.kernel
     else:
         coefs = np.asarray(model_or_coefs, dtype=np.float64)
-        scale = 1.0
         if kernel is None:
             raise ValueError("kernel is required with raw coefficients")
     if coefs.shape != (dataset.n,):
         raise ValueError("coefficient array must align with the dataset")
-    return _objective_core(coefs, scale, dataset, graph, config, kernel, rng, cap)
-
-
-def _decisions(state: ModelState, which: str, points: Sequence[SparseVector]) -> np.ndarray:
-    """Decision values of the requested iterate at arbitrary points."""
-    coefs, scale = state.coefficients(which)
-    sup = np.flatnonzero(coefs)
-    if sup.size == 0 or len(points) == 0:
-        return np.zeros(len(points))
-    sup_pts = [state.points[i] for i in sup]
-    dim = max(
-        max(p.max_index for p in sup_pts),
-        max((p.max_index for p in points), default=0),
-        1,
-    )
-    Xs = np.stack([p.to_dense(dim) for p in sup_pts])
-    Xq = np.stack([p.to_dense(dim) for p in points])
-    sqs = np.einsum("ij,ij->i", Xs, Xs)
-    sqq = np.einsum("ij,ij->i", Xq, Xq)
-    return scale * block_decisions(state.kernel, coefs[sup], Xs, sqs, Xq, sqq)
+    return _objective_core(coefs, dataset, graph, config, kernel, rng)
 
 
 def decision_values(state: ModelState, points: Sequence[SparseVector]) -> np.ndarray:
     """Decision function of the model on arbitrary points."""
-    return _decisions(state, "model", points)
+    sup = np.flatnonzero(state.beta)
+    if sup.size == 0 or len(points) == 0:
+        return np.zeros(len(points))
+    X, sq = dense_rows([state.points[i] for i in sup] + list(points))
+    k = sup.size
+    return block_decisions(state.kernel, state.beta[sup], X[:k], sq[:k], X[k:], sq[k:])
 
 
 def predict(state: ModelState, x: SparseVector) -> int:
@@ -482,12 +449,12 @@ def predict_batch(state: ModelState, points: Sequence[SparseVector]) -> np.ndarr
     return np.where(dec >= 0.0, 1, -1).astype(np.int8)
 
 
-def hilbert_norm(state: ModelState, which: str = "current") -> float:
-    """RKHS norm of the requested iterate via the kernel quadratic form."""
-    coefs, scale = state.coefficients(which)
-    sup = np.flatnonzero(coefs)
-    dec = _decisions(state, which, [state.points[i] for i in sup])
-    return math.sqrt(max(float(scale * (coefs[sup] @ dec)), 0.0))
+def hilbert_norm(state: ModelState) -> float:
+    """RKHS norm of the model (the averaged iterate it predicts with) via the
+    kernel quadratic form."""
+    sup = np.flatnonzero(state.beta)
+    dec = decision_values(state, [state.points[i] for i in sup])
+    return math.sqrt(max(float(state.beta[sup] @ dec), 0.0))
 
 
 MODEL_FORMAT_TAG = "gkm-model 1"
@@ -500,13 +467,13 @@ def save_model(state: ModelState, path) -> None:
     coefficient carrying the coefficient, the point's label and its sparse
     features. Float fields use repr, so identical states give identical bytes.
     """
-    coefs, scale = state.coefficients()
+    coefs = state.beta
     sup = np.flatnonzero(coefs)
     cfg = state.config
     lines = [
         MODEL_FORMAT_TAG,
         f"rng {RNG_ALGORITHM}",
-        f"kernel sigma_f {repr(float(state.kernel.sigma_f))} sigma_l {repr(float(state.kernel.sigma_l))} offset {repr(float(state.kernel.offset))}",
+        f"kernel sigma_f {repr(float(state.kernel.sigma_f))} sigma_l {repr(float(state.kernel.sigma_l))}",
         f"sigma_s {repr(float(state.sigma_s))}",
         (
             f"config loss {cfg.loss.kind} tau {repr(float(cfg.loss.tau))} epsilon {repr(float(cfg.loss.epsilon))}"
@@ -520,7 +487,7 @@ def save_model(state: ModelState, path) -> None:
         p = state.points[i]
         label = int(state.labels[i]) if state.labels is not None else 0
         feats = " ".join(f"{int(k)}:{repr(float(val))}" for k, val in zip(p.indices, p.values))
-        lines.append(f"{repr(float(coefs[i] * scale))} {label} {feats}".rstrip())
+        lines.append(f"{repr(float(coefs[i]))} {label} {feats}".rstrip())
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -529,7 +496,9 @@ def save_model(state: ModelState, path) -> None:
 def load_model(path) -> ModelState:
     """Rebuild a prediction-ready ModelState from a model file.
 
-    A missing or malformed line raises ParseError naming it.
+    A missing or malformed line raises ParseError naming it. Files whose
+    kernel line carries ``offset 0.0`` still load; a nonzero kernel offset
+    is rejected.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -554,7 +523,9 @@ def load_model(path) -> ModelState:
     try:
         tok = field("kernel")
         kv = dict(zip(tok[::2], tok[1::2]))
-        kernel = KernelSpec(float(kv["sigma_f"]), float(kv["sigma_l"]), float(kv["offset"]))
+        kernel = KernelSpec(float(kv["sigma_f"]), float(kv["sigma_l"]))
+        if float(kv.get("offset", 0.0)) != 0.0:
+            raise ParseError(f"kernel offset {kv['offset']} is not supported (R = sigma_f)", at + 1)
         tok = field("config")
         kv = dict(zip(tok[::2], tok[1::2]))
         config = TrainConfig(
@@ -593,10 +564,7 @@ def load_model(path) -> ModelState:
     return ModelState(
         kernel=kernel,
         points=tuple(points),
-        alpha=np.zeros(k),
-        scale_w=1.0,
         beta=coefs,
-        scale_avg=1.0,
         t=t,
         config=config,
         sigma_s=sigma_s,

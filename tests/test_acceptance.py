@@ -128,7 +128,7 @@ def test_criterion_03_averaging_identity():
             model, diag = train(hidden, graph, cfg, KERNEL1, record_iterates=True)
             ref = sum((i + 1) * diag.iterates[i] for i in range(T))
             ref = ref * (2.0 / ((T + 1.0) * T))
-            stored = model.beta * model.scale_avg
+            stored = model.beta
             scale = max(float(np.max(np.abs(ref))), 1e-300)
             assert float(np.max(np.abs(stored - ref))) <= 1e-8 * scale
 

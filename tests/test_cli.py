@@ -3,6 +3,7 @@ import pytest
 
 from gkm.cli import main
 from gkm.data import load_libsvm, save_libsvm, synth_two_gaussians, hide_labels
+from gkm.optimizer import decision_values, load_model
 
 
 @pytest.fixture()
@@ -46,6 +47,19 @@ class TestTrainPredictEval:
         assert run(["eval", full_path, "--model-in", model]) == 0
         captured = capsys.readouterr()
         assert "accuracy" in captured.out
+
+    def test_huge_feature_index_trains_like_renumbered(self, tmp_path):
+        """Feature index 10^15 gives the model of the same file with that
+        index renumbered to 3, bit for bit."""
+        lines = "+1 1:0.5 2:0.25 {0}:1.0\n-1 1:-0.5 2:0.75\n0 1:0.1 {0}:0.2\n"
+        decisions = []
+        for index in (10**15, 3):
+            data, model = tmp_path / f"d{index}.txt", tmp_path / f"m{index}.txt"
+            data.write_text(lines.format(index))
+            assert run(["train", data, "--T", "50", "--model-out", model]) == 0
+            dataset, _ = load_libsvm(data)
+            decisions.append(decision_values(load_model(model), dataset.points))
+        assert np.array_equal(decisions[0], decisions[1])
 
     def test_byte_identical_artifacts_for_same_seed(self, tmp_path, data_file):
         files = []
@@ -136,6 +150,15 @@ class TestLabelprop:
         assert run(["labelprop", edges, labels]) == 2
         assert "weights must lie in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["inf", "1e300", "0.5"])
+    def test_bad_label_line_exit_two(self, tmp_path, capsys, bad):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2 1.0\n2 3 1.0\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"1\n{bad}\n-1\n")
+        assert run(["labelprop", edges, labels]) == 2
+        assert "line 2:" in capsys.readouterr().err
+
     def test_disconnected_exit_code(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text("1 2 1.0\n")
@@ -215,6 +238,7 @@ def malformed_models():
         ("no-sigma_s", drop("sigma_s ")),
         ("kernel-not-numeric", replace("kernel ", "kernel sigma_f one sigma_l 1.0 offset 0.0")),
         ("kernel-short", replace("kernel ", "kernel sigma_f 1.0")),
+        ("kernel-offset-nonzero", replace("kernel ", "kernel sigma_f 1.0 sigma_l 1.0 offset 0.5")),
         ("config-missing-C", replace("config ", "config loss hinge tau 0.5 epsilon 0.1 p 2.0")),
         ("sigma_s-not-numeric", replace("sigma_s ", "sigma_s wide")),
         ("support-count-not-numeric", replace("support ", "support three")),

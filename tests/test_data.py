@@ -109,6 +109,16 @@ class TestDataset:
         assert X[0].tolist() == [0.0, 3.0]
         assert sq.tolist() == [9.0, 1.0]
 
+    def test_dense_view_has_a_column_per_index_that_occurs(self):
+        pts = (
+            SparseVector.from_pairs([(2, 3.0), (10**15, 1.0)]),
+            SparseVector.from_pairs([(1, 1.0)]),
+            SparseVector.from_pairs([]),
+        )
+        X, sq = Dataset(pts, np.array([1, -1, 0], dtype=np.int8)).dense()
+        assert X.tolist() == [[0.0, 3.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert sq.tolist() == [10.0, 1.0, 0.0]
+
 
 class TestHideLabels:
     def base(self, n=10, seed=0):

@@ -7,6 +7,7 @@ from gkm.kernel import KernelSpec, SparseVector
 from gkm.losses import LOSS_KINDS, LossSpec, SmoothnessSpec
 from gkm.optimizer import ModelState, TrainConfig, objective, train
 from gkm.harness import (
+    MAX_REFERENCE_POINTS,
     evaluate,
     run_convergence_experiment,
     solve_reference_optimum,
@@ -35,10 +36,7 @@ def constant_model(points, value):
     return ModelState(
         kernel=KERNEL,
         points=tuple(points),
-        alpha=coefs.copy(),
-        scale_w=1.0,
         beta=coefs,
-        scale_avg=1.0,
         t=2,
         config=cfg_for("hinge", 2.0),
         sigma_s=1.0,
@@ -109,7 +107,6 @@ class TestReferenceOptimum:
         hidden, _ = hide_labels(full, 0.5, seed=2)
         graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
         ref = solve_reference_optimum(hidden, graph, cfg_for("logistic", 2.0), KERNEL)
-        assert ref.converged
         assert ref.residual <= 0.5 * (1e-6) ** 2
 
     def test_optimum_below_trained_values(self):
@@ -126,11 +123,15 @@ class TestReferenceOptimum:
                 assert j >= ref.j_star - 10 * ref.residual
 
     def test_cap_enforced(self):
-        full = synth_two_gaussians(202, 2, 3.0, seed=4)
-        hidden, _ = hide_labels(full, 0.5, seed=4)
-        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
-        with pytest.raises(ValueError):
-            solve_reference_optimum(hidden, graph, cfg_for("hinge", 2.0), KERNEL)
+        """MAX_REFERENCE_POINTS points solve; one more is rejected."""
+        full = synth_two_gaussians(MAX_REFERENCE_POINTS + 1, 2, 3.0, seed=4)
+        cfg = cfg_for("hinge", 2.0)
+        at_cap = full.subset(np.arange(MAX_REFERENCE_POINTS))
+        edge = ExplicitEdges([0], [1], [1.0], n=at_cap.n)
+        assert solve_reference_optimum(at_cap, edge, cfg, KERNEL).residual <= 1e-12
+        edge = ExplicitEdges([0], [1], [1.0], n=full.n)
+        with pytest.raises(ValueError, match=f"capped at {MAX_REFERENCE_POINTS} points"):
+            solve_reference_optimum(full, edge, cfg, KERNEL)
 
     def test_rejects_unlabeled_dataset(self):
         from gkm.exceptions import NoLabeledDataError
@@ -152,7 +153,7 @@ class TestReferenceOptimum:
         graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
         cfg = cfg_for(loss, p, C=4.0, C_prime=0.5)
         ref = solve_reference_optimum(hidden, graph, cfg, KERNEL)
-        assert ref.converged and 0.0 <= ref.residual <= 1e-12
+        assert 0.0 <= ref.residual <= 1e-12
         c = ref.coefficients
         assert objective(c, hidden, graph, cfg, KERNEL) == pytest.approx(ref.j_star, rel=1e-12)
         rng = np.random.default_rng(0)
@@ -240,7 +241,7 @@ def test_distance_bound_is_twice_the_gap_bound():
     for seed in range(5):
         run_cfg = cfg_for("hinge", 2.0, T=T, seed=seed)
         model, _ = train(hidden, graph, run_cfg, KERNEL)
-        d = model.beta * model.scale_avg - ref.coefficients
+        d = model.beta - ref.coefficients
         dists.append(float(d @ K @ d))
     assert float(np.median(dists)) * T <= 2.0 * (2.0 * report.G**2)
 

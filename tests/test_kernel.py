@@ -154,7 +154,7 @@ class TestKernelSpec:
 class TestBlockPrimitives:
     """sq_dist_block / block_decisions against the literal one-shot formula."""
 
-    SPEC = KernelSpec(sigma_f=1.3, sigma_l=0.9, offset=0.2)
+    SPEC = KernelSpec(sigma_f=1.3, sigma_l=0.9)
 
     @staticmethod
     def rows(rng, n, dim=7):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gkm.losses import LossSpec, SmoothnessSpec, loss_value, lp_value
 from gkm.optimizer import (
     ModelState,
     TrainConfig,
+    decision_values,
     default_iterations,
     hilbert_norm,
     load_model,
@@ -54,17 +56,17 @@ def small_problem():
 class TestTrainBasics:
     def test_first_step_closed_form(self, small_problem):
         hidden, _, graph = small_problem
-        model, _ = train(hidden, graph, hinge_cfg(T=1), KERNEL)
+        model, diag = train(hidden, graph, hinge_cfg(T=1), KERNEL, record_iterates=True)
         # at t = 1 the smoothness gradient vanishes (w_1 = 0 so o_edge = 0);
         # only the sampled labeled point moves: coefficient = -C * (-y) = y
-        w2 = model.alpha * model.scale_w
+        w2 = diag.iterates[-1]
         nz = np.flatnonzero(w2)
         assert nz.size == 1
         i = nz[0]
         assert i < hidden.labeled_count
         assert w2[i] == pytest.approx(float(hidden.labels[i]))
         # averaged iterate equals w_2 after one step
-        assert np.allclose(model.beta * model.scale_avg, w2, rtol=0, atol=0)
+        assert np.allclose(model.beta, w2, rtol=0, atol=0)
 
     def test_zero_gradients_keep_zero_vector(self):
         # labeled targets already far outside the eps tube, C' edge term uses
@@ -82,7 +84,7 @@ class TestTrainBasics:
         )
         model, _ = train(ds, graph, cfg, KERNEL)
         assert np.all(model.beta == 0.0)
-        assert hilbert_norm(model, "current") == 0.0
+        assert hilbert_norm(model) == 0.0
 
     def test_rejects_unlabeled_only(self):
         pts = tuple(SparseVector.from_pairs([(1, float(i))]) for i in range(3))
@@ -137,7 +139,7 @@ class TestAveragingIdentity:
             )
             ref = sum((i + 1) * diag.iterates[i] for i in range(T))
             ref *= 2.0 / (T * (T + 1.0))
-            stored = model.beta * model.scale_avg
+            stored = model.beta
             assert np.allclose(stored, ref, rtol=1e-10, atol=1e-14)
 
     def test_identity_across_scale_folding(self, small_problem):
@@ -154,9 +156,9 @@ class TestAveragingIdentity:
 class TestDeterminismAndPaths:
     def test_bit_identical_repeat(self, small_problem):
         hidden, _, graph = small_problem
-        m1, d1 = train(hidden, graph, hinge_cfg(T=300, seed=9), KERNEL)
-        m2, d2 = train(hidden, graph, hinge_cfg(T=300, seed=9), KERNEL)
-        assert np.array_equal(m1.alpha, m2.alpha)
+        m1, d1 = train(hidden, graph, hinge_cfg(T=300, seed=9), KERNEL, record_iterates=True)
+        m2, d2 = train(hidden, graph, hinge_cfg(T=300, seed=9), KERNEL, record_iterates=True)
+        assert np.array_equal(d1.iterates[-1], d2.iterates[-1])
         assert np.array_equal(m1.beta, m2.beta)
         assert np.array_equal(d1.trace_j_avg, d2.trace_j_avg)
 
@@ -180,11 +182,11 @@ class TestNormTracking:
     def test_incremental_norm_matches_quadratic_form(self, small_problem):
         hidden, _, graph = small_problem
         model, diag = train(
-            hidden, graph, hinge_cfg(T=500, seed=7), KERNEL, track_step_norms=True
+            hidden, graph, hinge_cfg(T=500, seed=7), KERNEL,
+            track_step_norms=True, record_iterates=True,
         )
-        assert diag.step_norm_w[-1] == pytest.approx(
-            hilbert_norm(model, "current"), rel=1e-9
-        )
+        current = replace(model, beta=diag.iterates[-1])  # w_{T+1}
+        assert diag.step_norm_w[-1] == pytest.approx(hilbert_norm(current), rel=1e-9)
 
     def test_certified_bounds_hold(self, small_problem):
         hidden, _, graph = small_problem
@@ -397,22 +399,19 @@ class TestHilbertNorm:
             ),
             KERNEL,
         )
-        assert hilbert_norm(model, "averaged") == 0.0
+        assert hilbert_norm(model) == 0.0
 
     def test_single_coefficient(self):
         x = SparseVector.from_pairs([(1, 1.0)])
         state = ModelState(
             kernel=KERNEL,
             points=(x,),
-            alpha=np.array([2.0]),
-            scale_w=1.0,
             beta=np.array([2.0]),
-            scale_avg=1.0,
             t=2,
             config=hinge_cfg(T=1),
             sigma_s=1.0,
         )
-        assert hilbert_norm(state, "current") == pytest.approx(2.0)
+        assert hilbert_norm(state) == pytest.approx(2.0)
 
     def test_cancellation_of_equal_points(self):
         x = SparseVector.from_pairs([(1, 1.0)])
@@ -420,15 +419,12 @@ class TestHilbertNorm:
         state = ModelState(
             kernel=KERNEL,
             points=(x, y),
-            alpha=np.array([1.0, -1.0]),
-            scale_w=1.0,
             beta=np.array([1.0, -1.0]),
-            scale_avg=1.0,
             t=2,
             config=hinge_cfg(T=1),
             sigma_s=1.0,
         )
-        assert hilbert_norm(state, "current") == pytest.approx(0.0, abs=1e-8)
+        assert hilbert_norm(state) == pytest.approx(0.0, abs=1e-8)
 
 
 class TestModelFile:
@@ -443,6 +439,27 @@ class TestModelFile:
         p1 = predict_batch(model, truth.points)
         p2 = predict_batch(back, truth.points)
         assert np.array_equal(p1, p2)
+
+    def test_hilbert_norm_survives_round_trip(self, small_problem, tmp_path):
+        hidden, _, graph = small_problem
+        model, _ = train(hidden, graph, hinge_cfg(T=200, seed=3), KERNEL)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert hilbert_norm(model) > 0.0
+        assert hilbert_norm(load_model(path)) == pytest.approx(hilbert_norm(model), rel=1e-12)
+
+    def test_reads_kernel_line_with_zero_offset(self, small_problem, tmp_path):
+        """The kernel line carries no offset; a file whose kernel line ends in
+        'offset 0.0' loads as the same model."""
+        hidden, truth, graph = small_problem
+        model, _ = train(hidden, graph, hinge_cfg(T=200, seed=3), KERNEL)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        expected = decision_values(load_model(path), truth.points)
+        text = path.read_text()
+        assert "kernel sigma_f 1.0 sigma_l 1.0\n" in text
+        path.write_text(text.replace("sigma_l 1.0\n", "sigma_l 1.0 offset 0.0\n"))
+        assert np.array_equal(decision_values(load_model(path), truth.points), expected)
 
     def test_byte_identical_for_identical_runs(self, small_problem, tmp_path):
         hidden, _, graph = small_problem
@@ -459,8 +476,6 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         save_model(model, path)
         back = load_model(path)
-        from gkm.optimizer import decision_values
-
         d1 = decision_values(model, truth.points)
         d2 = decision_values(back, truth.points)
         assert np.allclose(d1, d2, rtol=1e-12, atol=1e-15)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkm.data import hide_labels, load_libsvm, load_mask, synth_two_gaussians
+from gkm.data import hide_labels, load_labels, load_libsvm, load_mask, synth_two_gaussians
 from gkm.exceptions import GkmError
 from gkm.graph import GraphSpec, build_fully_connected, read_edges
 from gkm.kernel import KernelSpec
@@ -31,7 +31,10 @@ def documents(line):
 LABELS = st.sampled_from(["+1", "-1", "0"]) | WORDS
 LIBSVM_LINES = st.builds(lambda y, f: " ".join([y, *f]), LABELS, st.lists(FEATURES, max_size=3))
 EDGE_LINES = st.tuples(INTS, INTS, FLOATS).map(" ".join)
-READERS = [(load_libsvm, LIBSVM_LINES), (read_edges, EDGE_LINES), (load_mask, INTS), (load_model, WORDS)]
+READERS = [
+    (load_libsvm, LIBSVM_LINES), (read_edges, EDGE_LINES), (load_mask, INTS), (load_labels, LABELS),
+    (load_model, WORDS),
+]
 
 
 def parses_or_rejects(reader, text: str) -> None:
