@@ -7,20 +7,22 @@ three graph constructions, and uniform edge sampling.
 import numpy as np
 
 import gkm
+from gkm.kernel import gram_sq_dists, kernel_matrix_from_sq_dists
 
 spec = gkm.KernelSpec(sigma_f=1.0, sigma_l=1.0)
 a = gkm.SparseVector.from_pairs([(1, 0.0)])
 b = gkm.SparseVector.from_pairs([(1, 1.0)])
 c = gkm.SparseVector.from_pairs([(1, 10.0)])
 
-print("K(a, a) =", gkm.eval_kernel(spec, a, a), "(always sigma_f^2)")
-print("K(a, b) =", gkm.eval_kernel(spec, a, b))
-print("K(a, c) =", gkm.eval_kernel(spec, a, c), "(far apart, nearly zero)")
-print("feature norm of any point:", gkm.feature_norm(spec, c))
-
-# three unlabeled points on a line; the first two are close
+# three points on a line, the first labeled; the first two are close
 points = (a, b, c)
 dataset = gkm.Dataset(points, np.array([1, 0, 0], dtype=np.int8))
+
+K = kernel_matrix_from_sq_dists(spec, gram_sq_dists(*dataset.dense()))
+print("K(a, a) =", K[0, 0], "(always sigma_f^2)")
+print("K(a, b) =", K[0, 1])
+print("K(a, c) =", K[0, 2], "(far apart, nearly zero)")
+print("feature norms ||Phi(x)|| = K(x, x)^(1/2):", np.sqrt(np.diagonal(K)), "(all sigma_f)")
 
 full = gkm.build_fully_connected(dataset, gkm.GraphSpec("full", sigma_s=1.0))
 print("\nfully connected: |E| =", full.n_edges)
@@ -32,8 +34,8 @@ eps = gkm.build_eps(dataset, gkm.GraphSpec("eps", sigma_s=1.0, epsilon=1.5))
 print("eps = 1.5 edges:", [(int(u), int(v)) for u, v in zip(eps.us, eps.vs)])
 
 rng = np.random.default_rng(0)
-draws = [gkm.sample_edge(full, rng)[:2] for _ in range(8)]
-print("\nuniform draws from the implicit universe:", draws)
+us, vs, _ = full.sample_batch(rng, 8)
+print("\nuniform draws from the implicit universe:", list(zip(us.tolist(), vs.tolist())))
 
 us, vs, _ = full.sample_batch(rng, 100_000)
 freq = np.unique(us * dataset.n + vs, return_counts=True)[1] / 100_000

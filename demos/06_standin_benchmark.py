@@ -13,7 +13,7 @@ from gkm.optimizer import TrainConfig, decision_values, train
 
 sep = gkm.separation_for_bayes_accuracy(0.95)
 full = gkm.synth_two_gaussians(550, 50, sep, seed=0)
-print(f"dataset: n = {full.n}, dim = {full.dim}, Bayes accuracy 0.95 by construction")
+print(f"dataset: n = {full.n}, dim = {full.dense()[0].shape[1]}, Bayes accuracy 0.95 by construction")
 
 sigma_l = 2.4
 kernel = gkm.KernelSpec(1.0, sigma_l)

@@ -34,9 +34,7 @@ from .graph import (
     build_fully_connected,
     build_graph,
     build_knn,
-    edge_weight,
     read_edges,
-    sample_edge,
     write_edges,
 )
 from .harness import (
@@ -48,14 +46,7 @@ from .harness import (
     solve_reference_optimum,
     write_trace,
 )
-from .kernel import (
-    KernelSpec,
-    SparseVector,
-    decision_value,
-    eval_kernel,
-    feature_norm,
-    squared_distance,
-)
+from .kernel import KernelSpec, SparseVector
 from .labelprop import PropagationProblem, solve_exact, threshold_labels
 from .losses import (
     LossSpec,
@@ -88,12 +79,10 @@ __all__ = [
     "median_pairwise_distance", "save_libsvm", "separation_for_bayes_accuracy",
     "synth_two_gaussians", "GkmError", "EdgeSet", "ExplicitEdges",
     "FullyConnectedEdges", "GraphSpec", "build_eps", "build_fully_connected",
-    "build_graph", "build_knn", "edge_weight", "read_edges", "sample_edge",
-    "write_edges", "ConvergenceRun", "EvalReport", "ReferenceSolution",
-    "evaluate", "run_convergence_experiment", "solve_reference_optimum",
-    "write_trace", "KernelSpec", "SparseVector", "decision_value",
-    "eval_kernel", "feature_norm", "squared_distance", "PropagationProblem",
-    "solve_exact", "threshold_labels", "LossSpec", "SmoothnessSpec",
+    "build_graph", "build_knn", "read_edges", "write_edges", "ConvergenceRun",
+    "EvalReport", "ReferenceSolution", "evaluate", "run_convergence_experiment",
+    "solve_reference_optimum", "write_trace", "KernelSpec", "SparseVector",
+    "PropagationProblem", "solve_exact", "threshold_labels", "LossSpec", "SmoothnessSpec",
     "gradient_bound_A", "loss_grad_scalar", "loss_value", "lp_grad_scalar",
     "lp_value", "Diagnostics", "ModelState", "TrainConfig",
     "default_iterations", "hilbert_norm", "load_model", "objective",

@@ -65,10 +65,6 @@ class Dataset:
     def unlabeled_count(self) -> int:
         return self.n - self.labeled_count
 
-    @property
-    def dim(self) -> int:
-        return max((p.max_index for p in self.points), default=0)
-
     def dense(self):
         """Cached dense (X, squared row norms) view used by the numeric paths."""
         if self._dense is None:

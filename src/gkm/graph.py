@@ -1,16 +1,19 @@
 """Similarity-graph construction and uniform edge sampling.
 
 The vertex set is the whole dataset; edges carry Gaussian weights
-mu_ij = exp(-||x_i - x_j||^2 / (2 sigma_s^2)). Pairs of labeled vertices are
-never connected, since no label needs to propagate between them. The fully
-connected graph is kept implicit: edges are sampled by index arithmetic and
-weights computed on the fly, so nothing O(n^2) is ever materialized unless
-an exact enumeration is explicitly requested.
+mu_ij = exp(-||x_i - x_j||^2 / (2 sigma_s^2)), all computed by one formula
+(``_pair_weights``), so every graph kind gives a pair the same bits. Pairs of
+labeled vertices are never connected, since no label needs to propagate
+between them. The fully connected graph is kept implicit: edges are sampled
+by index arithmetic and weights computed on the fly. The k-NN and eps graphs
+are found by scanning the squared distances in row slabs of at most
+``kernel.SLAB_BYTES``. So no graph kind ever materializes anything O(n^2)
+beyond its own edge list, which for the full graph only an explicitly
+requested exact enumeration builds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ from .exceptions import (
     InvalidKError,
     ParseError,
 )
-from .kernel import SparseVector, gram_sq_dists, squared_distance
+from .kernel import SLAB_BYTES, KernelSpec, kernel_matrix_from_sq_dists, sq_dist_block
 
 GRAPH_KINDS = ("full", "knn", "eps")
 
@@ -53,13 +56,6 @@ class GraphSpec:
             raise ValueError("eps graphs need epsilon > 0")
 
 
-def edge_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
-    """Gaussian edge weight in (0, 1]; equals 1 iff x_i = x_j."""
-    if sigma_s <= 0:
-        raise ValueError("sigma_s must be positive")
-    return math.exp(-squared_distance(x_i, x_j) / (2.0 * sigma_s**2))
-
-
 class FullyConnectedEdges:
     """Implicit edge universe: all unordered pairs minus labeled-labeled.
 
@@ -82,9 +78,7 @@ class FullyConnectedEdges:
         return n * (n - 1) // 2 - l * (l - 1) // 2
 
     def weights_for(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        X, sq = self.dataset.dense()
-        d2 = sq[us] + sq[vs] - 2.0 * np.einsum("ij,ij->i", X[us], X[vs])
-        return _gaussian_weights(np.maximum(d2, 0.0, out=d2), self.sigma_s)
+        return _pair_weights(*self.dataset.dense(), us, vs, self.sigma_s)
 
     def sample_batch(self, rng: np.random.Generator, size: int):
         if self.n_edges == 0:
@@ -118,9 +112,14 @@ class FullyConnectedEdges:
 
 
 class ExplicitEdges:
-    """Materialized edge list with canonical i < j pairs and stored weights."""
+    """Materialized edge list with canonical i < j pairs and stored weights.
+
+    ``sigma_s`` is the bandwidth the weights were computed with: set by
+    build_knn and build_eps, None for an edge list read from a file.
+    """
 
     kind = "explicit"
+    sigma_s: float | None = None
 
     def __init__(self, us, vs, weights, n: int):
         us = np.asarray(us, dtype=np.int64)
@@ -156,14 +155,35 @@ class ExplicitEdges:
 EdgeSet = FullyConnectedEdges | ExplicitEdges
 
 
-def sample_edge(edges: EdgeSet, rng: np.random.Generator):
-    """Draw one edge uniformly from the universe; returns (u, v, mu_uv)."""
-    us, vs, ws = edges.sample_batch(rng, 1)
-    return int(us[0]), int(vs[0]), float(ws[0])
+def _pair_weights(X, sq, us, vs, sigma_s: float) -> np.ndarray:
+    """Gaussian weights of the pairs (us[i], vs[i]) of rows of X (squared
+    norms sq), floored at _WEIGHT_FLOOR. The pairs are gathered SLAB_BYTES
+    at a time; each weight depends on its own pair only, so the chunking
+    changes no bit."""
+    d2 = np.empty(len(us))
+    step = max(1, SLAB_BYTES // (8 * max(X.shape[1], 1)))
+    for start in range(0, len(us), step):
+        u, v = us[start : start + step], vs[start : start + step]
+        d2[start : start + step] = sq[u] + sq[v] - 2.0 * np.einsum("ij,ij->i", X[u], X[v])
+    np.maximum(d2, 0.0, out=d2)
+    return np.maximum(kernel_matrix_from_sq_dists(KernelSpec(1.0, sigma_s), d2), _WEIGHT_FLOOR)
 
 
-def _gaussian_weights(d2: np.ndarray, sigma_s: float) -> np.ndarray:
-    return np.maximum(np.exp(-d2 / (2.0 * sigma_s**2)), _WEIGHT_FLOOR)
+def _row_slabs(X, sq):
+    """Yield (start, d2) over row slabs of the squared-distance matrix of
+    the rows of X: d2[r, c] is the distance of rows start + r and c. Each
+    slab holds at most SLAB_BYTES, or one row where a row is larger."""
+    n = X.shape[0]
+    rows = max(1, SLAB_BYTES // (8 * n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        yield start, sq_dist_block(X[start:stop], sq[start:stop], X, sq)
+
+
+def _weighted_edges(X, sq, us, vs, sigma_s: float) -> ExplicitEdges:
+    edges = ExplicitEdges(us, vs, _pair_weights(X, sq, us, vs, sigma_s), X.shape[0])
+    edges.sigma_s = sigma_s
+    return edges
 
 
 def build_fully_connected(dataset: Dataset, spec: GraphSpec) -> FullyConnectedEdges:
@@ -183,33 +203,35 @@ def build_knn(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     n, k, l = dataset.n, spec.k, dataset.labeled_count
     if k >= n:
         raise InvalidKError(f"k = {k} must be below n = {n}")
-    d2 = gram_sq_dists(*dataset.dense())
+    X, sq = dataset.dense()
     nn = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        row = d2[i].copy()
-        row[i] = np.inf
-        nn[i] = np.argsort(row, kind="stable")[:k]
+    for start, d2 in _row_slabs(X, sq):
+        rows = np.arange(d2.shape[0])
+        d2[rows, start + rows] = np.inf
+        nn[start : start + rows.size] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     rows, cols = np.repeat(np.arange(n), k), nn.ravel()
     # canonical pairs u < v, deduplicated, in (u, v) order
     code = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
     us, vs = code // n, code % n
-    keep = ~((us < l) & (vs < l))
-    us, vs = us[keep], vs[keep]
-    ws = _gaussian_weights(d2[us, vs], spec.sigma_s) if us.size else np.empty(0)
-    return ExplicitEdges(us, vs, ws, n)
+    keep = vs >= l  # u < v, so a labeled-labeled pair has v < l
+    return _weighted_edges(X, sq, us[keep], vs[keep], spec.sigma_s)
 
 
 def build_eps(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     """All pairs within distance epsilon, minus labeled-labeled; may be empty."""
     if spec.kind != "eps":
         raise ValueError("spec kind must be 'eps'")
-    n, l = dataset.n, dataset.labeled_count
-    d2 = gram_sq_dists(*dataset.dense())
-    iu, iv = np.triu_indices(n, k=1)
-    keep = (d2[iu, iv] <= spec.epsilon**2) & ~((iu < l) & (iv < l))
-    us, vs = iu[keep].astype(np.int64), iv[keep].astype(np.int64)
-    ws = _gaussian_weights(d2[us, vs], spec.sigma_s) if us.size else np.empty(0)
-    return ExplicitEdges(us, vs, ws, n)
+    l, eps2 = dataset.labeled_count, spec.epsilon**2
+    X, sq = dataset.dense()
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start, d2 in _row_slabs(X, sq):
+        # row-major nonzero: pairs come out in (u, v) order
+        u, v = np.nonzero(d2 <= eps2)
+        u += start
+        keep = (u < v) & (v >= l)  # u < v, so a labeled-labeled pair has v < l
+        us.append(u[keep])
+        vs.append(v[keep])
+    return _weighted_edges(X, sq, np.concatenate(us), np.concatenate(vs), spec.sigma_s)
 
 
 def build_graph(dataset: Dataset, spec: GraphSpec) -> EdgeSet:

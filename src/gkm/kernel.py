@@ -7,8 +7,7 @@ what the convergence machinery in :mod:`gkm.bounds` leans on (R = sigma_f).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ class SparseVector:
 
     indices: np.ndarray
     values: np.ndarray
-    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -35,7 +33,6 @@ class SparseVector:
             raise ValueError("indices must be strictly increasing and >= 1")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
-        object.__setattr__(self, "norm_sq", float(val @ val))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
@@ -48,28 +45,6 @@ class SparseVector:
     def from_dense(cls, dense: Sequence[float]) -> "SparseVector":
         arr = np.asarray(dense, dtype=np.float64)
         return cls(np.arange(1, arr.size + 1, dtype=np.int64), arr.copy())
-
-    @property
-    def max_index(self) -> int:
-        return int(self.indices[-1]) if self.indices.size else 0
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim, dtype=np.float64)
-        if self.indices.size:
-            out[self.indices - 1] = self.values
-        return out
-
-
-def squared_distance(x: SparseVector, y: SparseVector) -> float:
-    """||x - y||^2 via a merged index walk; exact zero when x is y."""
-    if x is y:
-        return 0.0
-    _, ix, iy = np.intersect1d(
-        x.indices, y.indices, assume_unique=True, return_indices=True
-    )
-    cross = float(x.values[ix] @ y.values[iy]) if ix.size else 0.0
-    d2 = x.norm_sq + y.norm_sq - 2.0 * cross
-    return d2 if d2 > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -86,33 +61,6 @@ class KernelSpec:
     def __post_init__(self):
         if not (self.sigma_f > 0 and self.sigma_l > 0):
             raise ValueError("sigma_f and sigma_l must be positive")
-
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "KernelSpec":
-        """Map the exp(-gamma ||x-x'||^2) parameterization to (sigma_f=1, sigma_l)."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return cls(sigma_f=1.0, sigma_l=math.sqrt(1.0 / (2.0 * gamma)))
-
-
-def eval_kernel(spec: KernelSpec, x: SparseVector, y: SparseVector) -> float:
-    """K(x, y); lies in (0, sigma_f^2] and is symmetric."""
-    d2 = squared_distance(x, y)
-    return spec.sigma_f**2 * math.exp(-d2 / (2.0 * spec.sigma_l**2))
-
-
-def feature_norm(spec: KernelSpec, x: SparseVector) -> float:
-    """||Phi(x)|| = K(x,x)^(1/2); equals sigma_f for every x."""
-    return spec.sigma_f
-
-
-def decision_value(
-    spec: KernelSpec,
-    coefficients: Sequence[tuple[SparseVector, float]],
-    x: SparseVector,
-) -> float:
-    """Evaluate sum_i alpha_i K(x_i, x) for a kernel expansion."""
-    return sum(alpha * eval_kernel(spec, xi, x) for xi, alpha in coefficients)
 
 
 def kernel_matrix_from_sq_dists(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:

@@ -227,7 +227,7 @@ def train(
     if graph.n_edges == 0:
         raise EmptyEdgeSetError("training requires a non-empty edge set")
     if sigma_s is None:
-        sigma_s = getattr(graph, "sigma_s", None)
+        sigma_s = graph.sigma_s
     if sigma_s is None:
         sigma_s = kernel.sigma_l
 

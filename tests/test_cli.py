@@ -48,6 +48,18 @@ class TestTrainPredictEval:
         captured = capsys.readouterr()
         assert "accuracy" in captured.out
 
+    @pytest.mark.parametrize(
+        "graph",
+        [["--graph", "full"], ["--graph", "knn", "--k", "3"], ["--graph", "eps", "--radius", "2.0"]],
+        ids=["full", "knn", "eps"],
+    )
+    def test_model_records_the_graph_sigma_s(self, tmp_path, data_file, graph):
+        model = tmp_path / "model.txt"
+        code = run(["train", data_file, *graph, "--sigma-s", "0.5", "--sigma-l", "1.0",
+                    "--T", "50", "--model-out", model])
+        assert code == 0
+        assert "sigma_s 0.5" in model.read_text().splitlines()
+
     def test_huge_feature_index_trains_like_renumbered(self, tmp_path):
         """Feature index 10^15 gives the model of the same file with that
         index renumbered to 3, bit for bit."""
@@ -189,7 +201,7 @@ class TestSynth:
                     "--seed", "4", "--out", out])
         assert code == 0
         ds, _ = load_libsvm(out)
-        assert ds.n == 50 and ds.dim == 3
+        assert ds.n == 50 and ds.dense()[0].shape[1] == 3
 
     def test_bayes_accuracy_flag(self, tmp_path):
         out = tmp_path / "synth.txt"

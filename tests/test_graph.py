@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ from gkm.graph import (
     ExplicitEdges,
     FullyConnectedEdges,
     GraphSpec,
+    _pair_weights,
     build_eps,
     build_fully_connected,
     build_knn,
-    edge_weight,
     read_edges,
-    sample_edge,
     write_edges,
 )
-from gkm.kernel import SparseVector
+from gkm.kernel import SLAB_BYTES, SparseVector, gram_sq_dists
 
 
 def line_dataset(coords, labels):
@@ -34,21 +34,68 @@ def random_dataset(n, l, dim, seed):
     return Dataset(pts, labels)
 
 
+# Literal references: the scalar weight of one pair, and the k-NN and eps
+# builders over the whole n x n distance matrix. The package's slab scans
+# and its one pair-weight formula (_pair_weights) are pinned to them.
+
+
+def edge_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
+    """Gaussian edge weight in (0, 1]; equals 1 iff x_i = x_j."""
+    X, _ = Dataset((x_i, x_j), np.zeros(2, dtype=np.int8)).dense()
+    return math.exp(-float(np.sum((X[0] - X[1]) ** 2)) / (2.0 * sigma_s**2))
+
+
+def pair_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
+    ds = Dataset((x_i, x_j), np.zeros(2, dtype=np.int8))
+    return float(_pair_weights(*ds.dense(), np.array([0]), np.array([1]), sigma_s)[0])
+
+
+def gaussian_weights(d2, sigma_s):
+    return np.maximum(np.exp(-d2 / (2.0 * sigma_s**2)), np.finfo(np.float64).tiny)
+
+
+def knn_reference(dataset, k):
+    n, l = dataset.n, dataset.labeled_count
+    d2 = gram_sq_dists(*dataset.dense())
+    nn = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        row = d2[i].copy()
+        row[i] = np.inf
+        nn[i] = np.argsort(row, kind="stable")[:k]
+    rows, cols = np.repeat(np.arange(n), k), nn.ravel()
+    code = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    us, vs = code // n, code % n
+    keep = ~((us < l) & (vs < l))
+    return us[keep], vs[keep], d2
+
+
+def eps_reference(dataset, epsilon):
+    n, l = dataset.n, dataset.labeled_count
+    d2 = gram_sq_dists(*dataset.dense())
+    iu, iv = np.triu_indices(n, k=1)
+    keep = (d2[iu, iv] <= epsilon**2) & ~((iu < l) & (iv < l))
+    return iu[keep].astype(np.int64), iv[keep].astype(np.int64), d2
+
+
 class TestEdgeWeight:
     def test_identical_points(self):
         x = SparseVector.from_pairs([(1, 2.0)])
         assert edge_weight(x, x, 1.0) == 1.0
+        assert pair_weight(x, x, 1.0) == 1.0
 
     def test_formula_value(self):
         # ||x - y||^2 = 2 sigma_s^2 gives exp(-1)
         x = SparseVector.from_pairs([(1, 0.0)])
         y = SparseVector.from_pairs([(1, 2.0)])
         assert edge_weight(x, y, math.sqrt(2.0)) == pytest.approx(math.exp(-1.0))
+        assert pair_weight(x, y, math.sqrt(2.0)) == pytest.approx(math.exp(-1.0))
 
     def test_symmetry(self):
         x = SparseVector.from_pairs([(1, 0.3), (2, 1.0)])
         y = SparseVector.from_pairs([(2, -1.0), (3, 0.5)])
         assert edge_weight(x, y, 0.7) == edge_weight(y, x, 0.7)
+        assert pair_weight(x, y, 0.7) == pair_weight(y, x, 0.7)
+        assert pair_weight(x, y, 0.7) == pytest.approx(edge_weight(x, y, 0.7), rel=1e-13)
 
     def test_distant_points_do_not_underflow_the_invariant(self):
         # exp(-d^2 / (2 sigma^2)) underflows to 0.0 for unscaled features;
@@ -156,12 +203,98 @@ class TestEps:
             edges.sample_batch(np.random.default_rng(0), 1)
 
 
+GRID_SIDE = 20
+
+
+def grid_dataset():
+    """The integer grid: every distance is exact, with many ties."""
+    pts = tuple(
+        SparseVector.from_dense([float(i), float(j)]) for i in range(GRID_SIDE) for j in range(GRID_SIDE)
+    )
+    labels = np.zeros(GRID_SIDE**2, dtype=np.int8)
+    labels[:30] = 1
+    return Dataset(pts, labels)
+
+
+# n=300 fits one slab; n=2497 takes 25, the last of them a single row
+SLAB_CASES = [(n, dim) for n in (300, 2497) for dim in (3, 50)]
+EPSILON = {3: 0.5, 50: 7.7}  # about 1% of the pairs at either dim
+
+
+def assert_weights_pinned(ds, edges, d2, sigma_s):
+    """Bitwise equal to the full graph's weights of the same pairs, and
+    within rounding of the weights of the n x n distances."""
+    full = FullyConnectedEdges(ds, sigma_s)
+    assert np.array_equal(edges.ws, full.weights_for(edges.us, edges.vs))
+    ref = gaussian_weights(d2[edges.us, edges.vs], sigma_s)
+    np.testing.assert_allclose(edges.ws, ref, rtol=1e-13, atol=0.0)
+
+
+class TestSlabBuildsMatchFullMatrix:
+    @pytest.mark.parametrize("n,dim", SLAB_CASES)
+    def test_knn(self, n, dim):
+        rows = SLAB_BYTES // (8 * n)
+        assert n <= rows or n % rows == 1  # one slab, or several ending in one row
+        ds = random_dataset(n, n // 5, dim, seed=n + dim)
+        edges = build_knn(ds, GraphSpec("knn", 2.0, k=5))
+        us, vs, d2 = knn_reference(ds, 5)
+        assert np.array_equal(edges.us, us) and np.array_equal(edges.vs, vs)
+        assert_weights_pinned(ds, edges, d2, 2.0)
+        assert edges.sigma_s == 2.0
+
+    @pytest.mark.parametrize("n,dim", SLAB_CASES)
+    def test_eps(self, n, dim):
+        ds = random_dataset(n, n // 5, dim, seed=n + dim)
+        edges = build_eps(ds, GraphSpec("eps", 2.0, epsilon=EPSILON[dim]))
+        us, vs, d2 = eps_reference(ds, EPSILON[dim])
+        assert us.size > n
+        assert np.array_equal(edges.us, us) and np.array_equal(edges.vs, vs)
+        assert_weights_pinned(ds, edges, d2, 2.0)
+        assert edges.sigma_s == 2.0
+
+    @pytest.mark.parametrize("dim", [3, 50])
+    def test_full_graph_weights(self, dim):
+        ds = random_dataset(300, 60, dim, seed=dim)
+        us, vs, ws = build_fully_connected(ds, GraphSpec("full", 2.0)).enumerate_edges()
+        d2 = gram_sq_dists(*ds.dense())
+        np.testing.assert_allclose(ws, gaussian_weights(d2[us, vs], 2.0), rtol=1e-13, atol=0.0)
+
+    def test_grid_ties(self):
+        ds = grid_dataset()
+        knn = build_knn(ds, GraphSpec("knn", 1.0, k=4))
+        us, vs, d2 = knn_reference(ds, 4)
+        assert np.array_equal(knn.us, us) and np.array_equal(knn.vs, vs)
+        assert_weights_pinned(ds, knn, d2, 1.0)
+        eps = build_eps(ds, GraphSpec("eps", 1.0, epsilon=1.0))
+        us, vs, _ = eps_reference(ds, 1.0)
+        assert np.array_equal(eps.us, us) and np.array_equal(eps.vs, vs)
+
+
+@pytest.mark.parametrize(
+    "build,spec",
+    [(build_knn, GraphSpec("knn", 2.0, k=10)), (build_eps, GraphSpec("eps", 2.0, epsilon=7.7))],
+    ids=["knn", "eps"],
+)
+def test_build_memory_stays_far_below_the_distance_matrix(build, spec):
+    ds = random_dataset(3000, 600, 50, seed=4)
+    ds.dense()
+    tracemalloc.start()
+    try:
+        edges = build(ds, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert edges.n_edges > 3000
+    assert peak < 16 * 2**20  # the 3000 x 3000 float64 distance matrix is 72 MB
+
+
 class TestSampling:
     def test_single_edge_always_returned(self):
         edges = ExplicitEdges([0], [1], [0.5], n=2)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert sample_edge(edges, rng) == (0, 1, 0.5)
+            us, vs, ws = edges.sample_batch(rng, 1)
+            assert (us.tolist(), vs.tolist(), ws.tolist()) == ([0], [1], [0.5])
 
     def test_small_frequencies_within_three_sigma(self):
         ds = line_dataset([0, 1, 2], [1, -1, 0])
@@ -176,8 +309,10 @@ class TestSampling:
         ds = random_dataset(10, 3, 2, seed=5)
         edges = build_fully_connected(ds, GraphSpec("full", 0.8))
         rng = np.random.default_rng(1)
-        u, v, w = sample_edge(edges, rng)
+        us, vs, ws = edges.sample_batch(rng, 1)
+        u, v, w = int(us[0]), int(vs[0]), float(ws[0])
         assert w == pytest.approx(edge_weight(ds.points[u], ds.points[v], 0.8), rel=1e-12)
+        assert w == _pair_weights(*ds.dense(), us, vs, 0.8)[0]
 
     def test_never_returns_invalid_pairs(self):
         ds = random_dataset(9, 4, 2, seed=2)

@@ -10,18 +10,68 @@ from gkm.kernel import (
     KernelSpec,
     SparseVector,
     block_decisions,
-    decision_value,
-    eval_kernel,
-    feature_norm,
+    dense_rows,
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
     sq_dist_block,
-    squared_distance,
 )
 
 
 def sv(*pairs):
     return SparseVector.from_pairs(pairs)
+
+
+# Literal scalar references, one pair or point at a time. Each test below
+# checks a property on the reference and on the block primitive that
+# computes the same quantity: sq_dist_block, kernel_matrix_from_sq_dists
+# over gram_sq_dists, and block_decisions.
+
+
+def squared_distance(x: SparseVector, y: SparseVector) -> float:
+    """||x - y||^2 via a merged index walk; exact zero when x is y."""
+    if x is y:
+        return 0.0
+    _, ix, iy = np.intersect1d(x.indices, y.indices, assume_unique=True, return_indices=True)
+    cross = float(x.values[ix] @ y.values[iy]) if ix.size else 0.0
+    d2 = float(x.values @ x.values) + float(y.values @ y.values) - 2.0 * cross
+    return d2 if d2 > 0.0 else 0.0
+
+
+def eval_kernel(spec: KernelSpec, x: SparseVector, y: SparseVector) -> float:
+    return spec.sigma_f**2 * math.exp(-squared_distance(x, y) / (2.0 * spec.sigma_l**2))
+
+
+def feature_norm(spec: KernelSpec, x: SparseVector) -> float:
+    """||Phi(x)|| = K(x, x)^(1/2) = sigma_f for every x."""
+    return spec.sigma_f
+
+
+def decision_value(spec: KernelSpec, coefficients, x: SparseVector) -> float:
+    return sum(alpha * eval_kernel(spec, xi, x) for xi, alpha in coefficients)
+
+
+def block_sq_dist(x: SparseVector, y: SparseVector) -> float:
+    X, sq = dense_rows([x, y])
+    return float(sq_dist_block(X[:1], sq[:1], X[1:], sq[1:])[0, 0])
+
+
+def block_gram(spec: KernelSpec, *points: SparseVector) -> np.ndarray:
+    return kernel_matrix_from_sq_dists(spec, gram_sq_dists(*dense_rows(points)))
+
+
+def block_kernel(spec: KernelSpec, x: SparseVector, y: SparseVector) -> float:
+    return float(block_gram(spec, x, y)[0, 1])
+
+
+def block_feature_norms(spec: KernelSpec, *points: SparseVector) -> np.ndarray:
+    return np.sqrt(np.diagonal(block_gram(spec, *points)))
+
+
+def block_decision(spec: KernelSpec, coefficients, x: SparseVector) -> float:
+    X, sq = dense_rows([xi for xi, _ in coefficients] + [x])
+    coefs = np.array([alpha for _, alpha in coefficients])
+    m = len(coefficients)
+    return float(block_decisions(spec, coefs, X[:m], sq[:m], X[m:], sq[m:])[0])
 
 
 class TestSparseVector:
@@ -37,9 +87,11 @@ class TestSparseVector:
 
     def test_dense_round_trip(self):
         v = sv((1, 0.5), (3, -2.0))
-        assert np.array_equal(v.to_dense(4), [0.5, 0.0, -2.0, 0.0])
         w = SparseVector.from_dense([0.5, 0.0, -2.0])
+        X, _ = dense_rows([v, w])
+        assert np.array_equal(X, [[0.5, 0.0, -2.0], [0.5, 0.0, -2.0]])
         assert squared_distance(v, w) == 0.0
+        assert block_sq_dist(v, w) == 0.0
 
 
 class TestSquaredDistance:
@@ -47,11 +99,13 @@ class TestSquaredDistance:
         v = sv((1, 1.0), (2, 2.0))
         w = sv((1, 1.0), (2, 2.0))
         assert squared_distance(v, w) == 0.0
+        assert block_sq_dist(v, w) == 0.0
 
     def test_disjoint_support(self):
         v = sv((1, 3.0))
         w = sv((2, 4.0))
         assert squared_distance(v, w) == pytest.approx(25.0)
+        assert block_sq_dist(v, w) == pytest.approx(25.0)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(0)
@@ -61,20 +115,26 @@ class TestSquaredDistance:
             v = SparseVector(iv, rng.normal(size=5))
             w = SparseVector(iw, rng.normal(size=7))
             assert squared_distance(v, w) == squared_distance(w, v)
+            assert block_sq_dist(v, w) == block_sq_dist(w, v)
+            assert block_sq_dist(v, w) == pytest.approx(squared_distance(v, w), rel=1e-12, abs=1e-12)
 
 
 class TestEvalKernel:
     def test_identity_cases(self):
         x = sv((1, 0.3), (4, -1.0))
-        assert eval_kernel(KernelSpec(1.0, 1.0), x, x) == pytest.approx(1.0)
-        assert eval_kernel(KernelSpec(2.0, 1.0), x, x) == pytest.approx(4.0)
+        for sf, want in [(1.0, 1.0), (2.0, 4.0)]:
+            spec = KernelSpec(sf, 1.0)
+            assert eval_kernel(spec, x, x) == pytest.approx(want)
+            assert block_gram(spec, x)[0, 0] == pytest.approx(want)
+            assert block_kernel(spec, x, x) == pytest.approx(want)
 
     def test_unit_distance_value(self):
         # ||x - y||^2 = 2 at sigma_l = 1 gives exp(-1)
         x = sv((1, 1.0))
         y = sv((2, 1.0))
-        k = eval_kernel(KernelSpec(1.0, 1.0), x, y)
-        assert k == pytest.approx(math.exp(-1.0), rel=1e-12)
+        spec = KernelSpec(1.0, 1.0)
+        assert eval_kernel(spec, x, y) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert block_kernel(spec, x, y) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_bounded_and_positive(self):
         rng = np.random.default_rng(1)
@@ -85,6 +145,10 @@ class TestEvalKernel:
             k = eval_kernel(spec, x, y)
             assert 0.0 < k <= spec.sigma_f**2 + 1e-15
             assert eval_kernel(spec, y, x) == k
+            K = block_gram(spec, x, y)
+            assert np.all((K > 0.0) & (K <= spec.sigma_f**2))
+            assert K[0, 1] == K[1, 0]
+            assert K[0, 1] == pytest.approx(k, rel=1e-12)
 
     def test_feature_map_distance_nonnegative(self):
         # ||Phi(x) - Phi(y)||^2 = K(x,x) + K(y,y) - 2K(x,y) >= 0, and <= (2R)^2
@@ -94,6 +158,9 @@ class TestEvalKernel:
             x = SparseVector.from_dense(rng.normal(size=3))
             y = SparseVector.from_dense(rng.normal(size=3))
             d2 = 2.0 * spec.sigma_f**2 - 2.0 * eval_kernel(spec, x, y)
+            assert -1e-12 <= d2 <= (2.0 * spec.sigma_f) ** 2
+            K = block_gram(spec, x, y)
+            d2 = K[0, 0] + K[1, 1] - 2.0 * K[0, 1]
             assert -1e-12 <= d2 <= (2.0 * spec.sigma_f) ** 2
 
     @given(
@@ -106,6 +173,7 @@ class TestEvalKernel:
         spec = KernelSpec(sf, sl)
         x = SparseVector.from_dense(xv)
         assert eval_kernel(spec, x, x) == pytest.approx(sf**2, rel=1e-12)
+        assert block_gram(spec, x)[0, 0] == pytest.approx(sf**2, rel=1e-12)
 
 
 class TestFeatureNorm:
@@ -114,26 +182,33 @@ class TestFeatureNorm:
         a = sv((1, 1.0))
         b = sv((2, -5.0), (7, 2.0))
         assert feature_norm(spec, a) == feature_norm(spec, b) == 3.0
+        assert np.array_equal(block_feature_norms(spec, a, b), [3.0, 3.0])
 
     def test_values(self):
         x = sv((1, 1.0))
-        assert feature_norm(KernelSpec(1.0, 1.0), x) == 1.0
-        assert feature_norm(KernelSpec(0.5, 2.0), x) == 0.5
+        for sf in (1.0, 0.5):
+            assert feature_norm(KernelSpec(sf, 2.0), x) == sf
+            assert block_feature_norms(KernelSpec(sf, 2.0), x)[0] == sf
 
 
 class TestDecisionValue:
     def test_empty_sum(self):
         assert decision_value(KernelSpec(1.0, 1.0), [], sv((1, 1.0))) == 0.0
+        assert block_decision(KernelSpec(1.0, 1.0), [], sv((1, 1.0))) == 0.0
 
     def test_single_self_term(self):
         x = sv((1, 1.0))
         assert decision_value(KernelSpec(1.0, 1.0), [(x, 1.0)], x) == pytest.approx(1.0)
+        assert block_decision(KernelSpec(1.0, 1.0), [(x, 1.0)], x) == pytest.approx(1.0)
 
     def test_two_term_hand_value(self):
         a = sv((1, 1.0))
         b = sv((2, 1.0))
+        want = 1.0 - math.exp(-1.0)
         got = decision_value(KernelSpec(1.0, 1.0), [(a, 1.0), (b, -1.0)], a)
-        assert got == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
+        got = block_decision(KernelSpec(1.0, 1.0), [(a, 1.0), (b, -1.0)], a)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestKernelSpec:
@@ -142,13 +217,6 @@ class TestKernelSpec:
             KernelSpec(0.0, 1.0)
         with pytest.raises(ValueError):
             KernelSpec(1.0, -1.0)
-
-    def test_gamma_constructor(self):
-        spec = KernelSpec.from_gamma(0.5)
-        assert spec.sigma_f == 1.0
-        assert spec.sigma_l == pytest.approx(1.0)
-        x, y = sv((1, 1.0)), sv((1, 3.0))
-        assert eval_kernel(spec, x, y) == pytest.approx(math.exp(-0.5 * 4.0), rel=1e-12)
 
 
 class TestBlockPrimitives:

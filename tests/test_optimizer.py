@@ -13,7 +13,7 @@ from gkm.exceptions import (
     NonFiniteStateError,
 )
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected
-from gkm.kernel import KernelSpec, SparseVector, eval_kernel, kernel_matrix_from_sq_dists
+from gkm.kernel import KernelSpec, SparseVector, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_value, lp_value
 from gkm.optimizer import (
