@@ -6,8 +6,6 @@ the maximal smoothness trade-off, the recommended output scale, and the
 high-probability iteration count.
 """
 
-import numpy as np
-
 import gkm
 from gkm.losses import LossSpec, SmoothnessSpec
 from gkm.optimizer import TrainConfig, train
@@ -39,6 +37,6 @@ config = TrainConfig(
     C=1.0, C_prime=0.05, loss=LossSpec("hinge"), smoothness=SmoothnessSpec(2.0),
     T=5000, seed=0,
 )
-_, diag = train(hidden, graph, config, gkm.KernelSpec(1.0, 1.0), track_step_norms=True)
-print(f"\nmax ||w_t|| over 5000 steps: {np.max(diag.step_norm_w):.4f}  (M = {report.M:.4f})")
-print(f"max ||g_t|| over 5000 steps: {np.max(diag.step_norm_g):.4f}  (G = {report.G:.4f})")
+_, diag = train(hidden, graph, config, gkm.KernelSpec(1.0, 1.0))
+print(f"\nmax ||w_t|| over 5000 steps: {diag.max_norm_w:.4f}  (M = {report.M:.4f})")
+print(f"max ||g_t|| over 5000 steps: {diag.max_norm_g:.4f}  (G = {report.G:.4f})")

@@ -104,6 +104,9 @@ def _cmd_train(args) -> int:
         print(f"trace written to {args.trace_out}")
     print(f"trained {T} iterations on n={dataset.n} (l={dataset.labeled_count}), "
           f"final J={float(diag.trace_j_avg[-1])!r}")
+    if report.condition_holds:
+        print(f"max||w_t||/M={diag.max_norm_w / report.M!r} "
+              f"max||g_t||/G={diag.max_norm_g / report.G!r}")
     return EXIT_OK
 
 

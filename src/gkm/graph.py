@@ -100,10 +100,10 @@ class FullyConnectedEdges:
         hi = np.maximum(us, vs)
         return lo, hi, self.weights_for(lo, hi)
 
-    def enumerate_edges(self, cap: int = EXACT_EDGE_CAP):
-        if self.n_edges > cap:
+    def enumerate_edges(self):
+        if self.n_edges > EXACT_EDGE_CAP:
             raise EdgeEnumerationTooLargeError(
-                f"{self.n_edges} edges exceed the enumeration cap {cap}"
+                f"{self.n_edges} edges exceed the enumeration cap {EXACT_EDGE_CAP}"
             )
         iu, iv = np.triu_indices(self.n, k=1)
         keep = ~((iu < self.labeled_count) & (iv < self.labeled_count))
@@ -144,10 +144,10 @@ class ExplicitEdges:
         idx = rng.integers(0, self.n_edges, size=size)
         return self.us[idx], self.vs[idx], self.ws[idx]
 
-    def enumerate_edges(self, cap: int = EXACT_EDGE_CAP):
-        if self.n_edges > cap:
+    def enumerate_edges(self):
+        if self.n_edges > EXACT_EDGE_CAP:
             raise EdgeEnumerationTooLargeError(
-                f"{self.n_edges} edges exceed the enumeration cap {cap}"
+                f"{self.n_edges} edges exceed the enumeration cap {EXACT_EDGE_CAP}"
             )
         return self.us, self.vs, self.ws
 

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseVector:
     """Sorted sparse vector with 1-based feature indices.
 

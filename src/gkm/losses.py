@@ -2,11 +2,13 @@
 
 Every loss gradient factors as s * Phi(x) for a scalar s with |s| <= 1,
 which is what pins the gradient bound A to the feature-space radius R.
-All functions accept plain floats; all but the *_prox_slope ones broadcast.
+loss_slope and lp_slope return the plain-float slopes the trainer steps with;
+the rest accept plain floats, and all but the *_prox_slope ones broadcast.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,33 +90,55 @@ def loss_value(spec: LossSpec, o, y):
     return out if out.ndim else float(out)
 
 
-def loss_grad_scalar(spec: LossSpec, o, y):
-    """Scalar s of the (sub)gradient s * Phi(x); |s| <= 1 for every kind.
-
-    At kinks the zero subgradient is chosen (sign(0) = 0 convention), which
-    keeps updates deterministic.
-    """
-    _check_labels(spec, y)
-    o = np.asarray(o, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def loss_slope(spec: LossSpec):
+    """(Sub)gradient scalar s(o, y) of s * Phi(x), |s| <= 1, as a plain-float
+    function: the one definition, which the trainer steps with and
+    loss_grad_scalar maps over arrays. At a kink, hinge takes -y at y o = 1,
+    l1 takes 0 at o = y and eps-insensitive 0 at |o - y| = epsilon;
+    smooth-hinge and logistic are differentiable."""
     kind = spec.kind
     if kind == "hinge":
-        out = np.where(y * o <= 1.0, -y, 0.0)
-    elif kind == "smooth-hinge":
+        return lambda o, y: -y if y * o <= 1.0 else 0.0
+    if kind == "smooth-hinge":
         tau = spec.tau
-        yo = y * o
-        out = np.where(
-            yo < 1.0 - tau,
-            -y,
-            np.where(yo <= 1.0, (yo - 1.0) * y / tau, 0.0),
-        )
-    elif kind == "logistic":
-        out = -y * expit(-y * o)
-    elif kind == "l1":
-        out = np.sign(o - y)
-    else:  # eps-insensitive
-        out = np.where(np.abs(y - o) > spec.epsilon, np.sign(o - y), 0.0)
+
+        def slope(o, y, tau=tau):
+            yo = y * o
+            if yo < 1.0 - tau:
+                return -y
+            if yo <= 1.0:
+                return (yo - 1.0) * y / tau
+            return 0.0
+
+        return slope
+    if kind == "logistic":
+
+        def slope(o, y):
+            yo = y * o
+            if yo >= 0.0:
+                e = math.exp(-yo)
+                return -y * e / (1.0 + e)
+            return -y / (1.0 + math.exp(yo))
+
+        return slope
+    if kind == "l1":
+        return lambda o, y: float(np.sign(o - y))
+    eps = spec.epsilon
+    return lambda o, y: (float(np.sign(o - y)) if abs(y - o) > eps else 0.0)
+
+
+def _elementwise(fn, *args):
+    """fn applied to the broadcast float64 arguments, one element at a time
+    as Python floats; a float for scalar arguments."""
+    out = np.frompyfunc(fn, len(args), 1)(*(np.asarray(a, dtype=np.float64) for a in args))
+    out = np.asarray(out, dtype=np.float64)
     return out if out.ndim else float(out)
+
+
+def loss_grad_scalar(spec: LossSpec, o, y):
+    """loss_slope(spec) at every (o, y); broadcasts, labels checked."""
+    _check_labels(spec, y)
+    return _elementwise(loss_slope(spec), o, y)
 
 
 def _increasing_root(g, dg, lo, hi):
@@ -165,11 +189,27 @@ def lp_value(spec: SmoothnessSpec, t):
     return out if out.ndim else float(out)
 
 
+def lp_slope(spec: SmoothnessSpec):
+    """p * sign(t) * |t|^(p-1) as a plain-float function, odd and zero at 0:
+    the one definition, which the trainer steps with and lp_grad_scalar maps."""
+    p = spec.p
+    if p == 1.0:
+        return lambda t: -1.0 if t < 0.0 else (1.0 if t > 0.0 else 0.0)
+    if p == 2.0:
+        return lambda t: 2.0 * t
+    pm1 = p - 1.0
+
+    def slope(t, p=p, pm1=pm1):
+        if t == 0.0:
+            return 0.0
+        return p * math.copysign(abs(t) ** pm1, t)
+
+    return slope
+
+
 def lp_grad_scalar(spec: SmoothnessSpec, t):
-    """p * sign(t) * |t|^(p-1); odd in t, zero at t = 0 for every p >= 1."""
-    t = np.asarray(t, dtype=np.float64)
-    out = spec.p * np.sign(t) * np.abs(t) ** (spec.p - 1.0)
-    return out if out.ndim else float(out)
+    """lp_slope(spec) at every t; broadcasts."""
+    return _elementwise(lp_slope(spec), t)
 
 
 def lp_prox_slope(spec: SmoothnessSpec, v: float, gamma: float) -> float:

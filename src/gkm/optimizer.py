@@ -9,8 +9,8 @@ companion vector v) so that it is also O(1) per step and can be materialized
 at any time as bar_w = 2/(t(t+1)) * (Q u - v).
 
 Hilbert norms of the iterate and of each stochastic gradient are maintained
-incrementally from the sampled kernel entries, which is what makes the
-per-step bound checks affordable.
+incrementally from the sampled kernel entries, which is what makes
+recording their maxima on every run affordable.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .kernel import (
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
 )
-from .losses import LossSpec, SmoothnessSpec, loss_value, lp_value
+from .losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
 
 OBJECTIVE_MODES = ("auto", "exact", "sampled")
 
@@ -82,14 +82,14 @@ def default_iterations(n: int) -> int:
 
 @dataclass
 class Diagnostics:
-    """Training trace plus optional per-step records."""
+    """Training trace, max ||w_t|| and ||g_t|| over all steps, optional iterates."""
 
     trace_t: np.ndarray
     trace_j_avg: np.ndarray
     trace_norm_w: np.ndarray
     trace_norm_g: np.ndarray
-    step_norm_w: np.ndarray | None = None
-    step_norm_g: np.ndarray | None = None
+    max_norm_w: float
+    max_norm_g: float
     iterates: list[np.ndarray] | None = None
 
 
@@ -156,54 +156,6 @@ class _Geometry:
         return float(kernel_matrix_from_sq_dists(self.kernel, np.float64(d2)))
 
 
-def _fast_loss_grad(spec: LossSpec):
-    """Scalar-specialized gradient closure for the hot loop."""
-    kind = spec.kind
-    if kind == "hinge":
-        return lambda o, y: -y if y * o <= 1.0 else 0.0
-    if kind == "smooth-hinge":
-        tau = spec.tau
-
-        def grad(o, y, tau=tau):
-            yo = y * o
-            if yo < 1.0 - tau:
-                return -y
-            if yo <= 1.0:
-                return (yo - 1.0) * y / tau
-            return 0.0
-
-        return grad
-    if kind == "logistic":
-
-        def grad(o, y):
-            yo = y * o
-            if yo >= 0.0:
-                e = math.exp(-yo)
-                return -y * e / (1.0 + e)
-            return -y / (1.0 + math.exp(yo))
-
-        return grad
-    if kind == "l1":
-        return lambda o, y: float(np.sign(o - y))
-    eps = spec.epsilon
-    return lambda o, y: (float(np.sign(o - y)) if abs(y - o) > eps else 0.0)
-
-
-def _fast_lp_grad(p: float):
-    if p == 1.0:
-        return lambda t: -1.0 if t < 0.0 else (1.0 if t > 0.0 else 0.0)
-    if p == 2.0:
-        return lambda t: 2.0 * t
-    pm1 = p - 1.0
-
-    def grad(t, p=p, pm1=pm1):
-        if t == 0.0:
-            return 0.0
-        return p * math.copysign(abs(t) ** pm1, t)
-
-    return grad
-
-
 def train(
     dataset: Dataset,
     graph: EdgeSet,
@@ -211,7 +163,6 @@ def train(
     kernel: KernelSpec,
     sigma_s: float | None = None,
     *,
-    track_step_norms: bool = False,
     record_iterates: bool = False,
 ) -> tuple[ModelState, Diagnostics]:
     """Run the stochastic training loop for exactly config.T steps.
@@ -240,8 +191,8 @@ def train(
     labels = dataset.labels.astype(np.float64).tolist()
 
     C, Cp = config.C, config.C_prime
-    loss_grad = _fast_loss_grad(config.loss)
-    lp_grad = _fast_lp_grad(config.smoothness.p)
+    loss_grad = loss_slope(config.loss)
+    lp_grad = lp_slope(config.smoothness)
     kxx = geom.kxx
 
     u = np.zeros(n)
@@ -249,11 +200,10 @@ def train(
     s = 1.0
     Q = 0.0
     nw2 = 0.0  # ||w_t||^2, tracked incrementally
+    max_nw2 = max_g2 = 0.0
 
     every = config.diagnostics_every
     trace: list[tuple[int, float, float, float]] = []
-    snw = np.empty(T) if track_step_norms else None
-    sng = np.empty(T) if track_step_norms else None
     iterates: list[np.ndarray] | None = [] if record_iterates else None
 
     isfinite = math.isfinite
@@ -296,6 +246,10 @@ def train(
                 eta = 2.0 / (t + 1.0)
                 c = (t - 1.0) / (t + 1.0)
                 nw2 = max(c * c * nw2 - 2.0 * c * eta * wdelta + eta * eta * dd2, 0.0)
+                if nw2 > max_nw2:
+                    max_nw2 = nw2
+                if g2 > max_g2:
+                    max_g2 = g2
 
                 # contract the scale; step 1 zeroes w exactly, so reset instead
                 s = 1.0 if t == 1 else s * c
@@ -314,9 +268,6 @@ def train(
                     geom.note_touched(b)
                 Q += t * s
 
-                if track_step_norms:
-                    snw[t - 1] = math.sqrt(nw2)
-                    sng[t - 1] = math.sqrt(g2) if g2 > 0.0 else 0.0
                 if iterates is not None:
                     iterates.append(u * s)
 
@@ -345,8 +296,8 @@ def train(
         trace_j_avg=np.array([r[1] for r in trace]),
         trace_norm_w=np.array([r[2] for r in trace]),
         trace_norm_g=np.array([r[3] for r in trace]),
-        step_norm_w=snw,
-        step_norm_g=sng,
+        max_norm_w=math.sqrt(max_nw2),
+        max_norm_g=math.sqrt(max_g2),
         iterates=iterates,
     )
     return state, diag

@@ -59,6 +59,25 @@ class TestComputeBounds:
         assert r.condition_holds
         assert r.M == math.inf and r.G == math.inf
 
+    def test_matches_case_M_on_certified_draws(self):
+        """compute_bounds gives the M that criterion 01 certifies through
+        case_M, in all three cases, for (C, C', R) drawn to hit certified
+        (a, b); where M overflows both give inf."""
+        rng = np.random.default_rng(5)
+        ps = [*rng.uniform(1.0, 2.0, 30), *[2.0] * 30, *rng.uniform(2.0 + 1e-9, 4.0, 30)]
+        for p in ps:
+            a, b = sample_certified_region(float(p), rng, 150)
+            for ai, bi, R in zip(a, b, rng.uniform(0.3, 2.0, a.size)):
+                r = compute_bounds(bi / R, ai / ((2.0 * R) ** p * p), p, R, R)
+                assert r.condition_holds
+                with np.errstate(over="ignore"):
+                    M = float(case_M(r.a, r.b, p))
+                if math.isinf(M):
+                    assert r.M == math.inf
+                    continue
+                assert r.M == pytest.approx(M, rel=1e-12)
+                assert bound_residual(r.M, r.a, r.b, p) <= 1e-9
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             compute_bounds(0.0, 0.1, 2.0, 1.0, 1.0)

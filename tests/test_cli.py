@@ -48,6 +48,17 @@ class TestTrainPredictEval:
         captured = capsys.readouterr()
         assert "accuracy" in captured.out
 
+    def test_reports_norm_maxima_against_the_bounds(self, data_file, capsys):
+        """A certified config prints max||w_t||/M and max||g_t||/G, both <= 1;
+        a violated one prints neither."""
+        assert run(["train", data_file, "--C", "1", "--C-prime", "0.05", "--T", "500"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        ratios = dict(field.split("=") for field in line.split())
+        assert set(ratios) == {"max||w_t||/M", "max||g_t||/G"}
+        assert all(0.0 < float(r) <= 1.0 for r in ratios.values())
+        assert run(["train", data_file, "--C", "1", "--C-prime", "0.3", "--T", "50"]) == 0
+        assert "max||w_t||/M" not in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "graph",
         [["--graph", "full"], ["--graph", "knn", "--k", "3"], ["--graph", "eps", "--radius", "2.0"]],

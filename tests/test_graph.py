@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gkm import graph as graph_mod
 from gkm.data import Dataset
 from gkm.exceptions import EmptyEdgeSetError, InvalidKError
 from gkm.graph import (
@@ -336,14 +337,18 @@ class TestSampling:
 
 
 class TestEnumerationCap:
-    def test_implicit_enumeration_respects_cap(self):
+    def test_implicit_enumeration_respects_cap(self, monkeypatch):
         from gkm.exceptions import EdgeEnumerationTooLargeError
 
         ds = random_dataset(30, 5, 2, seed=11)
         edges = build_fully_connected(ds, GraphSpec("full", 1.0))
-        with pytest.raises(EdgeEnumerationTooLargeError):
-            edges.enumerate_edges(cap=10)
-        us, _, _ = edges.enumerate_edges(cap=edges.n_edges)
+        knn = build_knn(ds, GraphSpec("knn", 1.0, k=3))
+        monkeypatch.setattr(graph_mod, "EXACT_EDGE_CAP", 10)
+        for too_many in (edges, knn):
+            with pytest.raises(EdgeEnumerationTooLargeError):
+                too_many.enumerate_edges()
+        monkeypatch.setattr(graph_mod, "EXACT_EDGE_CAP", edges.n_edges)
+        us, _, _ = edges.enumerate_edges()
         assert us.size == edges.n_edges
 
 

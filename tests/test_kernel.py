@@ -85,6 +85,13 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             sv((0, 1.0))
 
+    def test_hashable_and_equal_by_identity(self):
+        v = sv((1, 0.5), (3, -2.0))
+        w = sv((1, 0.5), (3, -2.0))
+        assert v == v and v != w
+        assert {v: 1, w: 2}[v] == 1
+        assert len({v, w, v}) == 2
+
     def test_dense_round_trip(self):
         v = sv((1, 0.5), (3, -2.0))
         w = SparseVector.from_dense([0.5, 0.0, -2.0])

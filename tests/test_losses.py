@@ -14,13 +14,14 @@ from gkm.losses import (
     loss_conjugate,
     loss_grad_scalar,
     loss_prox_slope,
+    loss_slope,
     loss_value,
     lp_conjugate,
     lp_grad_scalar,
     lp_prox_slope,
+    lp_slope,
     lp_value,
 )
-from gkm.optimizer import _fast_loss_grad, _fast_lp_grad
 
 ALL_SPECS = [
     LossSpec("hinge"),
@@ -207,27 +208,38 @@ def loss_grad_case(draw):
     return spec, o, y
 
 
-class TestFastGradientCopies:
-    """The trainer's scalar closures agree with the vectorized reference."""
+def lp_slope_formula(p, t):
+    """p * sign(t) * |t|^(p - 1), written out as the reference for lp_slope."""
+    return float(p * np.sign(t) * np.abs(np.float64(t)) ** (p - 1.0))
+
+
+class TestSlopes:
+    """The slopes the trainer takes, through the public array wrappers."""
 
     @given(case=loss_grad_case())
     @settings(max_examples=600, deadline=None)
-    def test_loss_grad_matches_reference(self, case):
+    def test_loss_slope_lies_between_difference_quotients(self, case):
+        # convexity: (f(o) - f(o - h)) / h <= s <= (f(o + h) - f(o)) / h for
+        # every subgradient s at o, kinks included
         spec, o, y = case
-        fast = _fast_loss_grad(spec)(o, y)
-        ref = loss_grad_scalar(spec, o, y)
-        if spec.kind == "logistic":  # exp/(1+exp) against scipy's expit
-            assert fast == pytest.approx(ref, rel=1e-12, abs=1e-300)
-        else:
-            assert fast == ref
+        s = loss_slope(spec)(o, y)
+        assert loss_grad_scalar(spec, o, y) == s
+        h = 1e-6 * max(1.0, abs(o))
+        lo, hi = o - h, o + h
+        f = loss_value(spec, np.array([lo, o, hi]), np.full(3, y))
+        below = (f[1] - f[0]) / (o - lo)
+        above = (f[2] - f[1]) / (hi - o)
+        assert below - 1e-8 <= s <= above + 1e-8, (spec, o, y, below, s, above)
 
     @given(
         p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
         t=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3),
     )
     @settings(max_examples=400, deadline=None)
-    def test_lp_grad_matches_reference(self, p, t):
-        assert _fast_lp_grad(p)(t) == lp_grad_scalar(SmoothnessSpec(p), t)
+    def test_lp_slope_matches_formula(self, p, t):
+        spec = SmoothnessSpec(p)
+        assert lp_slope(spec)(t) == lp_slope_formula(p, t)
+        assert lp_grad_scalar(spec, t) == lp_slope_formula(p, t)
 
 
 class TestProxAndConjugate:

@@ -170,34 +170,36 @@ class TestDeterminismAndPaths:
 
     def test_streaming_path_matches_gram_path(self, small_problem, monkeypatch):
         hidden, _, graph = small_problem
-        cfg = hinge_cfg(T=400, seed=5)
-        m_gram, d_gram = train(hidden, graph, cfg, KERNEL, track_step_norms=True)
+        cfg = hinge_cfg(T=400, seed=5, diagnostics_every=1)
+        m_gram, d_gram = train(hidden, graph, cfg, KERNEL)
         monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", 0)
-        m_str, d_str = train(hidden, graph, cfg, KERNEL, track_step_norms=True)
+        m_str, d_str = train(hidden, graph, cfg, KERNEL)
         assert np.allclose(m_gram.beta, m_str.beta, rtol=1e-10, atol=1e-14)
-        assert np.allclose(d_gram.step_norm_w, d_str.step_norm_w, rtol=1e-9, atol=1e-12)
+        assert np.allclose(d_gram.trace_norm_w, d_str.trace_norm_w, rtol=1e-9, atol=1e-12)
+        for d in (d_gram, d_str):  # traced at every step: the maxima are the trace's
+            assert d.max_norm_w == np.max(d.trace_norm_w)
+            assert d.max_norm_g == np.max(d.trace_norm_g)
 
 
 class TestNormTracking:
     def test_incremental_norm_matches_quadratic_form(self, small_problem):
         hidden, _, graph = small_problem
         model, diag = train(
-            hidden, graph, hinge_cfg(T=500, seed=7), KERNEL,
-            track_step_norms=True, record_iterates=True,
+            hidden, graph, hinge_cfg(T=500, seed=7, diagnostics_every=500), KERNEL,
+            record_iterates=True,
         )
         current = replace(model, beta=diag.iterates[-1])  # w_{T+1}
-        assert diag.step_norm_w[-1] == pytest.approx(hilbert_norm(current), rel=1e-9)
+        assert diag.trace_norm_w[-1] == pytest.approx(hilbert_norm(current), rel=1e-9)
+        assert diag.max_norm_w >= diag.trace_norm_w[-1]
 
     def test_certified_bounds_hold(self, small_problem):
         hidden, _, graph = small_problem
         report = compute_bounds(1.0, 0.05, 2.0, R=1.0, A=1.0)
         assert report.condition_holds
         for seed in range(3):
-            _, diag = train(
-                hidden, graph, hinge_cfg(T=2000, seed=seed), KERNEL, track_step_norms=True
-            )
-            assert float(np.max(diag.step_norm_w)) <= report.M * (1 + 1e-6)
-            assert float(np.max(diag.step_norm_g)) <= report.G * (1 + 1e-6)
+            _, diag = train(hidden, graph, hinge_cfg(T=2000, seed=seed), KERNEL)
+            assert diag.max_norm_w <= report.M * (1 + 1e-6)
+            assert diag.max_norm_g <= report.G * (1 + 1e-6)
 
 
 class TestObjective:
