@@ -19,7 +19,6 @@ from .data import (
     Dataset,
     hide_labels,
     load_libsvm,
-    median_pairwise_distance,
     save_libsvm,
     separation_for_bayes_accuracy,
     synth_two_gaussians,
@@ -51,7 +50,6 @@ from .labelprop import PropagationProblem, solve_exact, threshold_labels
 from .losses import (
     LossSpec,
     SmoothnessSpec,
-    gradient_bound_A,
     loss_grad_scalar,
     loss_value,
     lp_grad_scalar,
@@ -75,16 +73,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport", "bound_residual", "compute_bounds", "max_cprime", "min_iterations",
-    "recommended_sigma_f", "Dataset", "hide_labels", "load_libsvm",
-    "median_pairwise_distance", "save_libsvm", "separation_for_bayes_accuracy",
-    "synth_two_gaussians", "GkmError", "EdgeSet", "ExplicitEdges",
-    "FullyConnectedEdges", "GraphSpec", "build_eps", "build_fully_connected",
-    "build_graph", "build_knn", "read_edges", "write_edges", "ConvergenceRun",
-    "EvalReport", "ReferenceSolution", "evaluate", "run_convergence_experiment",
-    "solve_reference_optimum", "write_trace", "KernelSpec", "SparseVector",
-    "PropagationProblem", "solve_exact", "threshold_labels", "LossSpec", "SmoothnessSpec",
-    "gradient_bound_A", "loss_grad_scalar", "loss_value", "lp_grad_scalar",
-    "lp_value", "Diagnostics", "ModelState", "TrainConfig",
-    "default_iterations", "hilbert_norm", "load_model", "objective",
-    "predict", "predict_batch", "save_model", "train",
+    "recommended_sigma_f", "Dataset", "hide_labels", "load_libsvm", "save_libsvm",
+    "separation_for_bayes_accuracy", "synth_two_gaussians", "GkmError", "EdgeSet",
+    "ExplicitEdges", "FullyConnectedEdges", "GraphSpec", "build_eps",
+    "build_fully_connected", "build_graph", "build_knn", "read_edges", "write_edges",
+    "ConvergenceRun", "EvalReport", "ReferenceSolution", "evaluate",
+    "run_convergence_experiment", "solve_reference_optimum", "write_trace",
+    "KernelSpec", "SparseVector", "PropagationProblem", "solve_exact",
+    "threshold_labels", "LossSpec", "SmoothnessSpec", "loss_grad_scalar", "loss_value",
+    "lp_grad_scalar", "lp_value", "Diagnostics", "ModelState", "TrainConfig",
+    "default_iterations", "hilbert_norm", "load_model", "objective", "predict",
+    "predict_batch", "save_model", "train",
 ]

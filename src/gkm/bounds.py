@@ -150,12 +150,8 @@ def recommended_sigma_f(
         raise ValueError("C and C_prime must be positive")
     if p < 2.0:
         raise ValueError("sigma_f selection applies to p >= 2 only")
-    if p == 2.0:
-        base = 0.5 * (p * C_prime) ** (-1.0 / p)
-    else:
-        num = _pow_safe(p - 2.0, p - 2.0)
-        den = 2.0**p * _pow_safe(C, p - 2.0) * C_prime * p * _pow_safe(p - 1.0, p - 1.0)
-        base = _pow_safe(num / den, 1.0 / (2.0 * p - 2.0))
+    # max_cprime(p, C, R) = max_cprime(p, C) / R^(2p-2); invert it for R
+    base = _pow_safe(max_cprime(p, C) / C_prime, 1.0 / (2.0 * p - 2.0))
     if rho is None:
         rho = 1e-3 * base
     sigma = base - rho

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import DegenerateSplitError, InvalidLabelError, ParseError
-from .kernel import SparseVector, dense_rows, gram_sq_dists
+from .kernel import SparseVector, dense_rows
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -227,16 +227,3 @@ def separation_for_bayes_accuracy(accuracy: float) -> float:
         raise ValueError("accuracy must lie in (0.5, 1)")
     return 2.0 * float(ndtri(accuracy))
 
-
-def median_pairwise_distance(dataset: Dataset, cap: int = 1000, seed: int = 0) -> float:
-    """Median Euclidean distance over (subsampled) point pairs; the usual
-    bandwidth heuristic for kernel and graph scales."""
-    X, sq = dataset.dense()
-    n = dataset.n
-    if n > cap:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(n, size=cap, replace=False)
-        X, sq = X[keep], sq[keep]
-        n = cap
-    iu = np.triu_indices(n, k=1)
-    return float(np.sqrt(np.median(gram_sq_dists(X, sq)[iu])))

@@ -63,9 +63,12 @@ class KernelSpec:
             raise ValueError("sigma_f and sigma_l must be positive")
 
 
-def kernel_matrix_from_sq_dists(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
-    """Vectorized kernel from precomputed squared distances."""
-    return spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2))
+def kernel_matrix_from_sq_dists(spec: KernelSpec, d2, out=None):
+    """Vectorized kernel from precomputed squared distances; into ``out``
+    when given, which may be ``d2`` itself."""
+    k = np.divide(d2, -2.0 * spec.sigma_l**2, out=out)
+    k = np.exp(k, out=out)
+    return np.multiply(k, spec.sigma_f**2, out=out)
 
 
 # Bytes of one support x targets slab in block_decisions. Slabs that stay in
@@ -121,8 +124,7 @@ def gram_sq_dists(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
 def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
     """coefs @ K(S, T) for support rows XS and target rows XT, over slabs of
     T of at most SLAB_BYTES built in one reused buffer: memory is O(slab)
-    beyond the inputs. The kernel repeats kernel_matrix_from_sq_dists's
-    operations in order, in place, so one slab gives the one-shot bits."""
+    beyond the inputs."""
     k, m = XS.shape[0], XT.shape[0]
     width = max(1, SLAB_BYTES // (8 * max(k, 1)))
     buf = np.empty(k * min(width, m))
@@ -131,9 +133,6 @@ def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
         stop = min(start + width, m)
         block = buf[: k * (stop - start)].reshape(k, stop - start)
         sq_dist_block(XS, sqS, XT[start:stop], sqT[start:stop], out=block)
-        np.negative(block, out=block)
-        block /= 2.0 * spec.sigma_l**2
-        np.exp(block, out=block)
-        block *= spec.sigma_f**2
+        kernel_matrix_from_sq_dists(spec, block, out=block)
         out[start:stop] = coefs @ block
     return out

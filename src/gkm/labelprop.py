@@ -9,7 +9,6 @@ against, not a production path; it refuses systems above 2000 vertices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,59 +44,50 @@ class PropagationProblem:
         return self.labels.size
 
 
-def _check_reachability(problem: PropagationProblem) -> None:
+def solve_exact(problem: PropagationProblem) -> np.ndarray:
+    """Return the per-vertex minimizer f with labeled entries clamped.
+
+    A repeated edge counts once per listing, as in the objective. Only the
+    unlabeled rows of the Laplacian are formed, so the dense system is
+    (unlabeled x unlabeled). Raises DisconnectedUnlabeledError when the
+    solution would be underdetermined, SingularSystemError if the
+    factorization fails or the residual exceeds 1e-10 relative.
+    """
+    # imported here, not at module level: scipy.sparse adds ~4 MB to every
+    # process that imports gkm, and only this oracle needs it
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
     n = problem.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(problem.edges.us, problem.edges.vs):
-        adj[u].append(int(v))
-        adj[v].append(int(u))
-    seen = problem.labels != 0
-    queue = deque(np.flatnonzero(seen).tolist())
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    stranded = np.flatnonzero(~seen)
+    if n > MAX_DENSE_VERTICES:
+        raise ValueError(f"dense solver capped at {MAX_DENSE_VERTICES} vertices, got {n}")
+    edges = problem.edges
+    W = coo_array((edges.ws, (edges.us, edges.vs)), shape=(n, n)).tocsr()  # sums repeats
+    W = W + W.T
+    labeled = problem.labels != 0
+    _, component = connected_components(W, directed=False)
+    stranded = np.flatnonzero(~np.isin(component, component[labeled]))
     if stranded.size:
         raise DisconnectedUnlabeledError(
             f"unlabeled vertices {stranded.tolist()} are unreachable from any label"
         )
 
-
-def solve_exact(problem: PropagationProblem) -> np.ndarray:
-    """Return the per-vertex minimizer f with labeled entries clamped.
-
-    Raises DisconnectedUnlabeledError when the solution would be
-    underdetermined, SingularSystemError if the factorization fails or the
-    residual exceeds 1e-10 relative.
-    """
-    n = problem.n
-    if n > MAX_DENSE_VERTICES:
-        raise ValueError(f"dense solver capped at {MAX_DENSE_VERTICES} vertices, got {n}")
-    _check_reachability(problem)
-
-    labeled = problem.labels != 0
     f = problem.labels.astype(np.float64)
     if labeled.all():
         return f
-
-    W = np.zeros((n, n), dtype=np.float64)
-    us, vs, ws = problem.edges.us, problem.edges.vs, problem.edges.ws
-    W[us, vs] = ws
-    W[vs, us] = ws
-    L = np.diag(W.sum(axis=0)) - W
-
     uu = ~labeled
-    L_uu = L[np.ix_(uu, uu)]
-    rhs = -L[np.ix_(uu, labeled)] @ f[labeled]
+    W_u = W[uu]  # unlabeled rows: L_uu = diag(deg_u) - W_uu, -L_ul = W_ul
+    deg = W_u.sum(axis=1)
+    W_uu = W_u[:, uu]
+    rhs = W_u[:, labeled] @ f[labeled]
+    L_uu = -W_uu.toarray(order="F")
+    L_uu[np.diag_indices_from(L_uu)] += deg
     try:
-        f_u = scipy.linalg.solve(L_uu, rhs, assume_a="pos")
+        f_u = scipy.linalg.solve(L_uu, rhs, assume_a="pos", overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystemError(str(exc)) from exc
 
-    residual = np.linalg.norm(L_uu @ f_u - rhs)
+    residual = np.linalg.norm(deg * f_u - W_uu @ f_u - rhs)
     scale = max(np.linalg.norm(rhs), 1.0)
     if not np.isfinite(f_u).all() or residual > 1e-10 * scale:
         raise SingularSystemError(

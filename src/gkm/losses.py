@@ -235,10 +235,3 @@ def lp_conjugate(spec: SmoothnessSpec, s):
     out = np.where(s <= 1.0, 0.0, np.inf) if p == 1.0 else (p - 1) * (s / p) ** (p / (p - 1))
     return out if out.ndim else float(out)
 
-
-def gradient_bound_A(spec: LossSpec, R: float) -> float:
-    """Uniform gradient bound A for the loss; A = R for all five kinds."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    return float(R)
-

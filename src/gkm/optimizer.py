@@ -1,9 +1,13 @@
 """Primal SGD trainer in kernel-coefficient space.
 
-The model lives in the RKHS as w = scale * sum_i u_i Phi(x_i). One training
-step samples a labeled point and a graph edge, contracts w by (t-1)/(t+1),
-and adds at most three coefficient increments, so the per-step coefficient
-work is O(1). The averaged iterate (the one the model predicts with) is
+The step w_{t+1} = (t-1)/(t+1) w_t - 2/(t+1) h_t, where h_t is the loss and
+edge part of the stochastic gradient, contracts w by factors whose product
+after step t is exactly 2/(t(t+1)). So the model is kept as
+w_{t+1} = 2/(t(t+1)) * sum_i u_i Phi(x_i), and the unscaled coefficients
+follow the plain sum u_t = u_{t-1} - t h_t: one training step samples a
+labeled point and a graph edge and adds at most three coefficient
+increments, O(1) coefficient work per step, with no running scale to
+renormalize. The averaged iterate (the one the model predicts with) is
 carried through two auxiliary quantities (a scalar prefix sum Q and a
 companion vector v) so that it is also O(1) per step and can be materialized
 at any time as bar_w = 2/(t(t+1)) * (Q u - v).
@@ -43,8 +47,6 @@ OBJECTIVE_MODES = ("auto", "exact", "sampled")
 
 _GRAM_CAP = 2048  # n above which the trainer streams kernel values
 _SAMPLE_CHUNK = 4096  # per-chunk RNG draws; fixed so streams are reproducible
-_FOLD_EVERY = 100_000
-_FOLD_SCALE = 1e-6
 _AUTO_EXACT_EDGES = 100_000
 
 
@@ -117,7 +119,8 @@ class _Geometry:
         self.n = dataset.n
         self.kxx = kernel.sigma_f**2
         if self.n <= _GRAM_CAP:
-            self.K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(self.X, self.sq))
+            d2 = gram_sq_dists(self.X, self.sq)
+            self.K = kernel_matrix_from_sq_dists(kernel, d2, out=d2)
         else:
             self.K = None
             # support rows gathered contiguously as coefficients get touched
@@ -144,7 +147,7 @@ class _Geometry:
             return 0.0
         d2 = self._sup_sq[:k] + self.sq[target] - 2.0 * (self._sup_rows[:k] @ self.X[target])
         np.maximum(d2, 0.0, out=d2)
-        kvec = kernel_matrix_from_sq_dists(self.kernel, d2)
+        kvec = kernel_matrix_from_sq_dists(self.kernel, d2, out=d2)
         return scale * float(u[self._sup[:k]] @ kvec)
 
     def kernel_entry(self, i: int, j: int) -> float:
@@ -161,26 +164,25 @@ def train(
     graph: EdgeSet,
     config: TrainConfig,
     kernel: KernelSpec,
-    sigma_s: float | None = None,
     *,
     record_iterates: bool = False,
 ) -> tuple[ModelState, Diagnostics]:
     """Run the stochastic training loop for exactly config.T steps.
 
-    Per step t: draw a labeled index and an edge, form the stochastic
-    gradient g_t = w_t + C s_loss Phi_i + C' mu s_p (Phi_u - Phi_v) and apply
-    w_{t+1} = w_t - 2/(t+1) g_t, then fold w_{t+1} into the running average.
-    The returned model predicts with the averaged iterate.
+    Per step t: draw a labeled index and an edge and form the stochastic
+    gradient g_t = w_t + C s_loss Phi_i + C' mu s_p (Phi_u - Phi_v). The step
+    w_{t+1} = w_t - 2/(t+1) g_t is applied in closed form: w_{t+1} = s_t u_t
+    with s_t = 2/(t(t+1)), where u_t = u_{t-1} - t (C s_loss Phi_i +
+    C' mu s_p (Phi_u - Phi_v)). The returned model predicts with the averaged
+    iterate 2/(T(T+1)) sum_t t w_{t+1} and records the graph's sigma_s
+    (sigma_l when the graph has none).
     """
     l = dataset.labeled_count
     if l < 1:
         raise NoLabeledDataError("training requires at least one labeled point")
     if graph.n_edges == 0:
         raise EmptyEdgeSetError("training requires a non-empty edge set")
-    if sigma_s is None:
-        sigma_s = graph.sigma_s
-    if sigma_s is None:
-        sigma_s = kernel.sigma_l
+    sigma_s = graph.sigma_s if graph.sigma_s is not None else kernel.sigma_l
 
     main_ss, diag_ss = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(main_ss)
@@ -197,7 +199,7 @@ def train(
 
     u = np.zeros(n)
     v = np.zeros(n)
-    s = 1.0
+    s = 1.0  # scale of u: w_t = s u (u = 0 until step 1)
     Q = 0.0
     nw2 = 0.0  # ||w_t||^2, tracked incrementally
     max_nw2 = max_g2 = 0.0
@@ -251,37 +253,32 @@ def train(
                 if g2 > max_g2:
                     max_g2 = g2
 
-                # contract the scale; step 1 zeroes w exactly, so reset instead
-                s = 1.0 if t == 1 else s * c
+                # w_{t+1} = s u_t: the product of the contractions; eta / s = t
+                s = 2.0 / (t * (t + 1.0))
                 if dl != 0.0:
-                    e_i = -eta * dl / s
+                    e_i = -t * dl
                     v[i] += e_i * Q
                     u[i] += e_i
                     geom.note_touched(i)
                 if de != 0.0:
-                    e_a = -eta * de / s
+                    e_a = -t * de
                     v[a] += e_a * Q
                     u[a] += e_a
                     v[b] -= e_a * Q
                     u[b] -= e_a
                     geom.note_touched(a)
                     geom.note_touched(b)
-                Q += t * s
+                Q += 2.0 / (t + 1.0)  # t s_t
 
                 if iterates is not None:
                     iterates.append(u * s)
 
-                if abs(s) < _FOLD_SCALE or t % _FOLD_EVERY == 0:
-                    u *= s
-                    Q /= s
-                    s = 1.0
-
                 if every is not None and (t % every == 0 or t == T):
-                    bar = (2.0 / (t * (t + 1.0))) * (Q * u - v)
+                    bar = s * (Q * u - v)
                     j_avg = _objective_core(bar, dataset, graph, config, kernel, diag_rng)
                     trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
-    beta = (2.0 / (T * (T + 1.0))) * (Q * u - v)
+    beta = s * (Q * u - v)
     state = ModelState(
         kernel=kernel,
         points=dataset.points,

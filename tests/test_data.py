@@ -13,7 +13,6 @@ from gkm.data import (
     hide_labels,
     load_libsvm,
     load_mask,
-    median_pairwise_distance,
     save_libsvm,
     save_mask,
     separation_for_bayes_accuracy,
@@ -219,10 +218,3 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, gkm.cli; sys.exit('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(gkm.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_median_pairwise_distance_scale():
-    ds = synth_two_gaussians(200, 2, 0.0, seed=0)
-    med = median_pairwise_distance(ds)
-    # pairwise distances of N(0, I_2) differences have median around 1.55*sqrt(2)
-    assert 1.5 < med < 3.0

@@ -260,6 +260,18 @@ class TestBlockPrimitives:
         assert np.array_equal(got, old)
         assert np.array_equal(got, got.T)
 
+    def test_in_place_kernel_equals_allocating_kernel(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            spec = KernelSpec(rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0))
+            d2 = rng.exponential(rng.uniform(0.1, 50.0), 1000)
+            d2[:3] = 0.0
+            want = spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2))
+            assert np.array_equal(kernel_matrix_from_sq_dists(spec, d2), want)
+            buf = d2.copy()
+            assert kernel_matrix_from_sq_dists(spec, buf, out=buf) is buf
+            assert np.array_equal(buf, want)
+
     def test_one_slab_decisions_equal_one_shot_block(self):
         rng = np.random.default_rng(2)
         XS, sqS = self.rows(rng, 40)

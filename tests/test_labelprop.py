@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gkm
+from gkm.data import hide_labels, synth_two_gaussians
 from gkm.exceptions import DisconnectedUnlabeledError
-from gkm.graph import ExplicitEdges
+from gkm.graph import ExplicitEdges, GraphSpec, build_knn
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 
 
@@ -127,6 +135,45 @@ class TestSolveExact:
         f2 = solve_exact(PropagationProblem(scaled, prob.labels))
         assert np.max(np.abs(f1 - f2)) < 1e-9
 
+    def test_repeated_edges_count_once_per_listing(self):
+        # the (0, 1) edge is listed twice: f_1 = (2 * .5 * 1 + .5 * -1) / 1.5
+        edges = ExplicitEdges([0, 1, 0], [1, 2, 1], [0.5, 0.5, 0.5], n=3)
+        prob = PropagationProblem(edges, np.array([1, 0, -1], dtype=np.int8))
+        f = solve_exact(prob)
+        assert f[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert np.max(np.abs(f - brute_force(prob))) <= 1e-6
+        rng = np.random.default_rng(3)
+        done = 0
+        while done < 10:
+            prob = random_connected_problem(rng, int(rng.integers(4, 21)))
+            e = prob.edges
+            again = rng.integers(0, e.n_edges, size=max(1, e.n_edges // 2))
+            edges = ExplicitEdges(np.concatenate([e.us, e.us[again]]),
+                                  np.concatenate([e.vs, e.vs[again]]),
+                                  np.concatenate([e.ws, e.ws[again]]), n=e.n)
+            prob = PropagationProblem(edges, prob.labels)
+            if not is_solvable(prob):
+                continue
+            assert np.max(np.abs(solve_exact(prob) - brute_force(prob))) <= 1e-6
+            done += 1
+
+    def test_memory_stays_below_one_vertex_square_array(self):
+        # 400 labeled of 2000: the only dense array is the 1600 x 1600 system
+        # (20 MB), factored in place, below one n x n array (32 MB)
+        n = 2000
+        full = synth_two_gaussians(n, 5, 2.0, seed=0)
+        hidden, _ = hide_labels(full, 0.8, seed=0)
+        prob = PropagationProblem(build_knn(hidden, GraphSpec("knn", 1.0, k=10)), hidden.labels)
+        tracemalloc.start()
+        try:
+            f = solve_exact(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+        lab = prob.labels != 0
+        assert np.all((f >= -1.0) & (f <= 1.0)) and np.array_equal(f[lab], prob.labels[lab])
+
     def test_refuses_large_systems(self):
         n = 2001
         edges = ExplicitEdges(list(range(n - 1)), list(range(1, n)), [1.0] * (n - 1), n=n)
@@ -156,3 +203,10 @@ class TestProblemValidation:
     def test_labels_cover_vertices(self):
         with pytest.raises(ValueError):
             PropagationProblem(chain(4), np.array([1, 0], dtype=np.int8))
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """scipy.sparse adds ~4 MB to a process; only solve_exact needs it."""
+    code = "import sys, gkm; sys.exit('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(gkm.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

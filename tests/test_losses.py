@@ -10,7 +10,6 @@ from gkm.losses import (
     LOSS_KINDS,
     LossSpec,
     SmoothnessSpec,
-    gradient_bound_A,
     loss_conjugate,
     loss_grad_scalar,
     loss_prox_slope,
@@ -179,18 +178,6 @@ class TestLpFamily:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             SmoothnessSpec(0.5)
-
-
-class TestGradientBound:
-    def test_equals_R_for_all_kinds(self):
-        for kind in LOSS_KINDS:
-            assert gradient_bound_A(LossSpec(kind), 1.0) == 1.0
-            assert gradient_bound_A(LossSpec(kind), 2.0) == 2.0
-        assert gradient_bound_A(LossSpec("eps-insensitive"), 0.5) == 0.5
-
-    def test_rejects_nonpositive_R(self):
-        with pytest.raises(ValueError):
-            gradient_bound_A(LossSpec("hinge"), 0.0)
 
 
 @st.composite

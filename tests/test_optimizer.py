@@ -142,8 +142,8 @@ class TestAveragingIdentity:
             stored = model.beta
             assert np.allclose(stored, ref, rtol=1e-10, atol=1e-14)
 
-    def test_identity_across_scale_folding(self, small_problem):
-        # scale renormalization triggers below 1e-6, around t = 1414
+    def test_identity_over_a_long_run(self, small_problem):
+        # the scale 2/(t(t+1)) is below 1e-6 from t = 1414 on
         hidden, _, graph = small_problem
         T = 2000
         model, diag = train(
@@ -151,6 +151,21 @@ class TestAveragingIdentity:
         )
         ref = sum((i + 1) * diag.iterates[i] for i in range(T)) * (2.0 / (T * (T + 1.0)))
         assert np.allclose(model.beta, ref, rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "loss,p", [("hinge", 2.0), ("logistic", 1.0), ("l1", 3.0)]
+    )
+    def test_every_step_contracts_by_the_paper_factor(self, small_problem, loss, p):
+        # w_{t+1} = (t-1)/(t+1) w_t - 2/(t+1) g_t and g_t - w_t touches at most
+        # the sampled labeled point and the two edge endpoints
+        hidden, _, graph = small_problem
+        cfg = replace(hinge_cfg(T=3000, seed=6, p=p), loss=LossSpec(loss))
+        _, diag = train(hidden, graph, cfg, KERNEL, record_iterates=True)
+        w = diag.iterates  # w[t - 1] is w_{t+1}
+        for t in range(2, cfg.T + 1):
+            gap = np.abs(w[t - 1] - (t - 1.0) / (t + 1.0) * w[t - 2])
+            tol = 1e-12 * (np.max(np.abs(w[t - 1])) + np.max(np.abs(w[t - 2])))
+            assert np.count_nonzero(gap > tol) <= 3, t
 
 
 class TestDeterminismAndPaths:
