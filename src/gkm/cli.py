@@ -53,16 +53,6 @@ def _graph_spec(args, sigma_l: float) -> graph_mod.GraphSpec:
     )
 
 
-def _write_lines(path, lines) -> None:
-    """Write to the file at path, or to standard output when path is None."""
-    out = sys.stdout if path is None else open(path, "w")
-    try:
-        out.writelines(lines)
-    finally:
-        if path is not None:
-            out.close()
-
-
 def _load_training_data(args):
     dataset, _ = data_mod.load_libsvm(args.data)
     if getattr(args, "hide_fraction", None):
@@ -114,7 +104,7 @@ def _cmd_predict(args) -> int:
     model = optimizer.load_model(args.model_in)
     dataset, _ = data_mod.load_libsvm(args.data)
     preds = optimizer.predict_batch(model, dataset.points)
-    _write_lines(args.out, (f"{int(p):+d}\n" for p in preds))
+    data_mod.write_lines(args.out, (f"{int(p):+d}" for p in preds))
     return EXIT_OK
 
 
@@ -146,7 +136,7 @@ def _cmd_labelprop(args) -> int:
     problem = labelprop.PropagationProblem(edges, data_mod.load_labels(args.labels))
     f = labelprop.solve_exact(problem)
     hard = labelprop.threshold_labels(f)
-    _write_lines(args.out, (f"{repr(float(fi))} {int(yi):+d}\n" for fi, yi in zip(f, hard)))
+    data_mod.write_lines(args.out, (f"{repr(float(fi))} {int(yi):+d}" for fi, yi in zip(f, hard)))
     return EXIT_OK
 
 

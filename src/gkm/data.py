@@ -1,14 +1,20 @@
-"""Dataset container, sparse-format I/O, label hiding, synthetic data.
+"""Dataset container, the text layer, label hiding, synthetic data.
 
 On disk we use the plain sparse text format ``label idx:val idx:val ...``
 with one extension: label ``0`` marks an unlabeled point. In memory the
 labeled points always occupy the leading positions, so samplers can draw a
 labeled index as a bare integer below ``labeled_count``.
+
+Every file gkm reads or writes goes through the text layer here: one line
+reader (``records``), one line writer (``write_lines``) and one sparse-point
+format (``parse_point``/``format_point``), which data and model files share.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,17 +85,65 @@ class Dataset:
         return Dataset(pts, labels)
 
 
-def _label(token: str, lineno: int) -> int:
-    """A file's label token as -1, 0 or +1 (float spellings accepted)."""
+def records(path):
+    """Yield (line number, tokens) for every line of the text file at path
+    that has a token before any ``#``."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                yield lineno, tokens
+
+
+def write_lines(path, lines) -> None:
+    """Write each line and a newline to the file at path, or to standard
+    output when path is None."""
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as out:
+        out.writelines(f"{line}\n" for line in lines)
+
+
+def parse_float(token: str, lineno: int) -> float:
+    """A finite float token, else ParseError naming the line."""
     try:
-        y = float(token)
+        x = float(token)
     except ValueError:
-        raise ParseError(f"bad label token {token!r}", lineno) from None
-    if not math.isfinite(y):
-        raise ParseError(f"non-finite label {token!r}", lineno)
+        raise ParseError(f"bad number {token!r}", lineno) from None
+    if not math.isfinite(x):
+        raise ParseError(f"non-finite value {token!r}", lineno)
+    return x
+
+
+def parse_label(token: str, lineno: int) -> int:
+    """A label token as -1, 0 or +1 (float spellings accepted)."""
+    y = parse_float(token, lineno)
     if y not in (-1.0, 0.0, 1.0):
         raise InvalidLabelError(f"line {lineno}: label must be -1, 0 or +1, got {token}")
     return int(y)
+
+
+def parse_point(tokens, lineno: int) -> SparseVector:
+    """The point of ``idx:val`` tokens: indices strictly increasing and >= 1,
+    values finite, else ParseError naming the line."""
+    pairs = []
+    for tok in tokens:
+        idx_s, _, val_s = tok.partition(":")
+        try:
+            idx, val = int(idx_s), float(val_s)
+        except ValueError:
+            raise ParseError(f"expected idx:val, got {tok!r}", lineno) from None
+        if not math.isfinite(val):
+            raise ParseError(f"non-finite feature value {tok!r}", lineno)
+        pairs.append((idx, val))
+    try:
+        return SparseVector.from_pairs(pairs)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
+def format_point(point: SparseVector) -> str:
+    """``idx:val`` tokens of a point; repr floats, so parse_point reads the
+    same bits back."""
+    return " ".join(f"{int(i)}:{repr(float(v))}" for i, v in zip(point.indices, point.values))
 
 
 def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
@@ -102,30 +156,9 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
     """
     points: list[SparseVector] = []
     labels: list[int] = []
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            y = _label(tokens[0], lineno)
-            pairs = []
-            for tok in tokens[1:]:
-                idx_s, _, val_s = tok.partition(":")
-                if not val_s:
-                    raise ParseError(f"expected idx:val, got {tok!r}", lineno)
-                try:
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise ParseError(f"expected idx:val, got {tok!r}", lineno) from None
-                if not math.isfinite(val):
-                    raise ParseError(f"non-finite feature value {tok!r}", lineno)
-                pairs.append((idx, val))
-            try:
-                points.append(SparseVector.from_pairs(pairs))
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(str(exc), lineno) from None
-            labels.append(y)
+    for lineno, tokens in records(path):
+        labels.append(parse_label(tokens[0], lineno))
+        points.append(parse_point(tokens[1:], lineno))
     pts, lab, perm = _reorder_labeled_first(points, labels)
     return Dataset(pts, lab), perm
 
@@ -133,11 +166,9 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
 def save_libsvm(dataset: Dataset, path) -> None:
     """Write the dataset in the same sparse text format (17-digit floats,
     exact round trip)."""
-    with open(path, "w") as fh:
-        for p, y in zip(dataset.points, dataset.labels):
-            feats = " ".join(f"{int(i)}:{repr(float(v))}" for i, v in zip(p.indices, p.values))
-            label = "+1" if y == 1 else ("-1" if y == -1 else "0")
-            fh.write(f"{label} {feats}\n".rstrip() + "\n")
+    signs = {1: "+1", -1: "-1", 0: "0"}
+    pairs = zip(dataset.points, dataset.labels.tolist())
+    write_lines(path, (f"{signs[y]} {format_point(p)}".rstrip() for p, y in pairs))
 
 
 def hide_labels(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -156,34 +187,24 @@ def hide_labels(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, 
 def load_mask(path) -> np.ndarray:
     """Read a hide mask: one 0-based point index per line."""
     idx = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                idx.append(np.int64(line))
-            except (ValueError, OverflowError):
-                raise ParseError(f"bad index {line!r}", lineno) from None
+    for lineno, tokens in records(path):
+        line = " ".join(tokens)
+        try:
+            idx.append(np.int64(line))
+        except (ValueError, OverflowError):
+            raise ParseError(f"bad index {line!r}", lineno) from None
     return np.array(idx, dtype=np.int64)
 
 
 def load_labels(path) -> np.ndarray:
     """Read a vertex label file: one of -1, 0 (unlabeled) or +1 per line, the
-    label check of load_libsvm; blank lines are skipped."""
-    labels = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                labels.append(_label(line, lineno))
+    label check of load_libsvm."""
+    labels = [parse_label(" ".join(tokens), lineno) for lineno, tokens in records(path)]
     return np.array(labels, dtype=np.int8)
 
 
 def save_mask(indices, path) -> None:
-    with open(path, "w") as fh:
-        for i in np.asarray(indices, dtype=np.int64):
-            fh.write(f"{i}\n")
+    write_lines(path, np.asarray(indices, dtype=np.int64))
 
 
 def apply_mask(dataset: Dataset, indices) -> tuple[Dataset, Dataset]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, records, write_lines
 from .exceptions import (
     EdgeEnumerationTooLargeError,
     EmptyEdgeSetError,
@@ -129,6 +129,8 @@ class ExplicitEdges:
             raise ValueError("edge arrays must align")
         if us.size and not np.all(us < vs):
             raise ValueError("edges must be canonical i < j")
+        if us.size and (us.min() < 0 or vs.max() >= n):
+            raise ValueError(f"edge endpoints must lie in [0, {n})")
         if not np.all((ws > 0.0) & (ws <= 1.0)):
             raise ValueError("weights must lie in (0, 1]")
         self.us, self.vs, self.ws = us, vs, ws
@@ -153,6 +155,12 @@ class ExplicitEdges:
 
 
 EdgeSet = FullyConnectedEdges | ExplicitEdges
+
+
+def check_vertices(graph: EdgeSet, dataset: Dataset) -> None:
+    """Raise ValueError unless the graph's vertices are the dataset's points."""
+    if graph.n != dataset.n:
+        raise ValueError(f"the graph has {graph.n} vertices but the dataset has {dataset.n} points")
 
 
 def _pair_weights(X, sq, us, vs, sigma_s: float) -> np.ndarray:
@@ -246,30 +254,22 @@ def write_edges(edges: EdgeSet, path) -> None:
     """Serialize as text lines ``i j weight`` with 1-based vertex indices
     (at most EXACT_EDGE_CAP edges)."""
     us, vs, ws = edges.enumerate_edges()
-    with open(path, "w") as fh:
-        for u, v, w in zip(us, vs, ws):
-            fh.write(f"{u + 1} {v + 1} {repr(float(w))}\n")
+    write_lines(path, (f"{u + 1} {v + 1} {repr(float(w))}" for u, v, w in zip(us, vs, ws)))
 
 
 def read_edges(path, n: int | None = None) -> ExplicitEdges:
     """Parse an ``i j weight`` edge file back into an explicit edge set."""
     us, vs, ws = [], [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tok = line.split()
-            if len(tok) != 3:
-                raise ParseError(f"expected 'i j weight', got {line!r}", lineno)
-            try:
-                i, j, w = int(tok[0]) - 1, int(tok[1]) - 1, float(tok[2])
-            except ValueError:
-                raise ParseError(f"expected 'i j weight', got {line!r}", lineno) from None
-            if i == j or min(i, j) < 0 or max(i, j) >= 2**63:
-                raise ParseError("self-loops and indices outside [1, 2^63] are invalid", lineno)
-            us.append(min(i, j))
-            vs.append(max(i, j))
-            ws.append(w)
+    for lineno, tok in records(path):
+        try:
+            i_s, j_s, w_s = tok
+            i, j, w = int(i_s) - 1, int(j_s) - 1, float(w_s)
+        except ValueError:
+            raise ParseError(f"expected 'i j weight', got {' '.join(tok)!r}", lineno) from None
+        if i == j or min(i, j) < 0 or max(i, j) >= 2**63:
+            raise ParseError("self-loops and indices outside [1, 2^63] are invalid", lineno)
+        us.append(min(i, j))
+        vs.append(max(i, j))
+        ws.append(w)
     n_seen = max((v + 1 for v in vs), default=0)
     return ExplicitEdges(us, vs, ws, n if n is not None else n_seen)

@@ -8,9 +8,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_lines
 from .exceptions import NoLabeledDataError, NotConvergedError
-from .graph import EdgeSet
+from .graph import EdgeSet, check_vertices
 from .kernel import KernelSpec, gram_sq_dists, kernel_matrix_from_sq_dists
 from .losses import loss_conjugate, loss_prox_slope, loss_value
 from .losses import lp_conjugate, lp_prox_slope, lp_value
@@ -84,6 +84,7 @@ def solve_reference_optimum(
     n = dataset.n
     if n > MAX_REFERENCE_POINTS:
         raise ValueError(f"reference solver capped at {MAX_REFERENCE_POINTS} points, got {n}")
+    check_vertices(graph, dataset)
     l = dataset.labeled_count
     if l < 1:
         raise NoLabeledDataError("the objective needs at least one labeled point")
@@ -169,23 +170,18 @@ def run_convergence_experiment(
 def write_trace(diag: Diagnostics, path) -> None:
     """Trace CSV with header t,J_avg,norm_w,norm_g; floats via repr so equal
     runs give identical bytes."""
-    with open(path, "w") as fh:
-        fh.write("t,J_avg,norm_w,norm_g\n")
-        for t, j, nw, ng in zip(
-            diag.trace_t, diag.trace_j_avg, diag.trace_norm_w, diag.trace_norm_g
-        ):
-            fh.write(f"{int(t)},{repr(float(j))},{repr(float(nw))},{repr(float(ng))}\n")
+    rows = zip(diag.trace_t, diag.trace_j_avg, diag.trace_norm_w, diag.trace_norm_g)
+    lines = (f"{int(t)},{float(j)!r},{float(nw)!r},{float(ng)!r}" for t, j, nw, ng in rows)
+    write_lines(path, ["t,J_avg,norm_w,norm_g", *lines])
 
 
 def write_convergence_csv(runs: list[ConvergenceRun], path) -> None:
     """Long-form CSV of the experiment: one row per (config, T, seed)."""
-    with open(path, "w") as fh:
-        fh.write("loss,p,T,seed,delta_jt,j_star,oracle_residual\n")
-        for run in runs:
-            for ti, T in enumerate(run.T_grid):
-                for si, seed in enumerate(run.seeds):
-                    fh.write(
-                        f"{run.config.loss.kind},{repr(float(run.config.smoothness.p))},{T},{seed},"
-                        f"{repr(float(run.delta_jt[ti, si]))},{repr(float(run.j_star))},"
-                        f"{repr(float(run.oracle_residual))}\n"
-                    )
+    lines = (
+        f"{run.config.loss.kind},{float(run.config.smoothness.p)!r},{T},{seed},"
+        f"{float(run.delta_jt[ti, si])!r},{float(run.j_star)!r},{float(run.oracle_residual)!r}"
+        for run in runs
+        for ti, T in enumerate(run.T_grid)
+        for si, seed in enumerate(run.seeds)
+    )
+    write_lines(path, ["loss,p,T,seed,delta_jt,j_star,oracle_residual", *lines])

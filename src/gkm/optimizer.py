@@ -25,14 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import RNG_ALGORITHM, Dataset
-from .exceptions import (
-    EmptyEdgeSetError,
-    NoLabeledDataError,
-    NonFiniteStateError,
-    ParseError,
-)
-from .graph import EdgeSet
+from .data import RNG_ALGORITHM, Dataset, format_point, parse_float, parse_label, parse_point
+from .data import records, write_lines
+from .exceptions import EmptyEdgeSetError, NoLabeledDataError, NonFiniteStateError, ParseError
+from .graph import EdgeSet, check_vertices
 from .kernel import (
     KernelSpec,
     SparseVector,
@@ -104,7 +100,6 @@ class ModelState:
     kernel: KernelSpec
     points: tuple[SparseVector, ...]
     beta: np.ndarray
-    t: int
     config: TrainConfig
     sigma_s: float
     labels: np.ndarray | None = None
@@ -177,6 +172,7 @@ def train(
     iterate 2/(T(T+1)) sum_t t w_{t+1} and records the graph's sigma_s
     (sigma_l when the graph has none).
     """
+    check_vertices(graph, dataset)
     l = dataset.labeled_count
     if l < 1:
         raise NoLabeledDataError("training requires at least one labeled point")
@@ -283,7 +279,6 @@ def train(
         kernel=kernel,
         points=dataset.points,
         beta=beta,
-        t=T + 1,
         config=config,
         sigma_s=float(sigma_s),
         labels=dataset.labels,
@@ -374,6 +369,7 @@ def objective(
             raise ValueError("kernel is required with raw coefficients")
     if coefs.shape != (dataset.n,):
         raise ValueError("coefficient array must align with the dataset")
+    check_vertices(graph, dataset)
     return _objective_core(coefs, dataset, graph, config, kernel, rng)
 
 
@@ -415,10 +411,10 @@ def save_model(state: ModelState, path) -> None:
     coefficient carrying the coefficient, the point's label and its sparse
     features. Float fields use repr, so identical states give identical bytes.
     """
-    coefs = state.beta
-    sup = np.flatnonzero(coefs)
+    sup = np.flatnonzero(state.beta)
+    labels = state.labels if state.labels is not None else np.zeros(len(state.points), np.int8)
     cfg = state.config
-    lines = [
+    header = [
         MODEL_FORMAT_TAG,
         f"rng {RNG_ALGORITHM}",
         f"kernel sigma_f {repr(float(state.kernel.sigma_f))} sigma_l {repr(float(state.kernel.sigma_l))}",
@@ -428,92 +424,86 @@ def save_model(state: ModelState, path) -> None:
             f" p {repr(float(cfg.smoothness.p))} C {repr(float(cfg.C))} C_prime {repr(float(cfg.C_prime))}"
             f" T {cfg.T} seed {cfg.seed} objective_mode {cfg.objective_mode}"
         ),
-        f"t {state.t}",
         f"support {sup.size}",
     ]
-    for i in sup:
-        p = state.points[i]
-        label = int(state.labels[i]) if state.labels is not None else 0
-        feats = " ".join(f"{int(k)}:{repr(float(val))}" for k, val in zip(p.indices, p.values))
-        lines.append(f"{repr(float(coefs[i]))} {label} {feats}".rstrip())
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    support = (
+        f"{repr(float(state.beta[i]))} {int(labels[i])} {format_point(state.points[i])}".rstrip()
+        for i in sup
+    )
+    write_lines(path, [*header, *support, "end"])
 
 
 def load_model(path) -> ModelState:
     """Rebuild a prediction-ready ModelState from a model file.
 
-    A missing or malformed line raises ParseError naming it. Files whose
-    kernel line carries ``offset 0.0`` still load; a nonzero kernel offset
-    is rejected.
+    A missing or malformed line raises ParseError naming it; every float
+    must be finite and support lines follow the data-file point rules.
+    Unknown header lines (such as the ``t`` line of older files) are
+    ignored. Files whose kernel line carries ``offset 0.0`` still load; a
+    nonzero kernel offset is rejected.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != MODEL_FORMAT_TAG:
+    lines = list(records(path))
+    if not lines or lines[0][1] != MODEL_FORMAT_TAG.split():
         raise ParseError(f"not a model file (missing '{MODEL_FORMAT_TAG}' header)", 1)
-    header: dict[str, int] = {}  # key -> index of its line
-    cursor = 1
-    while cursor < len(lines) and not lines[cursor].startswith("support "):
-        header[lines[cursor].partition(" ")[0]] = cursor
-        cursor += 1
+    cursor = next((i for i, (_, tok) in enumerate(lines) if tok[0] == "support"), len(lines))
     if cursor == len(lines):
         raise ParseError("missing support section")
-    at = cursor  # the line being parsed, named in errors
+    header = {tok[0]: i for i, (_, tok) in enumerate(lines[:cursor])}  # key -> its record
+    at = lines[cursor][0]  # the line being parsed, named in errors
 
     def field(key: str) -> list[str]:
         nonlocal at
         if key not in header:
             raise ParseError(f"missing '{key}' line")
-        at = header[key]
-        return lines[at].split()[1:]
+        at, tok = lines[header[key]]
+        return tok[1:]
+
+    def num(token: str) -> float:
+        return parse_float(token, at)
 
     try:
         tok = field("kernel")
         kv = dict(zip(tok[::2], tok[1::2]))
-        kernel = KernelSpec(float(kv["sigma_f"]), float(kv["sigma_l"]))
-        if float(kv.get("offset", 0.0)) != 0.0:
-            raise ParseError(f"kernel offset {kv['offset']} is not supported (R = sigma_f)", at + 1)
+        kernel = KernelSpec(num(kv["sigma_f"]), num(kv["sigma_l"]))
+        if num(kv.get("offset", "0")) != 0.0:
+            raise ParseError(f"kernel offset {kv['offset']} is not supported (R = sigma_f)", at)
         tok = field("config")
         kv = dict(zip(tok[::2], tok[1::2]))
         config = TrainConfig(
-            C=float(kv["C"]),
-            C_prime=float(kv["C_prime"]),
-            loss=LossSpec(kv["loss"], tau=float(kv["tau"]), epsilon=float(kv["epsilon"])),
-            smoothness=SmoothnessSpec(float(kv["p"])),
+            C=num(kv["C"]),
+            C_prime=num(kv["C_prime"]),
+            loss=LossSpec(kv["loss"], tau=num(kv["tau"]), epsilon=num(kv["epsilon"])),
+            smoothness=SmoothnessSpec(num(kv["p"])),
             T=int(kv["T"]),
             seed=int(kv["seed"]),
             objective_mode=kv.get("objective_mode", "auto"),
         )
-        sigma_s = float(field("sigma_s")[0])
-        t = int(field("t")[0]) if "t" in header else config.T + 1
-        at = cursor
-        k = int(lines[at].split()[1])
-        coefs = np.zeros(k)
+        sigma_s = num(field("sigma_s")[0])
+        at, tok = lines[cursor]
+        k = int(tok[1])
+        if k < 0:
+            raise ValueError(f"negative support size {k}")
+        coefs: list[float] = []
         points: list[SparseVector] = []
         sup_labels: list[int] = []
+        rest = iter(lines[cursor + 1 :])
         for j in range(k):
-            at = cursor + 1 + j
-            if at == len(lines) or lines[at] == "end":
-                raise ParseError(f"support section ends after {j} of {k} points", at + 1)
-            tok = lines[at].split()
-            coefs[j] = float(tok[0])
-            sup_labels.append(np.int8(tok[1]))
-            pairs = []
-            for feat in tok[2:]:
-                idx_s, _, val_s = feat.partition(":")
-                pairs.append((int(idx_s), float(val_s)))
-            points.append(SparseVector.from_pairs(pairs))
+            at, tok = next(rest, (at + 1, ["end"]))
+            if tok == ["end"]:
+                raise ParseError(f"support section ends after {j} of {k} points", at)
+            coefs.append(num(tok[0]))
+            sup_labels.append(parse_label(tok[1], at))
+            points.append(parse_point(tok[2:], at))
     except (ValueError, IndexError, KeyError, OverflowError) as exc:
-        raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at + 1) from None
-    if cursor + k + 1 >= len(lines) or lines[cursor + k + 1] != "end":
-        raise ParseError("missing 'end' terminator")
+        raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at) from None
+    at, tok = next(rest, (at + 1, None))
+    if tok != ["end"]:
+        raise ParseError("missing 'end' terminator", at)
 
     return ModelState(
         kernel=kernel,
         points=tuple(points),
-        beta=coefs,
-        t=t,
+        beta=np.array(coefs, dtype=np.float64),
         config=config,
         sigma_s=sigma_s,
         labels=np.array(sup_labels, dtype=np.int8),

@@ -153,9 +153,9 @@ class TestBounds:
 class TestLabelprop:
     def test_four_chain(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
-        edges.write_text("1 2 1.0\n2 3 1.0\n3 4 1.0\n")
+        edges.write_text("# a chain\n1 2 1.0\n\n2 3 1.0  # middle\n3 4 1.0\n")
         labels = tmp_path / "labels.txt"
-        labels.write_text("1\n0\n0\n-1\n")
+        labels.write_text("1\n\n0  # free\n# vertex 3\n0\n-1\n")
         out = tmp_path / "out.txt"
         assert run(["labelprop", edges, labels, "--out", out]) == 0
         rows = [line.split() for line in out.read_text().strip().splitlines()]
@@ -255,6 +255,17 @@ def malformed_models():
 
         return apply
 
+    def support_token(at, token):
+        """Replace token `at` of the first support point line (coefficient,
+        label, first feature)."""
+
+        def edit(first):
+            tokens = first.split()
+            tokens[at] = token
+            return ["support 1", " ".join(tokens), "end"]
+
+        return support_section(edit)
+
     cases = [
         ("no-kernel", drop("kernel ")),
         ("no-config", drop("config ")),
@@ -269,6 +280,13 @@ def malformed_models():
         ("support-cut-off", support_section(lambda first: ["support 3", first])),
         ("coefficient-not-numeric", support_section(
             lambda first: ["support 1", "x" + first.partition(" ")[2], "end"])),
+        ("coefficient-nan", support_token(0, "nan")),
+        ("coefficient-inf", support_token(0, "inf")),
+        ("feature-nan", support_token(2, "1:nan")),
+        ("support-label-5", support_token(1, "5")),
+        ("config-C-nan", replace("config ", "config loss hinge tau 0.5 epsilon 0.1 p 2.0 C nan "
+                                 "C_prime 0.05 T 200 seed 0 objective_mode auto")),
+        ("sigma_s-nan", replace("sigma_s ", "sigma_s nan")),
     ]
     return [pytest.param(edit, id=case) for case, edit in cases]
 

@@ -170,6 +170,8 @@ class TestHideLabels:
         path = tmp_path / "mask.txt"
         save_mask([2, 5, 7], path)
         assert load_mask(path).tolist() == [2, 5, 7]
+        path.write_text("# hidden points\n2\n\n5  # second\n7\n")
+        assert load_mask(path).tolist() == [2, 5, 7]
         hidden, truth = apply_mask(ds, [2, 5, 7])
         assert hidden.unlabeled_count == 3
 

@@ -37,7 +37,6 @@ def constant_model(points, value):
         kernel=KERNEL,
         points=tuple(points),
         beta=coefs,
-        t=2,
         config=cfg_for("hinge", 2.0),
         sigma_s=1.0,
     )

@@ -12,7 +12,8 @@ from gkm.exceptions import (
     NoLabeledDataError,
     NonFiniteStateError,
 )
-from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected
+from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
+from gkm.harness import solve_reference_optimum
 from gkm.kernel import KernelSpec, SparseVector, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_value, lp_value
@@ -98,6 +99,28 @@ class TestTrainBasics:
         empty = ExplicitEdges([], [], [], n=hidden.n)
         with pytest.raises(EmptyEdgeSetError):
             train(hidden, empty, hinge_cfg(T=5), KERNEL)
+
+    def test_graph_must_belong_to_dataset(self):
+        """A graph built on another dataset is rejected naming both sizes, and
+        an edge list rejects an endpoint outside its n vertices."""
+        small, _ = hide_labels(synth_two_gaussians(30, 2, 4.0, seed=0), 0.5, seed=0)
+        large, _ = hide_labels(synth_two_gaussians(60, 2, 4.0, seed=0), 0.5, seed=0)
+        cfg = hinge_cfg(T=5)
+        mismatched = [
+            (large, build_fully_connected(small, GraphSpec("full", 1.0))),
+            (small, build_fully_connected(large, GraphSpec("full", 1.0))),
+            (small, build_knn(large, GraphSpec("knn", 1.0, k=3))),
+        ]
+        for ds, graph in mismatched:
+            sizes = f"graph has {graph.n} vertices but the dataset has {ds.n} points"
+            with pytest.raises(ValueError, match=sizes):
+                train(ds, graph, cfg, KERNEL)
+            with pytest.raises(ValueError, match=sizes):
+                objective(np.zeros(ds.n), ds, graph, cfg, KERNEL)
+            with pytest.raises(ValueError, match=sizes):
+                solve_reference_optimum(ds, graph, cfg, KERNEL)
+        with pytest.raises(ValueError, match=r"endpoints must lie in \[0, 3\)"):
+            ExplicitEdges([0, 1], [1, 7], [0.5, 0.5], n=3)
 
     def test_divergent_config_raises_nonfinite(self, small_problem):
         hidden, _, graph = small_problem
@@ -424,7 +447,6 @@ class TestHilbertNorm:
             kernel=KERNEL,
             points=(x,),
             beta=np.array([2.0]),
-            t=2,
             config=hinge_cfg(T=1),
             sigma_s=1.0,
         )
@@ -437,7 +459,6 @@ class TestHilbertNorm:
             kernel=KERNEL,
             points=(x, y),
             beta=np.array([1.0, -1.0]),
-            t=2,
             config=hinge_cfg(T=1),
             sigma_s=1.0,
         )
@@ -466,17 +487,22 @@ class TestModelFile:
         assert hilbert_norm(load_model(path)) == pytest.approx(hilbert_norm(model), rel=1e-12)
 
     def test_reads_kernel_line_with_zero_offset(self, small_problem, tmp_path):
-        """The kernel line carries no offset; a file whose kernel line ends in
-        'offset 0.0' loads as the same model."""
+        """The kernel line carries no offset and no 't' line is written; a
+        file whose kernel line ends in 'offset 0.0', or that carries the 't'
+        line of older files, loads as the same model."""
         hidden, truth, graph = small_problem
         model, _ = train(hidden, graph, hinge_cfg(T=200, seed=3), KERNEL)
         path = tmp_path / "model.txt"
         save_model(model, path)
         expected = decision_values(load_model(path), truth.points)
         text = path.read_text()
-        assert "kernel sigma_f 1.0 sigma_l 1.0\n" in text
-        path.write_text(text.replace("sigma_l 1.0\n", "sigma_l 1.0 offset 0.0\n"))
-        assert np.array_equal(decision_values(load_model(path), truth.points), expected)
+        assert "kernel sigma_f 1.0 sigma_l 1.0\n" in text and "\nt " not in text
+        for older in (
+            text.replace("sigma_l 1.0\n", "sigma_l 1.0 offset 0.0\n"),
+            text.replace("\nsupport ", "\nt 201\nsupport "),
+        ):
+            path.write_text(older)
+            assert np.array_equal(decision_values(load_model(path), truth.points), expected)
 
     def test_byte_identical_for_identical_runs(self, small_problem, tmp_path):
         hidden, _, graph = small_problem
