@@ -24,11 +24,6 @@ EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _add_kernel_flags(p):
-    p.add_argument("--sigma-f", type=float, default=1.0, help="kernel output scale")
-    p.add_argument("--sigma-l", type=float, default=1.0, help="kernel length-scale")
-
-
 def _add_graph_flags(p):
     p.add_argument("--graph", choices=graph_mod.GRAPH_KINDS, default="full")
     p.add_argument("--k", type=int, default=5, help="neighbor count for knn graphs")
@@ -37,36 +32,42 @@ def _add_graph_flags(p):
                    help="edge weight bandwidth (default: sigma_l)")
 
 
-def _add_loss_flags(p):
+def _add_problem_flags(p):
+    """Kernel, graph, loss, seed and label-hiding flags of train and converge."""
+    p.add_argument("--sigma-f", type=float, default=1.0, help="kernel output scale")
+    p.add_argument("--sigma-l", type=float, default=1.0, help="kernel length-scale")
+    _add_graph_flags(p)
     p.add_argument("--loss", choices=list(LOSS_KINDS), default="hinge")
     p.add_argument("--tau", type=float, default=0.5, help="smooth-hinge corner width")
     p.add_argument("--epsilon", type=float, default=0.1, help="eps-insensitive tube")
     p.add_argument("--p", type=float, default=2.0, help="smoothness exponent")
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--C-prime", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hide-fraction", type=float, default=None)
+    p.add_argument("--hide-mask", default=None, help="file of 0-based indices to unlabel")
 
 
-def _graph_spec(args, sigma_l: float) -> graph_mod.GraphSpec:
-    sigma_s = args.sigma_s if args.sigma_s is not None else sigma_l
+def _graph_spec(args) -> graph_mod.GraphSpec:
+    sigma_s = args.sigma_s if args.sigma_s is not None else args.sigma_l
     return graph_mod.GraphSpec(
         kind=args.graph, sigma_s=sigma_s, k=args.k, epsilon=args.radius
     )
 
 
-def _load_training_data(args):
+def _training_problem(args):
+    """Dataset (labels hidden as the flags ask), kernel and graph."""
     dataset, _ = data_mod.load_libsvm(args.data)
-    if getattr(args, "hide_fraction", None):
+    if args.hide_fraction:
         dataset, _ = data_mod.hide_labels(dataset, args.hide_fraction, args.seed)
-    elif getattr(args, "hide_mask", None):
+    elif args.hide_mask:
         dataset, _ = data_mod.apply_mask(dataset, data_mod.load_mask(args.hide_mask))
-    return dataset
+    kernel = KernelSpec(args.sigma_f, args.sigma_l)
+    return dataset, kernel, graph_mod.build_graph(dataset, _graph_spec(args))
 
 
 def _cmd_train(args) -> int:
-    dataset = _load_training_data(args)
-    kernel = KernelSpec(args.sigma_f, args.sigma_l)
-    gspec = _graph_spec(args, args.sigma_l)
-    graph = graph_mod.build_graph(dataset, gspec)
+    dataset, kernel, graph = _training_problem(args)
     T = args.T if args.T is not None else optimizer.default_iterations(dataset.n)
     every = args.diagnostics_every if args.diagnostics_every is not None else T
     config = optimizer.TrainConfig(
@@ -142,8 +143,7 @@ def _cmd_labelprop(args) -> int:
 
 def _cmd_graph_export(args) -> int:
     dataset, _ = data_mod.load_libsvm(args.data)
-    gspec = _graph_spec(args, args.sigma_l)
-    graph = graph_mod.build_graph(dataset, gspec)
+    graph = graph_mod.build_graph(dataset, _graph_spec(args))
     graph_mod.write_edges(graph, args.out)
     print(f"{graph.n_edges} edges written to {args.out}")
     return EXIT_OK
@@ -162,10 +162,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    dataset = _load_training_data(args)
-    kernel = KernelSpec(args.sigma_f, args.sigma_l)
-    gspec = _graph_spec(args, args.sigma_l)
-    graph = graph_mod.build_graph(dataset, gspec)
+    dataset, kernel, graph = _training_problem(args)
     configs = []
     for token in args.losses.split(","):
         for p in (float(x) for x in args.p_list.split(",")):
@@ -199,13 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on sparse-format data")
     p.add_argument("data")
-    _add_kernel_flags(p)
-    _add_graph_flags(p)
-    _add_loss_flags(p)
+    _add_problem_flags(p)
     p.add_argument("--T", type=int, default=None, help="iterations (default 0.2n/n rule)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hide-fraction", type=float, default=None)
-    p.add_argument("--hide-mask", default=None, help="file of 0-based indices to unlabel")
     p.add_argument("--diagnostics-every", type=int, default=None)
     p.add_argument("--objective-mode", choices=optimizer.OBJECTIVE_MODES, default="auto")
     p.add_argument("--model-out", default=None)
@@ -260,16 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="iteration sweep of the scaled gap")
     p.add_argument("data")
-    _add_kernel_flags(p)
-    _add_graph_flags(p)
-    _add_loss_flags(p)
+    _add_problem_flags(p)
     p.add_argument("--losses", default="hinge,logistic")
     p.add_argument("--p-list", default="1,2,3")
     p.add_argument("--T-grid", default="500,2000,8000")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hide-fraction", type=float, default=None)
-    p.add_argument("--hide-mask", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_converge)
 

@@ -25,7 +25,7 @@ from .exceptions import (
     InvalidKError,
     ParseError,
 )
-from .kernel import SLAB_BYTES, KernelSpec, kernel_matrix_from_sq_dists, sq_dist_block
+from .kernel import SLAB_BYTES, KernelSpec, kernel_matrix_from_sq_dists, sq_dist_block, sq_dist_pairs
 
 GRAPH_KINDS = ("full", "knn", "eps")
 
@@ -165,16 +165,9 @@ def check_vertices(graph: EdgeSet, dataset: Dataset) -> None:
 
 def _pair_weights(X, sq, us, vs, sigma_s: float) -> np.ndarray:
     """Gaussian weights of the pairs (us[i], vs[i]) of rows of X (squared
-    norms sq), floored at _WEIGHT_FLOOR. The pairs are gathered SLAB_BYTES
-    at a time; each weight depends on its own pair only, so the chunking
-    changes no bit."""
-    d2 = np.empty(len(us))
-    step = max(1, SLAB_BYTES // (8 * max(X.shape[1], 1)))
-    for start in range(0, len(us), step):
-        u, v = us[start : start + step], vs[start : start + step]
-        d2[start : start + step] = sq[u] + sq[v] - 2.0 * np.einsum("ij,ij->i", X[u], X[v])
-    np.maximum(d2, 0.0, out=d2)
-    return np.maximum(kernel_matrix_from_sq_dists(KernelSpec(1.0, sigma_s), d2), _WEIGHT_FLOOR)
+    norms sq), floored at _WEIGHT_FLOOR."""
+    w = kernel_matrix_from_sq_dists(KernelSpec(1.0, sigma_s), sq_dist_pairs(X, sq, us, vs))
+    return np.maximum(w, _WEIGHT_FLOOR, out=w)
 
 
 def _row_slabs(X, sq):

@@ -114,6 +114,22 @@ def sq_dist_block(XA: np.ndarray, sqA: np.ndarray, XB: np.ndarray, sqB: np.ndarr
     return np.maximum(d2, 0.0, out=d2)
 
 
+def sq_dist_pairs(X: np.ndarray, sq: np.ndarray, us, vs) -> np.ndarray:
+    """Squared distances of the row pairs (us[k], vs[k]) of X, clamped at 0
+    and exactly 0 where us[k] == vs[k]. The rows are gathered SLAB_BYTES at
+    a time; each distance depends on its own pair only, so the chunking
+    changes no bit."""
+    us, vs = np.asarray(us), np.asarray(vs)
+    d2 = np.empty(us.size)
+    step = max(1, SLAB_BYTES // (8 * max(X.shape[1], 1)))
+    for start in range(0, us.size, step):
+        u, v = us[start : start + step], vs[start : start + step]
+        d2[start : start + step] = sq[u] + sq[v] - 2.0 * np.einsum("ij,ij->i", X[u], X[v])
+    np.maximum(d2, 0.0, out=d2)
+    d2[us == vs] = 0.0
+    return d2
+
+
 def gram_sq_dists(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Pairwise squared distances of the rows of X; exact-zero diagonal."""
     d2 = sq_dist_block(X, sq, X, sq)

@@ -36,6 +36,8 @@ from .kernel import (
     dense_rows,
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
+    sq_dist_block,
+    sq_dist_pairs,
 )
 from .losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
 
@@ -106,52 +108,54 @@ class ModelState:
 
 
 class _Geometry:
-    """Decision values and kernel entries, with a Gram cache at small n."""
+    """The step's decision values and kernel entries: read from a cached
+    Gram matrix at small n, otherwise computed from the support rows."""
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec):
         self.kernel = kernel
         self.X, self.sq = dataset.dense()
-        self.n = dataset.n
-        self.kxx = kernel.sigma_f**2
-        if self.n <= _GRAM_CAP:
+        n = dataset.n
+        if n <= _GRAM_CAP:
             d2 = gram_sq_dists(self.X, self.sq)
             self.K = kernel_matrix_from_sq_dists(kernel, d2, out=d2)
         else:
             self.K = None
-            # support rows gathered contiguously as coefficients get touched
-            self._sup = np.empty(self.n, dtype=np.int64)
+            # rows of nonzero coefficients, gathered contiguously in the order
+            # they turn nonzero; a step changes only its targets' coefficients,
+            # so decisions() learns new rows from the previous step's targets
+            self._sup = np.empty(n, dtype=np.int64)
             self._sup_rows = np.empty_like(self.X)
-            self._sup_sq = np.empty(self.n)
-            self._in_sup = np.zeros(self.n, dtype=bool)
+            self._sup_sq = np.empty(n)
+            self._in_sup = np.zeros(n, dtype=bool)
             self._nsup = 0
+            self._last: list[int] = []
 
-    def note_touched(self, idx: int) -> None:
-        if self.K is None and not self._in_sup[idx]:
-            k = self._nsup
-            self._sup[k] = idx
-            self._sup_rows[k] = self.X[idx]
-            self._sup_sq[k] = self.sq[idx]
-            self._in_sup[idx] = True
-            self._nsup = k + 1
-
-    def decision(self, u: np.ndarray, scale: float, target: int) -> float:
-        if self.K is not None:
-            return scale * float(u @ self.K[target])
+    def decisions(self, u: np.ndarray, scale: float, i: int, a: int, b: int) -> list[float]:
+        """scale * (u . K[:, t]) for the targets t = i, a, b."""
+        K = self.K
+        if K is not None:
+            return [scale * float(u @ K[i]), scale * float(u @ K[a]), scale * float(u @ K[b])]
+        for t in self._last:
+            if not self._in_sup[t] and u[t] != 0.0:
+                k = self._nsup
+                self._sup[k] = t
+                self._sup_rows[k] = self.X[t]
+                self._sup_sq[k] = self.sq[t]
+                self._in_sup[t] = True
+                self._nsup = k + 1
+        self._last = targets = [i, a, b]
         k = self._nsup
-        if k == 0:
-            return 0.0
-        d2 = self._sup_sq[:k] + self.sq[target] - 2.0 * (self._sup_rows[:k] @ self.X[target])
-        np.maximum(d2, 0.0, out=d2)
-        kvec = kernel_matrix_from_sq_dists(self.kernel, d2, out=d2)
-        return scale * float(u[self._sup[:k]] @ kvec)
+        d2 = sq_dist_block(self.X[targets], self.sq[targets], self._sup_rows[:k], self._sup_sq[:k])
+        kvals = kernel_matrix_from_sq_dists(self.kernel, d2, out=d2)
+        return (scale * (kvals @ u[self._sup[:k]])).tolist()
 
-    def kernel_entry(self, i: int, j: int) -> float:
-        if i == j:
-            return self.kxx
-        if self.K is not None:
-            return float(self.K[i, j])
-        d2 = max(self.sq[i] + self.sq[j] - 2.0 * float(self.X[i] @ self.X[j]), 0.0)
-        return float(kernel_matrix_from_sq_dists(self.kernel, np.float64(d2)))
+    def entries(self, i: int, a: int, b: int) -> list[float]:
+        """The kernel entries K(a, b), K(i, a), K(i, b)."""
+        K = self.K
+        if K is not None:
+            return [float(K[a, b]), float(K[i, a]), float(K[i, b])]
+        d2 = sq_dist_pairs(self.X, self.sq, [a, i, i], [b, a, b])
+        return kernel_matrix_from_sq_dists(self.kernel, d2, out=d2).tolist()
 
 
 def train(
@@ -191,7 +195,7 @@ def train(
     C, Cp = config.C, config.C_prime
     loss_grad = loss_slope(config.loss)
     lp_grad = lp_slope(config.smoothness)
-    kxx = geom.kxx
+    kxx = kernel.sigma_f**2
 
     u = np.zeros(n)
     v = np.zeros(n)
@@ -219,8 +223,8 @@ def train(
                 t = chunk_start + j
                 i, a, b, mu = lab_idx[j], eu[j], ev[j], ew[j]
 
-                o_i = geom.decision(u, s, i)
-                o_e = geom.decision(u, s, a) - geom.decision(u, s, b)
+                o_i, o_a, o_b = geom.decisions(u, s, i, a, b)
+                o_e = o_a - o_b
                 sl = loss_grad(o_i, labels[i])
                 sp = lp_grad(o_e)
                 if not (isfinite(o_i) and isfinite(o_e) and isfinite(sp)):
@@ -230,9 +234,7 @@ def train(
 
                 dl = C * sl
                 de = Cp * mu * sp
-                k_ab = geom.kernel_entry(a, b)
-                k_ia = geom.kernel_entry(i, a)
-                k_ib = geom.kernel_entry(i, b)
+                k_ab, k_ia, k_ib = geom.entries(i, a, b)
                 wdelta = dl * o_i + de * o_e
                 dd2 = (
                     dl * dl * kxx
@@ -255,15 +257,12 @@ def train(
                     e_i = -t * dl
                     v[i] += e_i * Q
                     u[i] += e_i
-                    geom.note_touched(i)
                 if de != 0.0:
                     e_a = -t * de
                     v[a] += e_a * Q
                     u[a] += e_a
                     v[b] -= e_a * Q
                     u[b] -= e_a
-                    geom.note_touched(a)
-                    geom.note_touched(b)
                 Q += 2.0 / (t + 1.0)  # t s_t
 
                 if iterates is not None:
@@ -437,7 +436,8 @@ def load_model(path) -> ModelState:
     """Rebuild a prediction-ready ModelState from a model file.
 
     A missing or malformed line raises ParseError naming it; every float
-    must be finite and support lines follow the data-file point rules.
+    must be finite, every bandwidth positive, and support lines follow the
+    data-file point rules.
     Unknown header lines (such as the ``t`` line of older files) are
     ignored. Files whose kernel line carries ``offset 0.0`` still load; a
     nonzero kernel offset is rejected.
@@ -479,6 +479,8 @@ def load_model(path) -> ModelState:
             objective_mode=kv.get("objective_mode", "auto"),
         )
         sigma_s = num(field("sigma_s")[0])
+        if not sigma_s > 0:
+            raise ValueError("sigma_s must be positive")
         at, tok = lines[cursor]
         k = int(tok[1])
         if k < 0:

@@ -287,6 +287,8 @@ def malformed_models():
         ("config-C-nan", replace("config ", "config loss hinge tau 0.5 epsilon 0.1 p 2.0 C nan "
                                  "C_prime 0.05 T 200 seed 0 objective_mode auto")),
         ("sigma_s-nan", replace("sigma_s ", "sigma_s nan")),
+        ("sigma_s-negative", replace("sigma_s ", "sigma_s -1.0")),
+        ("sigma_s-zero", replace("sigma_s ", "sigma_s 0.0")),
     ]
     return [pytest.param(edit, id=case) for case, edit in cases]
 

@@ -12,14 +12,13 @@ from gkm.graph import (
     ExplicitEdges,
     FullyConnectedEdges,
     GraphSpec,
-    _pair_weights,
     build_eps,
     build_fully_connected,
     build_knn,
     read_edges,
     write_edges,
 )
-from gkm.kernel import SLAB_BYTES, SparseVector, gram_sq_dists
+from gkm.kernel import SLAB_BYTES, SparseVector, gram_sq_dists, sq_dist_pairs
 
 
 def line_dataset(coords, labels):
@@ -37,7 +36,8 @@ def random_dataset(n, l, dim, seed):
 
 # Literal references: the scalar weight of one pair, and the k-NN and eps
 # builders over the whole n x n distance matrix. The package's slab scans
-# and its one pair-weight formula (_pair_weights) are pinned to them.
+# and its one pair-distance primitive (kernel.sq_dist_pairs, which every
+# edge weight goes through) are pinned to them.
 
 
 def edge_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
@@ -46,13 +46,13 @@ def edge_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
     return math.exp(-float(np.sum((X[0] - X[1]) ** 2)) / (2.0 * sigma_s**2))
 
 
-def pair_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
-    ds = Dataset((x_i, x_j), np.zeros(2, dtype=np.int8))
-    return float(_pair_weights(*ds.dense(), np.array([0]), np.array([1]), sigma_s)[0])
-
-
 def gaussian_weights(d2, sigma_s):
     return np.maximum(np.exp(-d2 / (2.0 * sigma_s**2)), np.finfo(np.float64).tiny)
+
+
+def pair_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
+    ds = Dataset((x_i, x_j), np.zeros(2, dtype=np.int8))
+    return float(gaussian_weights(sq_dist_pairs(*ds.dense(), [0], [1]), sigma_s)[0])
 
 
 def knn_reference(dataset, k):
@@ -313,7 +313,7 @@ class TestSampling:
         us, vs, ws = edges.sample_batch(rng, 1)
         u, v, w = int(us[0]), int(vs[0]), float(ws[0])
         assert w == pytest.approx(edge_weight(ds.points[u], ds.points[v], 0.8), rel=1e-12)
-        assert w == _pair_weights(*ds.dense(), us, vs, 0.8)[0]
+        assert w == gaussian_weights(sq_dist_pairs(*ds.dense(), us, vs), 0.8)[0]
 
     def test_never_returns_invalid_pairs(self):
         ds = random_dataset(9, 4, 2, seed=2)

@@ -14,7 +14,7 @@ from gkm.exceptions import (
 )
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
 from gkm.harness import solve_reference_optimum
-from gkm.kernel import KernelSpec, SparseVector, kernel_matrix_from_sq_dists
+from gkm.kernel import KernelSpec, SparseVector, gram_sq_dists, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_value, lp_value
 from gkm.optimizer import (
@@ -217,6 +217,37 @@ class TestDeterminismAndPaths:
         for d in (d_gram, d_str):  # traced at every step: the maxima are the trace's
             assert d.max_norm_w == np.max(d.trace_norm_w)
             assert d.max_norm_g == np.max(d.trace_norm_g)
+
+
+class TestGeometry:
+    """Both halves of the step's geometry pinned to the dense Gram."""
+
+    @pytest.mark.parametrize("gram_cap", [optimizer_mod._GRAM_CAP, 0])
+    def test_halves_match_dense_gram(self, small_problem, monkeypatch, gram_cap):
+        hidden, _, _ = small_problem
+        kernel = KernelSpec(1.3, 0.9)
+        monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
+        geom = optimizer_mod._Geometry(hidden, kernel)
+        assert (geom.K is None) == (gram_cap == 0)
+        K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
+        n, kxx, scale = hidden.n, kernel.sigma_f**2, 0.7
+        # every index as i, with i == a, i == b and three distinct targets
+        triples = [
+            t for i in range(n)
+            for t in ((i, i, (i + 1) % n), (i, (i + 3) % n, i), (i, (i + 1) % n, (i + 5) % n))
+        ]
+        rng = np.random.default_rng(0)
+        u = np.zeros(n)
+        for i, a, b in triples:
+            want = scale * (K[[i, a, b]] @ u)
+            np.testing.assert_allclose(geom.decisions(u, scale, i, a, b), want, rtol=1e-12, atol=0)
+            k_ab, k_ia, k_ib = geom.entries(i, a, b)
+            np.testing.assert_allclose([k_ab, k_ia, k_ib], [K[a, b], K[i, a], K[i, b]], rtol=1e-12)
+            assert k_ia == kxx if i == a else k_ia < kxx
+            assert k_ib == kxx if i == b else k_ib < kxx
+            # as in a step, only the targets' coefficients change; positive
+            # increments keep the decision sums free of cancellation
+            u[[i, a, b]] += rng.uniform(0.5, 1.5, size=3)
 
 
 class TestNormTracking:
