@@ -63,7 +63,6 @@ from .optimizer import (
     hilbert_norm,
     load_model,
     objective,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -82,6 +81,6 @@ __all__ = [
     "KernelSpec", "SparseVector", "PropagationProblem", "solve_exact",
     "threshold_labels", "LossSpec", "SmoothnessSpec", "loss_grad_scalar", "loss_value",
     "lp_grad_scalar", "lp_value", "Diagnostics", "ModelState", "TrainConfig",
-    "default_iterations", "hilbert_norm", "load_model", "objective", "predict",
+    "default_iterations", "hilbert_norm", "load_model", "objective",
     "predict_batch", "save_model", "train",
 ]

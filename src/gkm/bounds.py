@@ -74,38 +74,49 @@ def product_threshold(p: float) -> float:
     return _pow_safe(p - 2.0, p - 2.0) / _pow_safe(p - 1.0, p - 1.0)
 
 
-def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> BoundsReport:
-    """Evaluate the three-case iterate bound M and gradient bound G.
+def _certified_M(a: float, b: float, p: float) -> float | None:
+    """The case table: the iterate bound M of case p at (a, b), or None
+    where the rate condition fails.
 
-    Cases: p < 2 always certifies with M = max(1, (a+b)^(1/(2-p)));
-    p = 2 needs a < 1 and gives M = b/(1-a); p > 2 needs
-    a b^(p-2) <= (p-2)^(p-2)/(p-1)^(p-1) and gives M = (1/((p-1)a))^(1/(p-2)).
-    A violated condition is reported, never raised.
+    p < 2 always certifies with M = max(1, (a+b)^(1/(2-p))); p = 2 needs
+    a < 1 and gives M = b/(1-a); p > 2 needs a b^(p-2) <= product_threshold(p)
+    and gives M = (1/((p-1)a))^(1/(p-2)). Powers saturate to inf.
     """
-    if min(C, C_prime, R, A) <= 0:
-        raise ValueError("C, C_prime, R, A must all be positive")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    a = C_prime * (2.0 * R) ** p * p
-    b = C * A
-
     if p < 2.0:
         # exponent 1/(2-p) blows up near p -> 2; evaluate in log space
-        M = max(1.0, _pow_safe(a + b, 1.0 / (2.0 - p)))
-        reason = REASON_P_LT_2
-    elif p == 2.0:
-        if a < 1.0:
-            M = b / (1.0 - a)
-            reason = REASON_P_EQ_2
-        else:
-            return BoundsReport(R, A, a, b, p, None, None, False, REASON_VIOLATED)
-    else:
-        if a * _pow_safe(b, p - 2.0) <= product_threshold(p):
-            M = _pow_safe(1.0 / ((p - 1.0) * a), 1.0 / (p - 2.0))
-            reason = REASON_P_GT_2
-        else:
-            return BoundsReport(R, A, a, b, p, None, None, False, REASON_VIOLATED)
+        return max(1.0, _pow_safe(a + b, 1.0 / (2.0 - p)))
+    if p == 2.0:
+        return b / (1.0 - a) if a < 1.0 else None
+    if not a * _pow_safe(b, p - 2.0) <= product_threshold(p):
+        return None
+    d = (p - 1.0) * a
+    return _pow_safe(1.0 / d, 1.0 / (p - 2.0)) if d > 0.0 else math.inf
 
+
+def _require_positive(**values: float) -> None:
+    """Reject zero, negative, NaN and infinite arguments, naming them."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> BoundsReport:
+    """Evaluate the iterate bound M (see ``_certified_M``) and the gradient
+    bound G = M + b + a M^(p-1). A violated condition is reported, never
+    raised.
+    """
+    _require_positive(C=C, C_prime=C_prime, R=R, A=A)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    try:
+        a = C_prime * (2.0 * R) ** p * p
+    except OverflowError:
+        a = math.inf
+    b = C * A
+    M = _certified_M(a, b, p)
+    if M is None:
+        return BoundsReport(R, A, a, b, p, None, None, False, REASON_VIOLATED)
+    reason = REASON_P_LT_2 if p < 2.0 else REASON_P_EQ_2 if p == 2.0 else REASON_P_GT_2
     G = M + b + a * _pow_safe(M, p - 1.0) if math.isfinite(M) else math.inf
     return BoundsReport(R, A, a, b, p, M, G, True, reason)
 
@@ -113,11 +124,15 @@ def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> Bo
 def min_iterations(epsilon: float, delta: float, G: float) -> int:
     """T0 = ceil(2 G^2 / (epsilon delta)): iterations for an epsilon-accurate
     objective with probability at least 1 - delta."""
-    if epsilon <= 0 or G <= 0:
-        raise ValueError("epsilon and G must be positive")
-    if not (0.0 < delta <= 1.0):
+    if not (0.0 < epsilon < math.inf and G > 0.0):
+        raise ValueError("epsilon must be positive and finite, and G positive")
+    if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    return math.ceil(2.0 * G * G / (epsilon * delta))
+    denom = epsilon * delta
+    t0 = 2.0 * G * G / denom if denom > 0.0 else math.inf
+    if t0 == math.inf:
+        raise ValueError(f"T0 = 2 G^2/(epsilon delta) is not finite for G = {G!r}")
+    return math.ceil(t0)
 
 
 def max_cprime(p: float, C: float = 1.0, R: float = 1.0) -> float:
@@ -126,10 +141,9 @@ def max_cprime(p: float, C: float = 1.0, R: float = 1.0) -> float:
     For p < 2 there is no constraint (returns inf). For p = 2 the bound is
     strict (C' < 1/(8 R^2)); for p > 2 it is non-strict.
     """
-    if C <= 0 or R <= 0:
-        raise ValueError("C and R must be positive")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _require_positive(C=C, R=R)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
     if p < 2.0:
         return math.inf
     if p == 2.0:
@@ -146,10 +160,9 @@ def recommended_sigma_f(
     when omitted it defaults to 1e-3 of that value, which keeps the
     certification strict in floating point.
     """
-    if C <= 0 or C_prime <= 0:
-        raise ValueError("C and C_prime must be positive")
-    if p < 2.0:
-        raise ValueError("sigma_f selection applies to p >= 2 only")
+    _require_positive(C=C, C_prime=C_prime)
+    if not 2.0 <= p < math.inf:
+        raise ValueError("sigma_f selection applies to finite p >= 2 only")
     # max_cprime(p, C, R) = max_cprime(p, C) / R^(2p-2); invert it for R
     base = _pow_safe(max_cprime(p, C) / C_prime, 1.0 / (2.0 * p - 2.0))
     if rho is None:
@@ -162,43 +175,26 @@ def recommended_sigma_f(
     return sigma
 
 
+def case_M(a, b, p):
+    """``_certified_M`` elementwise over broadcast (a, b, p): the M that
+    compute_bounds reports, nan where the rate condition fails."""
+    a, b, p = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (a, b, p)))
+    M = [_certified_M(*abp) for abp in zip(a.ravel().tolist(), b.ravel().tolist(), p.ravel().tolist())]
+    return np.array([math.nan if m is None else m for m in M]).reshape(a.shape)
+
+
 def sample_certified_region(p: float, rng: np.random.Generator, size: int):
     """Draw (a, b) pairs satisfying the case condition for exponent p.
 
     Test helper for the property suites; rejection-samples from U(0, 2]^2
-    (with a ~ U(0,1) at p = 2).
+    (with a ~ U(0,1) at p = 2), then nudges exact zeros to 1e-12.
     """
-    if p < 2.0:
-        a = rng.uniform(0.0, 2.0, size)
-        b = rng.uniform(0.0, 2.0, size)
-    elif p == 2.0:
-        a = rng.uniform(0.0, 1.0, size)
-        b = rng.uniform(0.0, 2.0, size)
-    else:
-        thr = product_threshold(p)
-        a = np.empty(size)
-        b = np.empty(size)
-        filled = 0
-        while filled < size:
-            ca = rng.uniform(0.0, 2.0, size)
-            cb = rng.uniform(0.0, 2.0, size)
-            ok = ca * cb ** (p - 2.0) <= thr
-            take = min(int(ok.sum()), size - filled)
-            a[filled : filled + take] = ca[ok][:take]
-            b[filled : filled + take] = cb[ok][:take]
-            filled += take
+    a_high = 1.0 if p == 2.0 else 2.0
+    kept, filled = [], 0
+    while filled < size:
+        ab = np.stack([rng.uniform(0.0, a_high, size), rng.uniform(0.0, 2.0, size)])
+        kept.append(ab[:, ~np.isnan(case_M(ab[0], ab[1], p))])
+        filled += kept[-1].shape[1]
+    a, b = np.concatenate(kept, axis=1)[:, :size]
     # open intervals: nudge exact zeros away
-    a = np.maximum(a, 1e-12)
-    b = np.maximum(b, 1e-12)
-    return a, b
-
-
-def case_M(a, b, p: float):
-    """Vectorized M for given (a, b) already inside the case-p region."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if p < 2.0:
-        return np.maximum(1.0, (a + b) ** (1.0 / (2.0 - p)))
-    if p == 2.0:
-        return b / (1.0 - a)
-    return (1.0 / ((p - 1.0) * a)) ** (1.0 / (p - 2.0))
+    return np.maximum(a, 1e-12), np.maximum(b, 1e-12)

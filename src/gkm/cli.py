@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import data as data_mod
 from . import graph as graph_mod
@@ -103,8 +105,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = optimizer.load_model(args.model_in)
-    dataset, _ = data_mod.load_libsvm(args.data)
-    preds = optimizer.predict_batch(model, dataset.points)
+    dataset, perm = data_mod.load_libsvm(args.data)
+    preds = optimizer.predict_batch(model, dataset.points)[perm.argsort()]  # file order
     data_mod.write_lines(args.out, (f"{int(p):+d}" for p in preds))
     return EXIT_OK
 
@@ -142,9 +144,12 @@ def _cmd_labelprop(args) -> int:
 
 
 def _cmd_graph_export(args) -> int:
-    dataset, _ = data_mod.load_libsvm(args.data)
+    dataset, perm = data_mod.load_libsvm(args.data)
     graph = graph_mod.build_graph(dataset, _graph_spec(args))
-    graph_mod.write_edges(graph, args.out)
+    us, vs, ws = graph.enumerate_edges()
+    us, vs = perm[us], perm[vs]  # vertex i is the i-th data record
+    in_file_order = graph_mod.ExplicitEdges(np.minimum(us, vs), np.maximum(us, vs), ws, dataset.n)
+    graph_mod.write_edges(in_file_order, args.out)
     print(f"{graph.n_edges} edges written to {args.out}")
     return EXIT_OK
 

@@ -48,11 +48,11 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
-        if self.sigma_s <= 0:
+        if not self.sigma_s > 0:
             raise ValueError("sigma_s must be positive")
         if self.kind == "knn" and (self.k is None or self.k < 1):
             raise ValueError("knn graphs need k >= 1")
-        if self.kind == "eps" and (self.epsilon is None or self.epsilon <= 0):
+        if self.kind == "eps" and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("eps graphs need epsilon > 0")
 
 

@@ -37,7 +37,7 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be non-negative")
 
     @property

@@ -63,7 +63,7 @@ class TrainConfig:
     objective_samples: int = 10_000
 
     def __post_init__(self):
-        if self.C <= 0 or self.C_prime <= 0:
+        if not (self.C > 0 and self.C_prime > 0):
             raise ValueError("C and C_prime must be positive")
         if self.T < 1:
             raise ValueError("T must be >= 1")
@@ -382,12 +382,8 @@ def decision_values(state: ModelState, points: Sequence[SparseVector]) -> np.nda
     return block_decisions(state.kernel, state.beta[sup], X[:k], sq[:k], X[k:], sq[k:])
 
 
-def predict(state: ModelState, x: SparseVector) -> int:
-    """Thresholded label: +1 when the decision value is >= 0, else -1."""
-    return int(predict_batch(state, [x])[0])
-
-
 def predict_batch(state: ModelState, points: Sequence[SparseVector]) -> np.ndarray:
+    """Thresholded labels: +1 where the decision value is >= 0, else -1."""
     dec = decision_values(state, points)
     return np.where(dec >= 0.0, 1, -1).astype(np.int8)
 

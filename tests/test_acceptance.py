@@ -50,8 +50,7 @@ def test_criterion_01_bound_residual_property_suite():
     p = rng.uniform(1.0, 2.0, 1000)
     a = np.maximum(rng.uniform(0.0, 2.0, 1000), 1e-12)
     b = np.maximum(rng.uniform(0.0, 2.0, 1000), 1e-12)
-    with np.errstate(over="ignore"):
-        M = np.maximum(1.0, (a + b) ** (1.0 / (2.0 - p)))
+    M = case_M(a, b, p)
     f = _residual_overflow_safe(M, a, b, p)
     assert np.max(f) <= 1e-9
 

@@ -60,9 +60,9 @@ class TestComputeBounds:
         assert r.M == math.inf and r.G == math.inf
 
     def test_matches_case_M_on_certified_draws(self):
-        """compute_bounds gives the M that criterion 01 certifies through
-        case_M, in all three cases, for (C, C', R) drawn to hit certified
-        (a, b); where M overflows both give inf."""
+        """compute_bounds gives, bit for bit, the M that criterion 01
+        certifies through case_M, in all three cases, for (C, C', R) drawn to
+        hit certified (a, b)."""
         rng = np.random.default_rng(5)
         ps = [*rng.uniform(1.0, 2.0, 30), *[2.0] * 30, *rng.uniform(2.0 + 1e-9, 4.0, 30)]
         for p in ps:
@@ -70,19 +70,65 @@ class TestComputeBounds:
             for ai, bi, R in zip(a, b, rng.uniform(0.3, 2.0, a.size)):
                 r = compute_bounds(bi / R, ai / ((2.0 * R) ** p * p), p, R, R)
                 assert r.condition_holds
-                with np.errstate(over="ignore"):
-                    M = float(case_M(r.a, r.b, p))
-                if math.isinf(M):
-                    assert r.M == math.inf
-                    continue
-                assert r.M == pytest.approx(M, rel=1e-12)
-                assert bound_residual(r.M, r.a, r.b, p) <= 1e-9
+                assert r.M == float(case_M(r.a, r.b, p))
+                if math.isfinite(r.M):
+                    assert bound_residual(r.M, r.a, r.b, p) <= 1e-9
+
+    def test_case_M_broadcasts_p_and_marks_violations_nan(self):
+        M = case_M([0.5, 2.0, 0.24, 0.5], 1.0, [1.0, 2.0, 3.0, 3.0])
+        assert M[0] == pytest.approx(1.5)
+        assert math.isnan(M[1]) and math.isnan(M[3])  # a >= 1; a b > 1/4
+        assert M[2] == compute_bounds(1.0, 0.01, 3.0, 1.0, 1.0).M
+
+    def test_underflowed_a_at_p_gt_2_saturates(self):
+        """C' (2R)^p p underflows to a = 0: certified with M = G = inf."""
+        r = compute_bounds(1.0, 1e-300, 3.0, 1e-10, 1e-10)
+        assert r.a == 0.0 and r.condition_holds
+        assert r.M == math.inf and r.G == math.inf
+
+    def test_overflowed_a_reports_violation(self):
+        r = compute_bounds(1.0, 1.0, 3.0, 1e200, 1.0)
+        assert r.a == math.inf and not r.condition_holds
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             compute_bounds(0.0, 0.1, 2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             compute_bounds(1.0, 0.1, 0.5, 1.0, 1.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+class TestNonFiniteInputsRejected:
+    @pytest.mark.parametrize("slot", range(5))
+    def test_compute_bounds(self, bad, slot):
+        args = [1.0, 0.1, 2.0, 1.0, 1.0]  # C, C', p, R, A
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            compute_bounds(*args)
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_max_cprime(self, bad, slot):
+        args = [3.0, 1.0, 1.0]  # p, C, R
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            max_cprime(*args)
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_recommended_sigma_f(self, bad, slot):
+        args = [3.0, 1.0, 1.0]  # p, C, C'
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            recommended_sigma_f(*args)
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_min_iterations(self, bad, slot):
+        args = [0.1, 0.05, 10.0]  # epsilon, delta, G
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            min_iterations(*args)
 
 
 class TestBoundResidual:
@@ -115,6 +161,11 @@ class TestMinIterations:
     def test_quadruples_with_G(self):
         base = min_iterations(0.5, 0.1, 3.0)
         assert min_iterations(0.5, 0.1, 6.0) == 4 * base
+
+    @pytest.mark.parametrize("G", [1e200, math.inf])
+    def test_non_finite_T0_names_G(self, G):
+        with pytest.raises(ValueError, match="G"):
+            min_iterations(0.1, 0.05, G)
 
     def test_validation(self):
         with pytest.raises(ValueError):

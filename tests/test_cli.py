@@ -109,6 +109,21 @@ class TestTrainPredictEval:
         )
         assert code == 0
 
+    def test_predictions_follow_the_file_order(self, tmp_path, data_file):
+        """Unlabeled lines before a labeled one: one prediction per line, in
+        file order, not in the labeled-first order the loader uses."""
+        model, data, out = tmp_path / "m.txt", tmp_path / "mixed.txt", tmp_path / "p.txt"
+        assert run(["train", data_file, "--T", "300", "--model-out", model]) == 0
+        data.write_text("0 1:-3.0\n+1 1:3.0\n0 1:-2.5\n")
+        assert run(["predict", data, "--model-in", model, "--out", out]) == 0
+        assert out.read_text().split() == ["-1", "+1", "-1"]
+
+    @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C-prime", "nan"], ["--sigma-s", "nan"],
+                                       ["--epsilon", "nan"], ["--graph", "eps", "--radius", "nan"]])
+    def test_nan_parameter_exit_two(self, data_file, flags, capsys):
+        assert run(["train", data_file, "--T", "20", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("index", ["99", "-1"])
     def test_hide_mask_index_outside_dataset_exit_two(self, tmp_path, index, capsys):
         path = tmp_path / "full.txt"
@@ -148,6 +163,29 @@ class TestBounds:
         expected = min_iterations(0.1, 0.05, compute_bounds(1.0, 0.1, 2.0, 1.0, 1.0).G)
         assert f"T0 {expected}" in out
         assert expected in (40000, 40001)
+
+    @pytest.mark.parametrize("flag", ["--p", "--C", "--C-prime", "--sigma-f", "--A"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exit_two(self, flag, value, capsys):
+        argv = {"--p": "2", "--C": "1", "--C-prime": "0.1", flag: value}
+        assert run(["bounds", *[x for kv in argv.items() for x in kv]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_underflowed_a_certifies_with_infinite_M(self, capsys):
+        code = run(["bounds", "--p", "3", "--C", "1", "--C-prime", "1e-300",
+                    "--sigma-f", "1e-10"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "a 0.0" in out and "M inf" in out and "condition_holds true" in out
+
+    def test_infinite_G_has_no_T0_exit_two(self, capsys):
+        code = run(["bounds", "--p", "2.0000000001", "--C", "1", "--C-prime", "0.01",
+                    "--eps", "0.1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "G inf" in captured.out.splitlines()
+        assert captured.err.startswith("error:") and "G = inf" in captured.err
 
 
 class TestLabelprop:
@@ -198,6 +236,24 @@ class TestGraphExport:
         assert code == 0
         rows = out.read_text().strip().splitlines()
         assert rows and all(len(r.split()) == 3 for r in rows)
+
+    def test_vertices_follow_the_file_order(self, tmp_path):
+        """Vertex i of the edge list is the i-th data line, so the edges line
+        up with a labels file written in data order."""
+        data, edges, labels = tmp_path / "d.txt", tmp_path / "e.txt", tmp_path / "l.txt"
+        data.write_text("0 1:0.0\n+1 1:1.0\n0 1:2.0\n-1 1:3.0\n")
+        assert run(["graph", "export", data, "--sigma-s", "1.0", "--out", edges]) == 0
+        rows = [line.split() for line in edges.read_text().splitlines()]
+        pairs = {(int(i), int(j)): float(w) for i, j, w in rows}
+        # every pair but the labeled-labeled one (lines 2 and 4)
+        assert set(pairs) == {(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)}
+        for (i, j), w in pairs.items():
+            assert w == pytest.approx(np.exp(-0.5 * (i - j) ** 2), rel=1e-12)
+        labels.write_text("0\n1\n0\n-1\n")
+        out = tmp_path / "f.txt"
+        assert run(["labelprop", edges, labels, "--out", out]) == 0
+        hard = [int(line.split()[1]) for line in out.read_text().splitlines()]
+        assert hard[1] == 1 and hard[3] == -1
 
     def test_full_export_small(self, tmp_path, data_file):
         out = tmp_path / "edges_full.txt"

@@ -352,6 +352,16 @@ class TestEnumerationCap:
         assert us.size == edges.n_edges
 
 
+@pytest.mark.parametrize(
+    "kind, fields",
+    [("full", {"sigma_s": math.nan}), ("full", {"sigma_s": 0.0}),
+     ("eps", {"epsilon": math.nan}), ("eps", {"epsilon": 0.0})],
+)
+def test_graph_spec_rejects_nan_and_nonpositive(kind, fields):
+    with pytest.raises(ValueError):
+        GraphSpec(kind, **{"sigma_s": 1.0, **fields})
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         ds = random_dataset(8, 2, 3, seed=9)

@@ -65,6 +65,11 @@ class TestLossValues:
             for y in (-1.0, 1.0):
                 assert np.all(loss_value(spec, o, np.full(500, y)) >= 0.0)
 
+    @pytest.mark.parametrize("field", [{"tau": math.nan}, {"epsilon": math.nan}, {"epsilon": -0.1}])
+    def test_shape_parameters_validated(self, field):
+        with pytest.raises(ValueError):
+            LossSpec("eps-insensitive", **field)
+
     def test_classification_labels_validated(self):
         for kind in ("hinge", "smooth-hinge", "logistic"):
             with pytest.raises(InvalidLabelError):

@@ -25,7 +25,6 @@ from gkm.optimizer import (
     hilbert_norm,
     load_model,
     objective,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -148,6 +147,10 @@ class TestTrainBasics:
             TrainConfig(C=1.0, C_prime=0.0, loss=loss, smoothness=p, T=1)
         with pytest.raises(ValueError):
             TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=0)
+        with pytest.raises(ValueError):
+            TrainConfig(C=math.nan, C_prime=0.05, loss=loss, smoothness=p, T=1)
+        with pytest.raises(ValueError):
+            TrainConfig(C=1.0, C_prime=math.nan, loss=loss, smoothness=p, T=1)
         with pytest.raises(ValueError):
             TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=1,
                         objective_mode="bogus")
