@@ -71,7 +71,10 @@ def _pow_safe(base: float, exponent: float) -> float:
 
 def product_threshold(p: float) -> float:
     """(p-2)^(p-2) / (p-1)^(p-1), the p > 2 condition threshold."""
-    return _pow_safe(p - 2.0, p - 2.0) / _pow_safe(p - 1.0, p - 1.0)
+    den = _pow_safe(p - 1.0, p - 1.0)
+    if den == math.inf:  # saturated from p ~ 143.88: ((p-2)/(p-1))^(p-2) / (p-1)
+        return math.exp((p - 2.0) * math.log1p(-1.0 / (p - 1.0))) / (p - 1.0)
+    return _pow_safe(p - 2.0, p - 2.0) / den
 
 
 def _certified_M(a: float, b: float, p: float) -> float | None:
@@ -148,7 +151,8 @@ def max_cprime(p: float, C: float = 1.0, R: float = 1.0) -> float:
         return math.inf
     if p == 2.0:
         return 1.0 / ((2.0 * R) ** 2 * 2.0)
-    return product_threshold(p) / (2.0**p * p * _pow_safe(C, p - 2.0) * _pow_safe(R, 2.0 * p - 2.0))
+    two_p = 2.0**p if p < 1024.0 else math.inf  # 2.0**p raises past the float range
+    return product_threshold(p) / (two_p * p * _pow_safe(C, p - 2.0) * _pow_safe(R, 2.0 * p - 2.0))
 
 
 def recommended_sigma_f(

@@ -68,20 +68,20 @@ def _training_problem(args):
     return dataset, kernel, graph_mod.build_graph(dataset, _graph_spec(args))
 
 
+def _train_config(args, loss: str, p: float, **fields) -> optimizer.TrainConfig:
+    """The TrainConfig of the shared problem flags with this loss and p."""
+    return optimizer.TrainConfig(
+        C=args.C, C_prime=args.C_prime, loss=LossSpec(loss, tau=args.tau, epsilon=args.epsilon),
+        smoothness=SmoothnessSpec(p), seed=args.seed, **fields,
+    )
+
+
 def _cmd_train(args) -> int:
     dataset, kernel, graph = _training_problem(args)
     T = args.T if args.T is not None else optimizer.default_iterations(dataset.n)
     every = args.diagnostics_every if args.diagnostics_every is not None else T
-    config = optimizer.TrainConfig(
-        C=args.C,
-        C_prime=args.C_prime,
-        loss=LossSpec(args.loss, tau=args.tau, epsilon=args.epsilon),
-        smoothness=SmoothnessSpec(args.p),
-        T=T,
-        seed=args.seed,
-        diagnostics_every=every,
-        objective_mode=args.objective_mode,
-    )
+    config = _train_config(args, args.loss, args.p, T=T, diagnostics_every=every,
+                           objective_mode=args.objective_mode)
     report = bounds_mod.compute_bounds(
         args.C, args.C_prime, args.p, R=kernel.sigma_f, A=kernel.sigma_f
     )
@@ -154,33 +154,26 @@ def _cmd_graph_export(args) -> int:
     return EXIT_OK
 
 
+def _separation_for_accuracy(text: str) -> float:
+    """--bayes-accuracy read as the separation that gives it."""
+    try:
+        return data_mod.separation_for_bayes_accuracy(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_synth(args) -> int:
-    if args.bayes_accuracy is not None:
-        separation = data_mod.separation_for_bayes_accuracy(args.bayes_accuracy)
-    else:
-        separation = args.separation
-    dataset = data_mod.synth_two_gaussians(args.n, args.dim, separation, args.seed)
+    dataset = data_mod.synth_two_gaussians(args.n, args.dim, args.separation, args.seed)
     data_mod.save_libsvm(dataset, args.out)
-    print(f"{args.n} points (dim {args.dim}, separation {separation!r}) "
+    print(f"{args.n} points (dim {args.dim}, separation {args.separation!r}) "
           f"written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_converge(args) -> int:
     dataset, kernel, graph = _training_problem(args)
-    configs = []
-    for token in args.losses.split(","):
-        for p in (float(x) for x in args.p_list.split(",")):
-            configs.append(
-                optimizer.TrainConfig(
-                    C=args.C,
-                    C_prime=args.C_prime,
-                    loss=LossSpec(token, tau=args.tau, epsilon=args.epsilon),
-                    smoothness=SmoothnessSpec(p),
-                    T=1,
-                    seed=args.seed,
-                )
-            )
+    configs = [_train_config(args, loss, float(p), T=1)
+               for loss in args.losses.split(",") for p in args.p_list.split(",")]
     T_grid = [int(x) for x in args.T_grid.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")]
     runs = harness.run_convergence_experiment(
@@ -248,9 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic two-Gaussian dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--separation", type=float, default=None)
-    p.add_argument("--bayes-accuracy", type=float, default=None,
-                   help="choose separation from a target Bayes accuracy")
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--separation", type=float)
+    how.add_argument("--bayes-accuracy", dest="separation", metavar="ACCURACY",
+                     type=_separation_for_accuracy,
+                     help="choose separation from a target Bayes accuracy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -269,10 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "synth" and args.separation is None and args.bayes_accuracy is None:
-        parser.error("synth needs --separation or --bayes-accuracy")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotConvergedError as exc:

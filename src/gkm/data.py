@@ -203,10 +203,6 @@ def load_labels(path) -> np.ndarray:
     return np.array(labels, dtype=np.int8)
 
 
-def save_mask(indices, path) -> None:
-    write_lines(path, np.asarray(indices, dtype=np.int64))
-
-
 def apply_mask(dataset: Dataset, indices) -> tuple[Dataset, Dataset]:
     """hide_labels with an externally supplied index set instead of a draw."""
     if dataset.unlabeled_count:
@@ -231,6 +227,8 @@ def synth_two_gaussians(n: int, dim: int, separation: float, seed: int) -> Datas
     """
     if n < 2 or dim < 1:
         raise ValueError("need n >= 2 and dim >= 1")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation!r}")
     rng = np.random.default_rng(seed)
     n_neg = n // 2
     n_pos = n - n_neg

@@ -9,7 +9,7 @@ by index arithmetic and weights computed on the fly. The k-NN and eps graphs
 are found by scanning the squared distances in row slabs of at most
 ``kernel.SLAB_BYTES``. So no graph kind ever materializes anything O(n^2)
 beyond its own edge list, which for the full graph only an explicitly
-requested exact enumeration builds.
+requested exact enumeration builds, and only up to ``EXACT_EDGE_CAP`` edges.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ class FullyConnectedEdges:
     the unordered universe; weights come from the dataset's dense view.
     """
 
-    kind = "full"
-
     def __init__(self, dataset: Dataset, sigma_s: float):
         self.dataset = dataset
         self.sigma_s = float(sigma_s)
@@ -118,10 +116,7 @@ class ExplicitEdges:
     build_knn and build_eps, None for an edge list read from a file.
     """
 
-    kind = "explicit"
-    sigma_s: float | None = None
-
-    def __init__(self, us, vs, weights, n: int):
+    def __init__(self, us, vs, weights, n: int, sigma_s: float | None = None):
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         ws = np.asarray(weights, dtype=np.float64)
@@ -135,6 +130,7 @@ class ExplicitEdges:
             raise ValueError("weights must lie in (0, 1]")
         self.us, self.vs, self.ws = us, vs, ws
         self.n = int(n)
+        self.sigma_s = sigma_s
 
     @property
     def n_edges(self) -> int:
@@ -147,10 +143,6 @@ class ExplicitEdges:
         return self.us[idx], self.vs[idx], self.ws[idx]
 
     def enumerate_edges(self):
-        if self.n_edges > EXACT_EDGE_CAP:
-            raise EdgeEnumerationTooLargeError(
-                f"{self.n_edges} edges exceed the enumeration cap {EXACT_EDGE_CAP}"
-            )
         return self.us, self.vs, self.ws
 
 
@@ -182,9 +174,7 @@ def _row_slabs(X, sq):
 
 
 def _weighted_edges(X, sq, us, vs, sigma_s: float) -> ExplicitEdges:
-    edges = ExplicitEdges(us, vs, _pair_weights(X, sq, us, vs, sigma_s), X.shape[0])
-    edges.sigma_s = sigma_s
-    return edges
+    return ExplicitEdges(us, vs, _pair_weights(X, sq, us, vs, sigma_s), X.shape[0], sigma_s)
 
 
 def build_fully_connected(dataset: Dataset, spec: GraphSpec) -> FullyConnectedEdges:
@@ -245,7 +235,7 @@ def build_graph(dataset: Dataset, spec: GraphSpec) -> EdgeSet:
 
 def write_edges(edges: EdgeSet, path) -> None:
     """Serialize as text lines ``i j weight`` with 1-based vertex indices
-    (at most EXACT_EDGE_CAP edges)."""
+    (an implicit full graph only up to EXACT_EDGE_CAP edges)."""
     us, vs, ws = edges.enumerate_edges()
     write_lines(path, (f"{u + 1} {v + 1} {repr(float(w))}" for u, v, w in zip(us, vs, ws)))
 

@@ -47,13 +47,13 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class SmoothnessSpec:
-    """Edge penalty |t|^p with p >= 1."""
+    """Edge penalty |t|^p with finite p >= 1."""
 
     p: float
 
     def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError("p must be >= 1")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
 
 
 def _check_labels(spec: LossSpec, y) -> None:

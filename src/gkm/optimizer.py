@@ -39,6 +39,7 @@ from .kernel import (
     sq_dist_block,
     sq_dist_pairs,
 )
+from .labelprop import threshold_labels
 from .losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
 
 OBJECTIVE_MODES = ("auto", "exact", "sampled")
@@ -355,9 +356,9 @@ def objective(
 
     Accepts a ModelState (evaluates its coefficients ``beta``) or a raw
     coefficient array over the dataset points. Exact mode enumerates the
-    edge universe (capped at graph.EXACT_EDGE_CAP); sampled mode draws
-    config.objective_samples edges for an unbiased estimate, labeled term
-    always exact.
+    edge universe (an implicit full graph only up to graph.EXACT_EDGE_CAP
+    edges); sampled mode draws config.objective_samples edges for an
+    unbiased estimate, labeled term always exact.
     """
     if isinstance(model_or_coefs, ModelState):
         coefs = model_or_coefs.beta
@@ -384,8 +385,7 @@ def decision_values(state: ModelState, points: Sequence[SparseVector]) -> np.nda
 
 def predict_batch(state: ModelState, points: Sequence[SparseVector]) -> np.ndarray:
     """Thresholded labels: +1 where the decision value is >= 0, else -1."""
-    dec = decision_values(state, points)
-    return np.where(dec >= 0.0, 1, -1).astype(np.int8)
+    return threshold_labels(decision_values(state, points))
 
 
 def hilbert_norm(state: ModelState) -> float:

@@ -233,6 +233,34 @@ class TestRecommendedSigmaF:
             recommended_sigma_f(1.5, 1.0, 1.0)
 
 
+class TestLargeP:
+    """Past p ~ 143.88 the direct powers of product_threshold saturate."""
+
+    @pytest.mark.parametrize("p", [150.0, 200.0, 1000.0, 1e6])
+    def test_threshold_in_log_space(self, p):
+        # (p-2)^(p-2) / (p-1)^(p-1) tends to 1/(e (p-1))
+        want = math.exp((p - 2.0) * math.log(p - 2.0) - (p - 1.0) * math.log(p - 1.0))
+        assert product_threshold(p) == pytest.approx(want, rel=1e-9)
+        assert product_threshold(p) == pytest.approx(1.0 / (math.e * (p - 1.0)), rel=1.0 / p)
+
+    def test_report_certifies_at_p_200(self):
+        # a b^(p-2) = 3.2e-138 lies far below the threshold 0.00185
+        r = compute_bounds(C=1.0, C_prime=1e-200, p=200.0, R=1.0, A=1.0)
+        assert r.condition_holds and r.reason == REASON_P_GT_2
+        assert r.M == pytest.approx(4.8172, rel=1e-4)
+        assert bound_residual(r.M, r.a, r.b, r.p) <= 0.0
+
+    @pytest.mark.parametrize("p", [150.0, 200.0, 500.0, 1000.0])
+    def test_recommended_sigma_f_certifies(self, p):
+        sf = recommended_sigma_f(p, 1.0, 1.0)
+        assert 0.6 < sf < 0.8
+        assert compute_bounds(1.0, 1.0, p, sf, sf).condition_holds
+
+    def test_max_cprime_past_the_float_range_of_two_to_the_p(self):
+        cap = max_cprime(1100.0)
+        assert math.isfinite(cap) and cap >= 0.0
+
+
 def test_product_threshold_limit_near_two():
     # (p-2)^(p-2) -> 1 as p -> 2+, so the threshold tends to 1/(p-1)^(p-1) = 1
     assert product_threshold(2.0 + 1e-12) == pytest.approx(1.0, rel=1e-9)

@@ -276,6 +276,19 @@ class TestSynth:
                     "--bayes-accuracy", "0.95", "--seed", "4", "--out", out])
         assert code == 0
 
+    @pytest.mark.parametrize("how", [["--separation", "5", "--bayes-accuracy", "0.6"], [],
+                                     ["--bayes-accuracy", "1.5"]])
+    def test_exactly_one_valid_separation_source(self, tmp_path, how):
+        out = tmp_path / "synth.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["synth", "--n", "10", "--dim", "2", *how, "--out", out])
+        assert exc.value.code == 2 and not out.exists()
+
+    def test_non_finite_separation_exit_two(self, tmp_path):
+        out = tmp_path / "synth.txt"
+        assert run(["synth", "--n", "10", "--dim", "2", "--separation", "nan", "--out", out]) == 2
+        assert not out.exists()
+
 
 class TestConverge:
     def test_tiny_sweep(self, tmp_path):
@@ -371,6 +384,12 @@ class TestMalformedModel:
 class TestValidationErrors:
     def test_missing_file_exit_two(self):
         assert run(["predict", "/nonexistent/data.txt", "--model-in", "/nonexistent/m.txt"]) == 2
+
+    def test_converge_infinite_p_exit_two(self, tmp_path, data_file):
+        out = tmp_path / "conv.csv"
+        code = run(["converge", data_file, "--losses", "hinge", "--p-list", "2,inf",
+                    "--T-grid", "30", "--seeds", "0", "--out", out])
+        assert code == 2 and not out.exists()
 
     def test_bad_loss_value_rejected_by_argparse(self, data_file):
         with pytest.raises(SystemExit):

@@ -14,7 +14,6 @@ from gkm.data import (
     load_libsvm,
     load_mask,
     save_libsvm,
-    save_mask,
     separation_for_bayes_accuracy,
     synth_two_gaussians,
 )
@@ -168,7 +167,7 @@ class TestHideLabels:
     def test_mask_file_round_trip(self, tmp_path):
         ds = self.base()
         path = tmp_path / "mask.txt"
-        save_mask([2, 5, 7], path)
+        path.write_text("2\n5\n7\n")
         assert load_mask(path).tolist() == [2, 5, 7]
         path.write_text("# hidden points\n2\n\n5  # second\n7\n")
         assert load_mask(path).tolist() == [2, 5, 7]
@@ -194,6 +193,11 @@ class TestSynth:
         pos = X[ds.labels == 1, 0].mean()
         neg = X[ds.labels == -1, 0].mean()
         assert pos - neg == pytest.approx(3.0, abs=0.15)
+
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            synth_two_gaussians(10, 2, separation, seed=0)
 
     def test_bayes_separation_value(self):
         # one-dimensional risk of 5 percent inverts to 2 * 1.6449

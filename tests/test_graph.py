@@ -342,14 +342,25 @@ class TestEnumerationCap:
 
         ds = random_dataset(30, 5, 2, seed=11)
         edges = build_fully_connected(ds, GraphSpec("full", 1.0))
-        knn = build_knn(ds, GraphSpec("knn", 1.0, k=3))
         monkeypatch.setattr(graph_mod, "EXACT_EDGE_CAP", 10)
-        for too_many in (edges, knn):
-            with pytest.raises(EdgeEnumerationTooLargeError):
-                too_many.enumerate_edges()
+        with pytest.raises(EdgeEnumerationTooLargeError):
+            edges.enumerate_edges()
         monkeypatch.setattr(graph_mod, "EXACT_EDGE_CAP", edges.n_edges)
         us, _, _ = edges.enumerate_edges()
         assert us.size == edges.n_edges
+
+    def test_explicit_edges_enumerate_above_cap(self, monkeypatch, tmp_path):
+        # the list is already in memory, so the cap guards no allocation
+        knn = build_knn(random_dataset(30, 5, 2, seed=11), GraphSpec("knn", 1.0, k=3))
+        monkeypatch.setattr(graph_mod, "EXACT_EDGE_CAP", 10)
+        assert knn.n_edges > 10
+        us, vs, ws = knn.enumerate_edges()
+        assert (us is knn.us) and (vs is knn.vs) and (ws is knn.ws)
+        path = tmp_path / "knn.txt"
+        write_edges(knn, path)
+        back = read_edges(path, knn.n)
+        assert np.array_equal(back.us, knn.us) and np.array_equal(back.vs, knn.vs)
+        assert np.array_equal(back.ws, knn.ws)
 
 
 @pytest.mark.parametrize(
@@ -373,6 +384,14 @@ class TestSerialization:
         assert np.array_equal(back.us, edges.us)
         assert np.array_equal(back.vs, edges.vs)
         assert np.array_equal(back.ws, edges.ws)
+
+    def test_sigma_s_recorded_only_when_given(self, tmp_path):
+        edges = ExplicitEdges([0], [2], [1.0], n=3, sigma_s=2.0)
+        assert edges.sigma_s == 2.0
+        assert ExplicitEdges([0], [2], [1.0], n=3).sigma_s is None
+        path = tmp_path / "e.txt"
+        write_edges(edges, path)
+        assert read_edges(path).sigma_s is None  # the file holds no bandwidth
 
     def test_one_based_indices_in_file(self, tmp_path):
         edges = ExplicitEdges([0], [2], [1.0], n=3)

@@ -184,6 +184,12 @@ class TestLpFamily:
         with pytest.raises(ValueError):
             SmoothnessSpec(0.5)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, p):
+        # at p = inf the reference solver's duality gap never closes
+        with pytest.raises(ValueError, match="p must be finite"):
+            SmoothnessSpec(p)
+
 
 @st.composite
 def loss_grad_case(draw):
