@@ -56,25 +56,23 @@ class BoundsReport:
 def bound_residual(M: float, a: float, b: float, p: float) -> float:
     """a M^(p-1) - M + b: the recursion slack whose non-positivity
     certifies M as an invariant iterate-norm bound."""
-    return a * M ** (p - 1.0) - M + b
+    return _power((a, 1.0), (M, p - 1.0)) - M + b
 
 
-def _pow_safe(base: float, exponent: float) -> float:
-    """base**exponent for base > 0 that saturates to inf instead of raising."""
-    if base == 0.0:
+def _power(*factors: tuple[float, float], log_c: float = 0.0) -> float:
+    """exp(log_c) prod(base^exponent) over (base, exponent) factors, bases >= 0,
+    as one exp of a sum of logs: saturates to inf, never raises; 0 at a 0 base."""
+    if any(base == 0.0 for base, _ in factors):
         return 0.0
-    t = exponent * math.log(base)
-    if t > _EXP_OVERFLOW:
-        return math.inf
-    return math.exp(t)
+    t = log_c + sum(exponent * math.log(base) for base, exponent in factors)
+    return math.inf if t > _EXP_OVERFLOW else math.exp(t)
 
 
 def product_threshold(p: float) -> float:
-    """(p-2)^(p-2) / (p-1)^(p-1), the p > 2 condition threshold."""
-    den = _pow_safe(p - 1.0, p - 1.0)
-    if den == math.inf:  # saturated from p ~ 143.88: ((p-2)/(p-1))^(p-2) / (p-1)
-        return math.exp((p - 2.0) * math.log1p(-1.0 / (p - 1.0))) / (p - 1.0)
-    return _pow_safe(p - 2.0, p - 2.0) / den
+    """(p-2)^(p-2) / (p-1)^(p-1) = ((p-2)/(p-1))^(p-2) / (p-1), the p > 2
+    condition threshold; 1 at p = 2, where 0^0 = 1."""
+    log_c = (p - 2.0) * math.log1p(-1.0 / (p - 1.0)) if p > 2.0 else 0.0
+    return _power((p - 1.0, -1.0), log_c=log_c)
 
 
 def _certified_M(a: float, b: float, p: float) -> float | None:
@@ -86,14 +84,13 @@ def _certified_M(a: float, b: float, p: float) -> float | None:
     and gives M = (1/((p-1)a))^(1/(p-2)). Powers saturate to inf.
     """
     if p < 2.0:
-        # exponent 1/(2-p) blows up near p -> 2; evaluate in log space
-        return max(1.0, _pow_safe(a + b, 1.0 / (2.0 - p)))
+        return max(1.0, _power((a + b, 1.0 / (2.0 - p))))
     if p == 2.0:
         return b / (1.0 - a) if a < 1.0 else None
-    if not a * _pow_safe(b, p - 2.0) <= product_threshold(p):
+    if not a * _power((b, p - 2.0)) <= product_threshold(p):
         return None
     d = (p - 1.0) * a
-    return _pow_safe(1.0 / d, 1.0 / (p - 2.0)) if d > 0.0 else math.inf
+    return _power((1.0 / d, 1.0 / (p - 2.0))) if d > 0.0 else math.inf
 
 
 def _require_positive(**values: float) -> None:
@@ -120,7 +117,7 @@ def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> Bo
     if M is None:
         return BoundsReport(R, A, a, b, p, None, None, False, REASON_VIOLATED)
     reason = REASON_P_LT_2 if p < 2.0 else REASON_P_EQ_2 if p == 2.0 else REASON_P_GT_2
-    G = M + b + a * _pow_safe(M, p - 1.0) if math.isfinite(M) else math.inf
+    G = M + b + a * _power((M, p - 1.0)) if math.isfinite(M) else math.inf
     return BoundsReport(R, A, a, b, p, M, G, True, reason)
 
 
@@ -151,13 +148,15 @@ def max_cprime(p: float, C: float = 1.0, R: float = 1.0) -> float:
         return math.inf
     if p == 2.0:
         return 1.0 / ((2.0 * R) ** 2 * 2.0)
-    two_p = 2.0**p if p < 1024.0 else math.inf  # 2.0**p raises past the float range
-    return product_threshold(p) / (two_p * p * _pow_safe(C, p - 2.0) * _pow_safe(R, 2.0 * p - 2.0))
+    return _power(*_cap_factors(p, C), (R, 2.0 - 2.0 * p))
 
 
-def recommended_sigma_f(
-    p: float, C: float, C_prime: float, rho: float | None = None
-) -> float:
+def _cap_factors(p: float, C: float) -> list[tuple[float, float]]:
+    """max_cprime(p, C, R) = thr/p 2^-p C^(2-p) R^(2-2p) without R^(2-2p), p >= 2."""
+    return [(product_threshold(p), 1.0), (p, -1.0), (2.0, -p), (C, 2.0 - p)]
+
+
+def recommended_sigma_f(p: float, C: float, C_prime: float, rho: float | None = None) -> float:
     """Output scale sigma_f = R making the rate condition hold for (C, C', p).
 
     ``rho`` is the safety margin subtracted from the exact boundary value;
@@ -167,8 +166,9 @@ def recommended_sigma_f(
     _require_positive(C=C, C_prime=C_prime)
     if not 2.0 <= p < math.inf:
         raise ValueError("sigma_f selection applies to finite p >= 2 only")
-    # max_cprime(p, C, R) = max_cprime(p, C) / R^(2p-2); invert it for R
-    base = _pow_safe(max_cprime(p, C) / C_prime, 1.0 / (2.0 * p - 2.0))
+    # C' <= max_cprime(p, C, R) = F R^(2-2p) holds for R <= (F / C')^(1/(2p-2))
+    k = 1.0 / (2.0 * p - 2.0)
+    base = _power(*((f, e * k) for f, e in _cap_factors(p, C)), (C_prime, -k))
     if rho is None:
         rho = 1e-3 * base
     sigma = base - rho

@@ -46,8 +46,9 @@ def _add_problem_flags(p):
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--C-prime", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hide-fraction", type=float, default=None)
-    p.add_argument("--hide-mask", default=None, help="file of 0-based indices to unlabel")
+    hide = p.add_mutually_exclusive_group()
+    hide.add_argument("--hide-fraction", type=float, default=None)
+    hide.add_argument("--hide-mask", default=None, help="file of 0-based indices to unlabel")
 
 
 def _graph_spec(args) -> graph_mod.GraphSpec:

@@ -4,11 +4,11 @@ The vertex set is the whole dataset; edges carry Gaussian weights
 mu_ij = exp(-||x_i - x_j||^2 / (2 sigma_s^2)), all computed by one formula
 (``_pair_weights``), so every graph kind gives a pair the same bits. Pairs of
 labeled vertices are never connected, since no label needs to propagate
-between them. The fully connected graph is kept implicit: edges are sampled
-by index arithmetic and weights computed on the fly. The k-NN and eps graphs
-are found by scanning the squared distances in row slabs of at most
-``kernel.SLAB_BYTES``. So no graph kind ever materializes anything O(n^2)
-beyond its own edge list, which for the full graph only an explicitly
+between them. The fully connected graph is kept implicit: edges are drawn
+by rejection sampling of ordered pairs and weights computed on the fly. The
+k-NN and eps graphs are found by scanning the squared distances in row slabs
+of at most ``kernel.SLAB_BYTES``. So no graph kind ever materializes anything
+O(n^2) beyond its own edge list, which for the full graph only an explicitly
 requested exact enumeration builds, and only up to ``EXACT_EDGE_CAP`` edges.
 """
 
@@ -251,6 +251,8 @@ def read_edges(path, n: int | None = None) -> ExplicitEdges:
             raise ParseError(f"expected 'i j weight', got {' '.join(tok)!r}", lineno) from None
         if i == j or min(i, j) < 0 or max(i, j) >= 2**63:
             raise ParseError("self-loops and indices outside [1, 2^63] are invalid", lineno)
+        if not 0.0 < w <= 1.0:
+            raise ParseError(f"weights must lie in (0, 1], got {w_s!r}", lineno)
         us.append(min(i, j))
         vs.append(max(i, j))
         ws.append(w)

@@ -28,7 +28,7 @@ import numpy as np
 from .data import RNG_ALGORITHM, Dataset, format_point, parse_float, parse_label, parse_point
 from .data import records, write_lines
 from .exceptions import EmptyEdgeSetError, NoLabeledDataError, NonFiniteStateError, ParseError
-from .graph import EdgeSet, check_vertices
+from .graph import EdgeSet, ExplicitEdges, check_vertices
 from .kernel import (
     KernelSpec,
     SparseVector,
@@ -206,6 +206,11 @@ def train(
     max_nw2 = max_g2 = 0.0
 
     every = config.diagnostics_every
+    # an exact trace enumerates the edges once, before step 1, so an edge set
+    # over graph.EXACT_EDGE_CAP fails before any training step
+    trace_graph = graph
+    if every is not None and _resolve_mode(config, graph) == "exact":
+        trace_graph = ExplicitEdges(*graph.enumerate_edges(), n)
     trace: list[tuple[int, float, float, float]] = []
     iterates: list[np.ndarray] | None = [] if record_iterates else None
 
@@ -271,7 +276,7 @@ def train(
 
                 if every is not None and (t % every == 0 or t == T):
                     bar = s * (Q * u - v)
-                    j_avg = _objective_core(bar, dataset, graph, config, kernel, diag_rng)
+                    j_avg = _objective_core(bar, dataset, trace_graph, config, kernel, diag_rng)
                     trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
     beta = s * (Q * u - v)

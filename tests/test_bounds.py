@@ -234,7 +234,7 @@ class TestRecommendedSigmaF:
 
 
 class TestLargeP:
-    """Past p ~ 143.88 the direct powers of product_threshold saturate."""
+    """Large p, where the direct powers of the bounds leave the float range."""
 
     @pytest.mark.parametrize("p", [150.0, 200.0, 1000.0, 1e6])
     def test_threshold_in_log_space(self, p):
@@ -259,6 +259,46 @@ class TestLargeP:
     def test_max_cprime_past_the_float_range_of_two_to_the_p(self):
         cap = max_cprime(1100.0)
         assert math.isfinite(cap) and cap >= 0.0
+
+    @pytest.mark.parametrize("args", [(50.0, 1e-20), (500.0, 1.0, 1e-3), (1100.0, 1e-5)])
+    def test_max_cprime_beyond_the_float_range_saturates(self, args):
+        # C^(2-p) or R^(2-2p) alone leaves the float range; the true cap is above it
+        assert max_cprime(*args) == math.inf
+
+    @pytest.mark.parametrize("p", [1050.0, 1100.0, 1500.0, 2000.0])
+    def test_recommended_sigma_f_certifies_where_the_cap_underflows(self, p):
+        sf = recommended_sigma_f(p, 1.0, 1.0)
+        assert compute_bounds(1.0, 1.0, p, sf, sf).condition_holds
+
+    def test_residual_of_a_certified_report_past_the_float_range_of_M_squared(self):
+        r = compute_bounds(1.0, 1e-300, 3.0, 1.0, 1.0)  # M = 1/(2a) ~ 2.1e298
+        assert r.condition_holds
+        assert bound_residual(r.M, r.a, r.b, r.p) <= 0.0
+
+
+# (C, C', p, R, A) -> (a, M, G, condition_holds), literal values of the
+# log-space powers across the three cases, both threshold regimes and a
+# saturated G
+PINNED_REPORTS = [
+    ((1.0, 0.3, 1.0, 1.0, 1.0), (0.6, 1.6, 3.2, True)),
+    ((0.5, 0.3, 1.5, 1.0, 1.0), (1.2727922061357855, 3.142792206135786, 5.899188309203678, True)),
+    ((1.0, 0.05, 2.0, 1.0, 1.0), (0.4, 1.6666666666666667, 3.333333333333334, True)),
+    ((2.0, 0.001, 2.5, 1.0, 0.7), (0.014142135623730952, 2222.222222222221, 3705.103703703701, True)),
+    ((1.0, 0.01, 3.0, 1.0, 1.0), (0.24, 2.0833333333333335, 4.125, True)),
+    ((1.0, 0.1, 3.0, 1.0, 1.0), (2.4000000000000004, None, None, False)),
+    ((0.3, 0.0001, 8.0, 0.9, 0.9), (0.08815968460800003, 1.0837738188015462, 1.50859865005891, True)),
+    ((1.0, 1e-120, 100.0, 0.6, 0.6), (8.281797452201424e-111, 12.674207655548216, 13.402229955099202, True)),
+    ((1.0, 1e-150, 150.0, 1.0, 2.5), (2.1408715390589398e-103, 4.775606499747265, 7.307657550081139, True)),
+    ((1.0, 1e-200, 200.0, 1.0, 1.0), (3.21387608851798e-138, 4.8172432262316045, 5.841450478624728, True)),
+    ((1.0, 1e-300, 3.0, 1.0, 1.0), (2.4e-299, 2.0833333333333918e+298, math.inf, True)),
+    ((5.0, 1.0, 1.999999999999, 1.0, 1.0), (7.999999999990454, math.inf, math.inf, True)),
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_REPORTS)
+def test_compute_bounds_pinned_bits(args, want):
+    r = compute_bounds(*args)
+    assert (r.a, r.M, r.G, r.condition_holds) == want
 
 
 def test_product_threshold_limit_near_two():

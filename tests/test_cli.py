@@ -109,6 +109,15 @@ class TestTrainPredictEval:
         )
         assert code == 0
 
+    def test_hide_fraction_and_hide_mask_exclude_each_other(self, tmp_path):
+        path = tmp_path / "full.txt"
+        save_libsvm(synth_two_gaussians(20, 2, 4.0, seed=3), path)
+        mask = tmp_path / "mask.txt"
+        mask.write_text("0\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["train", path, "--hide-fraction", "0.5", "--hide-mask", mask, "--T", "20"])
+        assert exc.value.code == 2
+
     def test_predictions_follow_the_file_order(self, tmp_path, data_file):
         """Unlabeled lines before a labeled one: one prediction per line, in
         file order, not in the labeled-first order the loader uses."""

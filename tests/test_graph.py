@@ -7,7 +7,7 @@ import pytest
 
 from gkm import graph as graph_mod
 from gkm.data import Dataset
-from gkm.exceptions import EmptyEdgeSetError, InvalidKError
+from gkm.exceptions import EmptyEdgeSetError, InvalidKError, ParseError
 from gkm.graph import (
     ExplicitEdges,
     FullyConnectedEdges,
@@ -399,9 +399,9 @@ class TestSerialization:
         write_edges(edges, path)
         assert path.read_text().split()[:2] == ["1", "3"]
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "0", "1.5"])
+    @pytest.mark.parametrize("weight", ["nan", "inf", "0", "1.5", "1e-400"])
     def test_weight_outside_unit_interval_rejected(self, tmp_path, weight):
         path = tmp_path / "e.txt"
         path.write_text(f"1 2 {weight}\n")
-        with pytest.raises(ValueError, match=r"weights must lie in \(0, 1\]"):
+        with pytest.raises(ParseError, match=r"^line 1: weights must lie in \(0, 1\]"):
             read_edges(path)

@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gkm import graph as graph_mod
 from gkm import optimizer as optimizer_mod
 from gkm.bounds import compute_bounds
 from gkm.data import Dataset, hide_labels, synth_two_gaussians
 from gkm.exceptions import (
+    EdgeEnumerationTooLargeError,
     EmptyEdgeSetError,
     NoLabeledDataError,
     NonFiniteStateError,
@@ -322,6 +324,23 @@ class TestObjective:
         )
         got = objective(coefs, ds, edges, cfg, KERNEL)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_traced_exact_objective_over_the_cap_fails_before_step_one(
+        self, small_problem, monkeypatch
+    ):
+        hidden, _, graph = small_problem
+        monkeypatch.setattr(graph_mod, "EXACT_EDGE_CAP", graph.n_edges - 1)
+        drawn, sample_batch = [], type(graph).sample_batch
+
+        def spy(self, rng, size):
+            drawn.append(size)
+            return sample_batch(self, rng, size)
+
+        monkeypatch.setattr(type(graph), "sample_batch", spy)
+        cfg = hinge_cfg(T=100, diagnostics_every=50, objective_mode="exact")
+        with pytest.raises(EdgeEnumerationTooLargeError):
+            train(hidden, graph, cfg, KERNEL)
+        assert drawn == []
 
     def test_sampled_mode_unbiased(self, small_problem):
         hidden, _, graph = small_problem
