@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import DegenerateSplitError, InvalidLabelError, ParseError
 from .kernel import SparseVector, dense_rows
@@ -244,5 +243,7 @@ def separation_for_bayes_accuracy(accuracy: float) -> float:
     """Mean separation giving the requested Bayes accuracy along one axis."""
     if not (0.5 < accuracy < 1.0):
         raise ValueError("accuracy must lie in (0.5, 1)")
+    from scipy.special import ndtri  # here: scipy.special slows every `import gkm`
+
     return 2.0 * float(ndtri(accuracy))
 

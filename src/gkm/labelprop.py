@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DisconnectedUnlabeledError, SingularSystemError
 from .graph import ExplicitEdges
@@ -54,7 +53,9 @@ def solve_exact(problem: PropagationProblem) -> np.ndarray:
     factorization fails or the residual exceeds 1e-10 relative.
     """
     # imported here, not at module level: scipy.sparse adds ~4 MB to every
-    # process that imports gkm, and only this oracle needs it
+    # process that imports gkm, scipy.linalg slows every `import gkm`, and
+    # only this oracle needs them
+    import scipy.linalg
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .exceptions import InvalidLabelError
 
@@ -159,6 +158,8 @@ def _increasing_root(g, dg, lo, hi):
 def loss_prox_slope(spec: LossSpec, v: float, y: float, gamma: float) -> float:
     """Scalar s in d loss(u, y) at u = prox_{gamma loss(., y)}(v) = v - gamma * s."""
     if spec.kind == "logistic":
+        from scipy.special import expit  # here: scipy.special slows every `import gkm`
+
         m = _increasing_root(lambda m: m - y * v - gamma * expit(-m),
                              lambda m: 1.0 + gamma * expit(m) * expit(-m), y * v, y * v + gamma)
         return -y * float(expit(-m))
@@ -174,6 +175,8 @@ def loss_conjugate(spec: LossSpec, s, y):
     s, r = np.asarray(s, dtype=np.float64), np.multiply(y, s)
     inside = (r >= -1.0) & (r <= 0.0) if spec.is_classification else np.abs(s) <= 1.0
     if spec.kind == "logistic":  # clipped into the domain; the rest is masked below
+        from scipy.special import xlogy  # here: as expit above
+
         r = np.clip(r, -1.0, 0.0)
         r = xlogy(-r, -r) + xlogy(1.0 + r, 1.0 + r)
     r = r + (0.5 * spec.tau * r * r if spec.kind == "smooth-hinge" else 0.0)

@@ -36,8 +36,6 @@ from .kernel import (
     dense_rows,
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
-    sq_dist_block,
-    sq_dist_pairs,
 )
 from .labelprop import threshold_labels
 from .losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
@@ -46,6 +44,7 @@ OBJECTIVE_MODES = ("auto", "exact", "sampled")
 
 _GRAM_CAP = 2048  # n above which the trainer streams kernel values
 _SAMPLE_CHUNK = 4096  # per-chunk RNG draws; fixed so streams are reproducible
+_BLOCK_STEPS = 64  # steps per block above _GRAM_CAP; fixed, so is every sum's order
 _AUTO_EXACT_EDGES = 100_000
 
 
@@ -110,53 +109,70 @@ class ModelState:
 
 class _Geometry:
     """The step's decision values and kernel entries: read from a cached
-    Gram matrix at small n, otherwise computed from the support rows."""
+    Gram matrix at small n, otherwise computed a block of steps at a time.
+
+    Above ``_GRAM_CAP`` the trainer hands each chunk's sampled targets to
+    ``plan`` before the chunk's first step. Every ``_BLOCK_STEPS`` steps the
+    blocked half takes the block's distinct targets P, the decisions at P of
+    the nonzero coefficients outside P (one slabbed ``block_decisions`` pass)
+    and the kernel K_P among P. A step's decisions are then
+    scale * (base + K_P u[P]) at its rows of P, and its entries are read from
+    K_P. This relies on one invariant: between ``plan`` and the end of a
+    block, u changes only at that block's targets, and the steps ask for
+    their decisions in the planned order, each followed by its entries.
+    """
 
     def __init__(self, dataset: Dataset, kernel: KernelSpec):
         self.kernel = kernel
         self.X, self.sq = dataset.dense()
-        n = dataset.n
-        if n <= _GRAM_CAP:
+        if dataset.n <= _GRAM_CAP:
             d2 = gram_sq_dists(self.X, self.sq)
             self.K = kernel_matrix_from_sq_dists(kernel, d2, out=d2)
         else:
             self.K = None
-            # rows of nonzero coefficients, gathered contiguously in the order
-            # they turn nonzero; a step changes only its targets' coefficients,
-            # so decisions() learns new rows from the previous step's targets
-            self._sup = np.empty(n, dtype=np.int64)
-            self._sup_rows = np.empty_like(self.X)
-            self._sup_sq = np.empty(n)
-            self._in_sup = np.zeros(n, dtype=bool)
-            self._nsup = 0
-            self._last: list[int] = []
+
+    def plan(self, lab_idx: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> None:
+        """The targets (i, a, b) of a chunk's steps, in order; a no-op on the
+        Gram half."""
+        if self.K is None:
+            self._targets = np.stack([lab_idx, eu, ev], axis=1)  # steps not yet in a block
+            self._rows: list[list[int]] = []  # the current block's steps, as rows of P
+            self._step = 0  # steps of the current block asked for so far
+
+    def _start_block(self, u: np.ndarray) -> None:
+        block = self._targets[:_BLOCK_STEPS]
+        self._targets = self._targets[_BLOCK_STEPS:]
+        P, rows = np.unique(block, return_inverse=True)
+        self._rows = rows.reshape(block.shape).tolist()
+        self._step = 0
+        self._P = P
+        outside = u != 0.0
+        outside[P] = False
+        old = np.flatnonzero(outside)
+        X, sq = self.X, self.sq
+        self._base = block_decisions(self.kernel, u[old], X[old], sq[old], X[P], sq[P])
+        d2 = gram_sq_dists(X[P], sq[P])
+        self._KP = kernel_matrix_from_sq_dists(self.kernel, d2, out=d2)
 
     def decisions(self, u: np.ndarray, scale: float, i: int, a: int, b: int) -> list[float]:
         """scale * (u . K[:, t]) for the targets t = i, a, b."""
         K = self.K
         if K is not None:
             return [scale * float(u @ K[i]), scale * float(u @ K[a]), scale * float(u @ K[b])]
-        for t in self._last:
-            if not self._in_sup[t] and u[t] != 0.0:
-                k = self._nsup
-                self._sup[k] = t
-                self._sup_rows[k] = self.X[t]
-                self._sup_sq[k] = self.sq[t]
-                self._in_sup[t] = True
-                self._nsup = k + 1
-        self._last = targets = [i, a, b]
-        k = self._nsup
-        d2 = sq_dist_block(self.X[targets], self.sq[targets], self._sup_rows[:k], self._sup_sq[:k])
-        kvals = kernel_matrix_from_sq_dists(self.kernel, d2, out=d2)
-        return (scale * (kvals @ u[self._sup[:k]])).tolist()
+        if self._step == len(self._rows):
+            self._start_block(u)
+        self._cur = rows = self._rows[self._step]
+        self._step += 1
+        return (scale * (self._base[rows] + self._KP[rows] @ u[self._P])).tolist()
 
     def entries(self, i: int, a: int, b: int) -> list[float]:
         """The kernel entries K(a, b), K(i, a), K(i, b)."""
         K = self.K
         if K is not None:
             return [float(K[a, b]), float(K[i, a]), float(K[i, b])]
-        d2 = sq_dist_pairs(self.X, self.sq, [a, i, i], [b, a, b])
-        return kernel_matrix_from_sq_dists(self.kernel, d2, out=d2).tolist()
+        r_i, r_a, r_b = self._cur
+        K = self._KP
+        return [float(K[r_a, r_b]), float(K[r_i, r_a]), float(K[r_i, r_b])]
 
 
 def train(
@@ -221,9 +237,10 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk_start in range(1, T + 1, _SAMPLE_CHUNK):
             chunk = min(_SAMPLE_CHUNK, T + 1 - chunk_start)
-            lab_idx = rng.integers(0, l, size=chunk).tolist()
+            lab_idx = rng.integers(0, l, size=chunk)
             eu, ev, ew = graph.sample_batch(rng, chunk)
-            eu, ev, ew = eu.tolist(), ev.tolist(), ew.tolist()
+            geom.plan(lab_idx, eu, ev)
+            lab_idx, eu, ev, ew = lab_idx.tolist(), eu.tolist(), ev.tolist(), ew.tolist()
 
             for j in range(chunk):
                 t = chunk_start + j

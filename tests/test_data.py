@@ -224,3 +224,14 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, gkm.cli; sys.exit('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(gkm.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_import_leaves_scipy_special_and_linalg_unloaded():
+    """Importing scipy.special or scipy.linalg made a cold `import gkm.cli`
+    about three times slower; the functions that need them import them."""
+    code = (
+        "import sys, gkm.cli; "
+        "sys.exit('scipy.special' in sys.modules or 'scipy.linalg' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gkm.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

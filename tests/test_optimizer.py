@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from gkm.kernel import KernelSpec, SparseVector, gram_sq_dists, kernel_matrix_fr
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_value, lp_value
 from gkm.optimizer import (
+    Diagnostics,
     ModelState,
     TrainConfig,
     decision_values,
@@ -123,7 +124,7 @@ class TestTrainBasics:
         with pytest.raises(ValueError, match=r"endpoints must lie in \[0, 3\)"):
             ExplicitEdges([0, 1], [1, 7], [0.5, 0.5], n=3)
 
-    def test_divergent_config_raises_nonfinite(self, small_problem):
+    def test_divergent_config_raises_nonfinite(self, small_problem, monkeypatch):
         hidden, _, graph = small_problem
         # wildly uncertified: p = 3 with a huge C' blows up |o|^2 growth
         cfg = TrainConfig(
@@ -134,8 +135,13 @@ class TestTrainBasics:
             T=5000,
             seed=1,
         )
-        with pytest.raises(NonFiniteStateError):
-            train(hidden, graph, cfg, KERNEL)
+        messages = []  # both halves of the geometry fail at the same step
+        for gram_cap in (optimizer_mod._GRAM_CAP, 0):
+            monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
+            with pytest.raises(NonFiniteStateError, match="at step") as err:
+                train(hidden, graph, cfg, KERNEL)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     def test_default_iterations_rule(self):
         assert default_iterations(4000) == 4000
@@ -213,15 +219,30 @@ class TestDeterminismAndPaths:
 
     def test_streaming_path_matches_gram_path(self, small_problem, monkeypatch):
         hidden, _, graph = small_problem
-        cfg = hinge_cfg(T=400, seed=5, diagnostics_every=1)
-        m_gram, d_gram = train(hidden, graph, cfg, KERNEL)
+        # the long run ends mid-block in its second sampling chunk
+        long_T = optimizer_mod._SAMPLE_CHUNK + optimizer_mod._BLOCK_STEPS + 13
+        gram_cap = optimizer_mod._GRAM_CAP
+        for T in (400, long_T):
+            cfg = hinge_cfg(T=T, seed=5, diagnostics_every=1)
+            monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
+            m_gram, d_gram = train(hidden, graph, cfg, KERNEL)
+            monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", 0)
+            m_str, d_str = train(hidden, graph, cfg, KERNEL)
+            assert np.allclose(m_gram.beta, m_str.beta, rtol=1e-10, atol=1e-14)
+            assert np.allclose(d_gram.trace_norm_w, d_str.trace_norm_w, rtol=1e-9, atol=1e-12)
+            for d in (d_gram, d_str):  # traced at every step: the maxima are the trace's
+                assert d.max_norm_w == np.max(d.trace_norm_w)
+                assert d.max_norm_g == np.max(d.trace_norm_g)
+
+    def test_streaming_repeat_is_bit_identical(self, small_problem, monkeypatch):
+        hidden, _, graph = small_problem
         monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", 0)
-        m_str, d_str = train(hidden, graph, cfg, KERNEL)
-        assert np.allclose(m_gram.beta, m_str.beta, rtol=1e-10, atol=1e-14)
-        assert np.allclose(d_gram.trace_norm_w, d_str.trace_norm_w, rtol=1e-9, atol=1e-12)
-        for d in (d_gram, d_str):  # traced at every step: the maxima are the trace's
-            assert d.max_norm_w == np.max(d.trace_norm_w)
-            assert d.max_norm_g == np.max(d.trace_norm_g)
+        cfg = hinge_cfg(T=optimizer_mod._SAMPLE_CHUNK + 100, seed=9, diagnostics_every=500)
+        m1, d1 = train(hidden, graph, cfg, KERNEL)
+        m2, d2 = train(hidden, graph, cfg, KERNEL)
+        assert np.array_equal(m1.beta, m2.beta)
+        for field in fields(Diagnostics):
+            assert np.array_equal(getattr(d1, field.name), getattr(d2, field.name)), field.name
 
 
 class TestGeometry:
@@ -236,11 +257,22 @@ class TestGeometry:
         assert (geom.K is None) == (gram_cap == 0)
         K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
         n, kxx, scale = hidden.n, kernel.sigma_f**2, 0.7
-        # every index as i, with i == a, i == b and three distinct targets
+        # every index as i, with i == a, i == b, a == b, three distinct
+        # targets and one triple twice in a row; each index's triples stay
+        # near it, so a block's targets leave out indices whose coefficients
+        # earlier blocks made nonzero
         triples = [
             t for i in range(n)
-            for t in ((i, i, (i + 1) % n), (i, (i + 3) % n, i), (i, (i + 1) % n, (i + 5) % n))
+            for t in 3 * [
+                (i, i, (i + 1) % n),
+                (i, (i + 2) % n, i),
+                (i, (i + 1) % n, (i + 1) % n),
+                (i, (i + 1) % n, (i + 2) % n),
+                (i, (i + 1) % n, (i + 2) % n),
+            ]
         ]
+        assert len(triples) > 2 * optimizer_mod._BLOCK_STEPS
+        geom.plan(*np.array(triples).T)
         rng = np.random.default_rng(0)
         u = np.zeros(n)
         for i, a, b in triples:
@@ -248,6 +280,7 @@ class TestGeometry:
             np.testing.assert_allclose(geom.decisions(u, scale, i, a, b), want, rtol=1e-12, atol=0)
             k_ab, k_ia, k_ib = geom.entries(i, a, b)
             np.testing.assert_allclose([k_ab, k_ia, k_ib], [K[a, b], K[i, a], K[i, b]], rtol=1e-12)
+            assert k_ab == kxx if a == b else k_ab < kxx
             assert k_ia == kxx if i == a else k_ia < kxx
             assert k_ib == kxx if i == b else k_ib < kxx
             # as in a step, only the targets' coefficients change; positive
