@@ -108,9 +108,17 @@ def dense_rows(points: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
 def sq_dist_block(XA: np.ndarray, sqA: np.ndarray, XB: np.ndarray, sqB: np.ndarray, out=None):
     """Squared distances (sqA + sqB) - 2 XA XB^T between the rows of XA and
     XB, in that order, clamped at 0; into ``out`` when given. Passing one
-    array as both XA and XB keeps numpy's symmetric (syrk) product."""
-    d2 = np.add(sqA[:, None], sqB[None, :], out=out)
-    d2 -= 2.0 * (XA @ XB.T)
+    array as both XA and XB keeps numpy's symmetric (syrk) product.
+
+    The product is formed in the result and scaled by -2 there (exact); the
+    norm sums are added in row slabs of at most SLAB_BYTES, so the only
+    temporary beyond the result is one slab, and each entry is rounded as
+    in the one-shot formula."""
+    d2 = np.matmul(XA, XB.T, out=out)
+    d2 *= -2.0
+    step = max(1, SLAB_BYTES // (8 * max(d2.shape[1], 1)))
+    for r in range(0, d2.shape[0], step):
+        d2[r : r + step] += sqA[r : r + step, None] + sqB[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 

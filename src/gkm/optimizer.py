@@ -111,6 +111,11 @@ class _Geometry:
     """The step's decision values and kernel entries: read from a cached
     Gram matrix at small n, otherwise computed a block of steps at a time.
 
+    The Gram half keeps the Gram's rows as a list of views, ``K_rows``,
+    built once: a decision is one BLAS dot ``u.dot(K_rows[i])`` and an
+    entry one ``K_rows[a].item(b)``, which spares each step numpy's matmul
+    dispatch and per-call row views.
+
     Above ``_GRAM_CAP`` the trainer hands each chunk's sampled targets to
     ``plan`` before the chunk's first step. Every ``_BLOCK_STEPS`` steps the
     blocked half takes the block's distinct targets P, the decisions at P of
@@ -128,8 +133,9 @@ class _Geometry:
         if dataset.n <= _GRAM_CAP:
             d2 = gram_sq_dists(self.X, self.sq)
             self.K = kernel_matrix_from_sq_dists(kernel, d2, out=d2)
+            self.K_rows: list[np.ndarray] | None = list(self.K)
         else:
-            self.K = None
+            self.K = self.K_rows = None
 
     def plan(self, lab_idx: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> None:
         """The targets (i, a, b) of a chunk's steps, in order; a no-op on the
@@ -156,9 +162,13 @@ class _Geometry:
 
     def decisions(self, u: np.ndarray, scale: float, i: int, a: int, b: int) -> list[float]:
         """scale * (u . K[:, t]) for the targets t = i, a, b."""
-        K = self.K
-        if K is not None:
-            return [scale * float(u @ K[i]), scale * float(u @ K[a]), scale * float(u @ K[b])]
+        K_rows = self.K_rows
+        if K_rows is not None:
+            return [
+                scale * float(u.dot(K_rows[i])),
+                scale * float(u.dot(K_rows[a])),
+                scale * float(u.dot(K_rows[b])),
+            ]
         if self._step == len(self._rows):
             self._start_block(u)
         self._cur = rows = self._rows[self._step]
@@ -167,9 +177,9 @@ class _Geometry:
 
     def entries(self, i: int, a: int, b: int) -> list[float]:
         """The kernel entries K(a, b), K(i, a), K(i, b)."""
-        K = self.K
-        if K is not None:
-            return [float(K[a, b]), float(K[i, a]), float(K[i, b])]
+        K_rows = self.K_rows
+        if K_rows is not None:
+            return [K_rows[a].item(b), K_rows[i].item(a), K_rows[i].item(b)]
         r_i, r_a, r_b = self._cur
         K = self._KP
         return [float(K[r_a, r_b]), float(K[r_i, r_a]), float(K[r_i, r_b])]
@@ -215,7 +225,7 @@ def train(
     kxx = kernel.sigma_f**2
 
     u = np.zeros(n)
-    v = np.zeros(n)
+    v = [0.0] * n  # read only at trace points and at the end, so a list
     s = 1.0  # scale of u: w_t = s u (u = 0 until step 1)
     Q = 0.0
     nw2 = 0.0  # ||w_t||^2, tracked incrementally
@@ -231,6 +241,7 @@ def train(
     iterates: list[np.ndarray] | None = [] if record_iterates else None
 
     isfinite = math.isfinite
+    decisions, entries = geom.decisions, geom.entries
     t = 0
     # overflow of a divergent configuration is detected by the finiteness
     # checks below; keep numpy quiet on the way there
@@ -246,7 +257,7 @@ def train(
                 t = chunk_start + j
                 i, a, b, mu = lab_idx[j], eu[j], ev[j], ew[j]
 
-                o_i, o_a, o_b = geom.decisions(u, s, i, a, b)
+                o_i, o_a, o_b = decisions(u, s, i, a, b)
                 o_e = o_a - o_b
                 sl = loss_grad(o_i, labels[i])
                 sp = lp_grad(o_e)
@@ -257,7 +268,7 @@ def train(
 
                 dl = C * sl
                 de = Cp * mu * sp
-                k_ab, k_ia, k_ib = geom.entries(i, a, b)
+                k_ab, k_ia, k_ib = entries(i, a, b)
                 wdelta = dl * o_i + de * o_e
                 dd2 = (
                     dl * dl * kxx
@@ -292,11 +303,11 @@ def train(
                     iterates.append(u * s)
 
                 if every is not None and (t % every == 0 or t == T):
-                    bar = s * (Q * u - v)
+                    bar = s * (Q * u - np.array(v))
                     j_avg = _objective_core(bar, dataset, trace_graph, config, kernel, diag_rng)
                     trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
-    beta = s * (Q * u - v)
+    beta = s * (Q * u - np.array(v))
     state = ModelState(
         kernel=kernel,
         points=dataset.points,

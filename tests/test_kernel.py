@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,17 @@ class TestBlockPrimitives:
         got = gram_sq_dists(X, sq)
         assert np.array_equal(got, old)
         assert np.array_equal(got, got.T)
+
+    def test_gram_build_holds_one_gram_plus_slabs(self):
+        rng = np.random.default_rng(5)
+        X, sq = self.rows(rng, 1024)
+        tracemalloc.start()
+        try:
+            d2 = gram_sq_dists(X, sq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= d2.nbytes + 2 * SLAB_BYTES
 
     def test_in_place_kernel_equals_allocating_kernel(self):
         rng = np.random.default_rng(4)

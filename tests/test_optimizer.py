@@ -248,20 +248,13 @@ class TestDeterminismAndPaths:
 class TestGeometry:
     """Both halves of the step's geometry pinned to the dense Gram."""
 
-    @pytest.mark.parametrize("gram_cap", [optimizer_mod._GRAM_CAP, 0])
-    def test_halves_match_dense_gram(self, small_problem, monkeypatch, gram_cap):
-        hidden, _, _ = small_problem
-        kernel = KernelSpec(1.3, 0.9)
-        monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
-        geom = optimizer_mod._Geometry(hidden, kernel)
-        assert (geom.K is None) == (gram_cap == 0)
-        K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
-        n, kxx, scale = hidden.n, kernel.sigma_f**2, 0.7
-        # every index as i, with i == a, i == b, a == b, three distinct
-        # targets and one triple twice in a row; each index's triples stay
-        # near it, so a block's targets leave out indices whose coefficients
-        # earlier blocks made nonzero
-        triples = [
+    @staticmethod
+    def triples(n):
+        """Every index as i, with i == a, i == b, a == b, three distinct
+        targets and one triple twice in a row; each index's triples stay
+        near it, so a block's targets leave out indices whose coefficients
+        earlier blocks made nonzero."""
+        return [
             t for i in range(n)
             for t in 3 * [
                 (i, i, (i + 1) % n),
@@ -271,6 +264,17 @@ class TestGeometry:
                 (i, (i + 1) % n, (i + 2) % n),
             ]
         ]
+
+    @pytest.mark.parametrize("gram_cap", [optimizer_mod._GRAM_CAP, 0])
+    def test_halves_match_dense_gram(self, small_problem, monkeypatch, gram_cap):
+        hidden, _, _ = small_problem
+        kernel = KernelSpec(1.3, 0.9)
+        monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
+        geom = optimizer_mod._Geometry(hidden, kernel)
+        assert (geom.K is None) == (gram_cap == 0)
+        K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
+        n, kxx, scale = hidden.n, kernel.sigma_f**2, 0.7
+        triples = self.triples(n)
         assert len(triples) > 2 * optimizer_mod._BLOCK_STEPS
         geom.plan(*np.array(triples).T)
         rng = np.random.default_rng(0)
@@ -286,6 +290,23 @@ class TestGeometry:
             # as in a step, only the targets' coefficients change; positive
             # increments keep the decision sums free of cancellation
             u[[i, a, b]] += rng.uniform(0.5, 1.5, size=3)
+
+    def test_gram_half_is_bit_exact_to_its_reference(self, small_problem):
+        """The Gram half's row-view reads give the very floats of the plain
+        numpy expressions on the cached Gram, not merely close ones."""
+        hidden, _, _ = small_problem
+        geom = optimizer_mod._Geometry(hidden, KernelSpec(1.3, 0.9))
+        K = geom.K
+        assert K is not None
+        rng = np.random.default_rng(1)
+        scale = 0.7
+        for i, a, b in self.triples(hidden.n):
+            u = rng.standard_normal(hidden.n)
+            assert np.all(u != 0.0)
+            assert geom.decisions(u, scale, i, a, b) == [
+                scale * float(u @ K[i]), scale * float(u @ K[a]), scale * float(u @ K[b])
+            ]
+            assert geom.entries(i, a, b) == [float(K[a, b]), float(K[i, a]), float(K[i, b])]
 
 
 class TestNormTracking:
