@@ -20,6 +20,7 @@ recording their maxima on every run affordable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,6 +66,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.C > 0 and self.C_prime > 0):
             raise ValueError("C and C_prime must be positive")
+        for name in ("T", "objective_samples", "diagnostics_every"):
+            value = getattr(self, name)
+            if value is None and name == "diagnostics_every":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer's + 1 can wrap
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.objective_mode not in OBJECTIVE_MODES:
@@ -242,7 +250,7 @@ def train(
 
     isfinite = math.isfinite
     decisions, entries = geom.decisions, geom.entries
-    t = 0
+    uw = memoryview(u)  # u's own memory: a write adds the double, unboxed
     # overflow of a divergent configuration is detected by the finiteness
     # checks below; keep numpy quiet on the way there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,11 +260,18 @@ def train(
             eu, ev, ew = graph.sample_batch(rng, chunk)
             geom.plan(lab_idx, eu, ev)
             lab_idx, eu, ev, ew = lab_idx.tolist(), eu.tolist(), ev.tolist(), ew.tolist()
+            # the chunk's step schedule: numpy's float64 + - * / round as
+            # Python's do, so each value is the float the step would compute
+            ts = np.arange(chunk_start, chunk_start + chunk, dtype=np.float64)
+            etas = (2.0 / (ts + 1.0)).tolist()  # eta_t = 2/(t+1) = t s_t
+            cs = ((ts - 1.0) / (ts + 1.0)).tolist()
+            scales = (2.0 / (ts * (ts + 1.0))).tolist()  # s_t = 2/(t(t+1))
+            neg_ts = (-ts).tolist()
+            steps = range(chunk_start, chunk_start + chunk)
 
-            for j in range(chunk):
-                t = chunk_start + j
-                i, a, b, mu = lab_idx[j], eu[j], ev[j], ew[j]
-
+            for t, i, a, b, mu, eta, c, s_t, neg_t in zip(
+                steps, lab_idx, eu, ev, ew, etas, cs, scales, neg_ts
+            ):
                 o_i, o_a, o_b = decisions(u, s, i, a, b)
                 o_e = o_a - o_b
                 sl = loss_grad(o_i, labels[i])
@@ -277,27 +292,27 @@ def train(
                 )
                 g2 = nw2 + 2.0 * wdelta + dd2
 
-                eta = 2.0 / (t + 1.0)
-                c = (t - 1.0) / (t + 1.0)
-                nw2 = max(c * c * nw2 - 2.0 * c * eta * wdelta + eta * eta * dd2, 0.0)
+                nw2 = c * c * nw2 - 2.0 * c * eta * wdelta + eta * eta * dd2
+                if nw2 < 0.0:
+                    nw2 = 0.0
                 if nw2 > max_nw2:
                     max_nw2 = nw2
                 if g2 > max_g2:
                     max_g2 = g2
 
                 # w_{t+1} = s u_t: the product of the contractions; eta / s = t
-                s = 2.0 / (t * (t + 1.0))
+                s = s_t
                 if dl != 0.0:
-                    e_i = -t * dl
+                    e_i = neg_t * dl
                     v[i] += e_i * Q
-                    u[i] += e_i
+                    uw[i] += e_i
                 if de != 0.0:
-                    e_a = -t * de
+                    e_a = neg_t * de
                     v[a] += e_a * Q
-                    u[a] += e_a
+                    uw[a] += e_a
                     v[b] -= e_a * Q
-                    u[b] -= e_a
-                Q += 2.0 / (t + 1.0)  # t s_t
+                    uw[b] -= e_a
+                Q += eta  # t s_t
 
                 if iterates is not None:
                     iterates.append(u * s)

@@ -18,7 +18,7 @@ from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
 from gkm.harness import solve_reference_optimum
 from gkm.kernel import KernelSpec, SparseVector, gram_sq_dists, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
-from gkm.losses import LossSpec, SmoothnessSpec, loss_value, lp_value
+from gkm.losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
 from gkm.optimizer import (
     Diagnostics,
     ModelState,
@@ -162,6 +162,18 @@ class TestTrainBasics:
         with pytest.raises(ValueError):
             TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=1,
                         objective_mode="bogus")
+        for field, bad in [
+            ("T", 2.5), ("T", True), ("T", np.float64(3.0)),
+            ("objective_samples", 2.5), ("objective_samples", False),
+            ("diagnostics_every", 2.5), ("diagnostics_every", True),
+        ]:
+            kw = {"T": 1, field: bad}
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, **kw)
+        cfg = TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=np.uint8(255),
+                          objective_samples=np.int32(7), diagnostics_every=np.int64(5))
+        assert (cfg.T, cfg.objective_samples, cfg.diagnostics_every) == (255, 7, 5)
+        assert type(cfg.T) is int  # T + 1 must not wrap in uint8
 
 
 class TestAveragingIdentity:
@@ -243,6 +255,90 @@ class TestDeterminismAndPaths:
         assert np.array_equal(m1.beta, m2.beta)
         for field in fields(Diagnostics):
             assert np.array_equal(getattr(d1, field.name), getattr(d2, field.name)), field.name
+
+
+def literal_gram_train(dataset, graph, config, kernel):
+    """train()'s Gram half as a plain step loop: the trainer's draws, one
+    numpy decision and kernel read at a time, and the step's arithmetic
+    written out. Returns beta, the iterates, ||w_t|| and ||g_t|| per step
+    and their maxima."""
+    main_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
+    rng = np.random.default_rng(main_ss)
+    K = optimizer_mod._Geometry(dataset, kernel).K
+    loss_grad, lp_grad = loss_slope(config.loss), lp_slope(config.smoothness)
+    y = dataset.labels.astype(np.float64)
+    kxx = kernel.sigma_f**2
+    u, v = np.zeros(dataset.n), np.zeros(dataset.n)
+    s, Q, nw2, max_nw2, max_g2 = 1.0, 0.0, 0.0, 0.0, 0.0
+    iterates, norms = [], []
+    chunk_size = optimizer_mod._SAMPLE_CHUNK
+    for chunk_start in range(1, config.T + 1, chunk_size):
+        chunk = min(chunk_size, config.T + 1 - chunk_start)
+        lab_idx = rng.integers(0, dataset.labeled_count, size=chunk)
+        eu, ev, ew = graph.sample_batch(rng, chunk)
+        for j in range(chunk):
+            t = chunk_start + j
+            i, a, b, mu = int(lab_idx[j]), int(eu[j]), int(ev[j]), float(ew[j])
+            o_i = s * float(u @ K[i])
+            o_e = s * float(u @ K[a]) - s * float(u @ K[b])
+            dl = config.C * loss_grad(o_i, float(y[i]))
+            de = config.C_prime * mu * lp_grad(o_e)
+            wdelta = dl * o_i + de * o_e
+            dd2 = (
+                dl * dl * kxx
+                + de * de * (2.0 * kxx - 2.0 * float(K[a, b]))
+                + 2.0 * dl * de * (float(K[i, a]) - float(K[i, b]))
+            )
+            g2 = nw2 + 2.0 * wdelta + dd2
+            eta = 2.0 / (t + 1.0)
+            c = (t - 1.0) / (t + 1.0)
+            nw2 = max(c * c * nw2 - 2.0 * c * eta * wdelta + eta * eta * dd2, 0.0)
+            max_nw2, max_g2 = max(max_nw2, nw2), max(max_g2, g2)
+            s = 2.0 / (t * (t + 1.0))
+            if dl != 0.0:
+                e = -t * dl
+                v[i] += e * Q
+                u[i] += e
+            if de != 0.0:
+                e = -t * de
+                v[a] += e * Q
+                u[a] += e
+                v[b] -= e * Q
+                u[b] -= e
+            Q += 2.0 / (t + 1.0)
+            iterates.append(u * s)
+            norms.append((math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
+    return s * (Q * u - v), iterates, norms, math.sqrt(max_nw2), math.sqrt(max_g2)
+
+
+class TestLiteralStepLoop:
+    @pytest.mark.parametrize(
+        "loss,p", [("hinge", 2.0), ("logistic", 1.5), ("smooth-hinge", 2.0)]
+    )
+    def test_train_is_bit_identical_to_the_literal_loop(self, small_problem, loss, p):
+        """Past one sampling chunk, train() gives the very floats of the
+        step written out plainly: its per-chunk schedule and in-place
+        coefficient writes change no bit. The traced norms pin the
+        contraction (t-1)/(t+1), which only the norm tracking reads."""
+        hidden, _, graph = small_problem
+        cfg = TrainConfig(
+            C=2.0, C_prime=0.3, loss=LossSpec(loss), smoothness=SmoothnessSpec(p),
+            T=optimizer_mod._SAMPLE_CHUNK + 77, seed=6, diagnostics_every=97,
+        )
+        model, diag = train(hidden, graph, cfg, KERNEL, record_iterates=True)
+        beta, iterates, norms, max_norm_w, max_norm_g = literal_gram_train(
+            hidden, graph, cfg, KERNEL
+        )
+        assert np.any(beta != 0.0)
+        assert np.array_equal(model.beta, beta)
+        assert len(diag.iterates) == len(iterates) == cfg.T
+        assert all(np.array_equal(x, y) for x, y in zip(diag.iterates, iterates))
+        assert diag.max_norm_w == max_norm_w
+        assert diag.max_norm_g == max_norm_g
+        traced = [norms[t - 1] for t in diag.trace_t]
+        assert diag.trace_t[-1] == cfg.T and len(traced) == cfg.T // 97 + 1
+        assert diag.trace_norm_w.tolist() == [w for w, _ in traced]
+        assert diag.trace_norm_g.tolist() == [g for _, g in traced]
 
 
 class TestGeometry:
