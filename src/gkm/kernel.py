@@ -7,6 +7,10 @@ what the convergence machinery in :mod:`gkm.bounds` leans on (R = sigma_f).
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -145,18 +149,109 @@ def gram_sq_dists(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; all of the machine's where affinity is
+    unknown (macOS)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _blas_threads(cpus: int) -> int:
+    """The BLAS thread count the environment pins: the positive integer in
+    OPENBLAS_NUM_THREADS, else in OMP_NUM_THREADS, else all CPUs, which is
+    OpenBLAS's own default."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isascii() and value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _slab_workers(slabs: int) -> int:
+    """Workers for ``slabs`` slabs: one per group of as many CPUs as BLAS
+    has threads, so workers x BLAS threads never exceed the CPUs, and one
+    where BLAS already uses every CPU."""
+    cpus = _cpu_count()
+    return max(1, min(slabs, cpus // _blas_threads(cpus)))
+
+
+_POOL: ThreadPoolExecutor | None = None  # made by the first pooled call
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(thread_name_prefix="gkm-slab")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = None  # a forked child has none of the pool's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
     """coefs @ K(S, T) for support rows XS and target rows XT, over slabs of
-    T of at most SLAB_BYTES built in one reused buffer: memory is O(slab)
-    beyond the inputs."""
+    T of at most SLAB_BYTES: memory is O(workers x slab) beyond the inputs.
+
+    With BLAS pinned (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS) to fewer
+    threads than there are CPUs, the slabs are spread over the calling
+    thread plus threads of one module-level pool, one worker per group of
+    as many CPUs as BLAS has threads, each with its own buffer. A slab's
+    operations are the same whichever worker claims it, so every decision
+    is bit for bit the serial loop's. With neither variable set, or one
+    slab, the loop runs in the calling thread alone, as it always did."""
     k, m = XS.shape[0], XT.shape[0]
     width = max(1, SLAB_BYTES // (8 * max(k, 1)))
-    buf = np.empty(k * min(width, m))
+    starts = range(0, m, width)
+    workers = _slab_workers(len(starts))
+    # the caller makes every worker's buffer: made in the workers' own
+    # threads, they raised peak RSS by more than their size
+    bufs = np.empty((workers, k * min(width, m)))
     out = np.empty(m)
-    for start in range(0, m, width):
-        stop = min(start + width, m)
-        block = buf[: k * (stop - start)].reshape(k, stop - start)
-        sq_dist_block(XS, sqS, XT[start:stop], sqT[start:stop], out=block)
-        kernel_matrix_from_sq_dists(spec, block, out=block)
-        out[start:stop] = coefs @ block
+
+    def run(buf: np.ndarray, claim) -> None:
+        for start in claim:
+            stop = min(start + width, m)
+            block = buf[: k * (stop - start)].reshape(k, stop - start)
+            sq_dist_block(XS, sqS, XT[start:stop], sqT[start:stop], out=block)
+            kernel_matrix_from_sq_dists(spec, block, out=block)
+            out[start:stop] = coefs @ block
+
+    if workers == 1:
+        run(bufs[0], starts)
+        return out
+
+    lock, todo = threading.Lock(), iter(starts)
+
+    def claim():
+        while True:
+            with lock:
+                start = next(todo, None)
+            if start is None:
+                return
+            yield start
+
+    err = np.geterr()  # numpy 1 keeps errstate per thread, numpy 2 in the context
+
+    def work(buf: np.ndarray) -> None:
+        with np.errstate(**err):
+            run(buf, claim())
+
+    pool = _pool()
+    futures = [pool.submit(contextvars.copy_context().run, work, buf) for buf in bufs[1:]]
+    try:
+        run(bufs[0], claim())
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()  # a worker's exception is raised here
     return out

@@ -66,7 +66,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.C > 0 and self.C_prime > 0):
             raise ValueError("C and C_prime must be positive")
-        for name in ("T", "objective_samples", "diagnostics_every"):
+        for name in ("T", "seed", "objective_samples", "diagnostics_every"):
             value = getattr(self, name)
             if value is None and name == "diagnostics_every":
                 continue
@@ -75,6 +75,8 @@ class TrainConfig:
             object.__setattr__(self, name, int(value))  # a numpy integer's + 1 can wrap
         if self.T < 1:
             raise ValueError("T must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"objective_mode must be one of {OBJECTIVE_MODES}")
         if self.objective_samples < 1:

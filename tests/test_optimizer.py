@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gkm import graph as graph_mod
+from gkm import kernel as kernel_mod
 from gkm import optimizer as optimizer_mod
 from gkm.bounds import compute_bounds
 from gkm.data import Dataset, hide_labels, synth_two_gaussians
@@ -170,10 +171,17 @@ class TestTrainBasics:
             kw = {"T": 1, field: bad}
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, **kw)
+        for bad in (2.5, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=1, seed=bad)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=1, seed=-1)
         cfg = TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=np.uint8(255),
-                          objective_samples=np.int32(7), diagnostics_every=np.int64(5))
-        assert (cfg.T, cfg.objective_samples, cfg.diagnostics_every) == (255, 7, 5)
+                          seed=np.uint8(3), objective_samples=np.int32(7),
+                          diagnostics_every=np.int64(5))
+        assert (cfg.T, cfg.seed, cfg.objective_samples, cfg.diagnostics_every) == (255, 3, 7, 5)
         assert type(cfg.T) is int  # T + 1 must not wrap in uint8
+        assert type(cfg.seed) is int
 
 
 class TestAveragingIdentity:
@@ -255,6 +263,37 @@ class TestDeterminismAndPaths:
         assert np.array_equal(m1.beta, m2.beta)
         for field in fields(Diagnostics):
             assert np.array_equal(getattr(d1, field.name), getattr(d2, field.name)), field.name
+
+
+class TestPooledKernelBlocks:
+    """train() with its kernel blocks spread over two workers (BLAS pinned to
+    one thread on two CPUs) is bit for bit the single-worker run."""
+
+    def test_two_workers_train_bit_identical(self, monkeypatch):
+        full = synth_two_gaussians(optimizer_mod._GRAM_CAP + 52, 5, 3.0, seed=11)
+        hidden, _ = hide_labels(full, 0.8, seed=11)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        cfg = hinge_cfg(T=1600, seed=3, diagnostics_every=400)  # sampled trace J
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        used = []  # the worker count of every block_decisions call
+        slab_workers = kernel_mod._slab_workers
+
+        def counted(slabs):
+            used.append(slab_workers(slabs))
+            return used[-1]
+
+        monkeypatch.setattr(kernel_mod, "_slab_workers", counted)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: cpus)
+            used.clear()
+            runs.append(train(hidden, graph, cfg, KERNEL))
+            assert max(used) == cpus
+        (m1, d1), (m2, d2) = runs
+        assert np.array_equal(m1.beta, m2.beta)
+        assert np.array_equal(d1.trace_t, d2.trace_t)
+        assert np.array_equal(d1.trace_j_avg, d2.trace_j_avg)
+        assert d1.max_norm_w == d2.max_norm_w and d1.max_norm_g == d2.max_norm_g
 
 
 def literal_gram_train(dataset, graph, config, kernel):
@@ -706,6 +745,14 @@ class TestModelFile:
         ):
             path.write_text(older)
             assert np.array_equal(decision_values(load_model(path), truth.points), expected)
+
+    def test_numpy_integer_seed_round_trips(self, small_problem, tmp_path):
+        hidden, _, graph = small_problem
+        model, _ = train(hidden, graph, hinge_cfg(T=50, seed=np.uint8(3)), KERNEL)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert " seed 3 " in path.read_text()
+        assert load_model(path).config.seed == 3
 
     def test_byte_identical_for_identical_runs(self, small_problem, tmp_path):
         hidden, _, graph = small_problem
