@@ -7,10 +7,6 @@ what the convergence machinery in :mod:`gkm.bounds` leans on (R = sigma_f).
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,13 +68,22 @@ def kernel_matrix_from_sq_dists(spec: KernelSpec, d2, out=None):
     when given, which may be ``d2`` itself."""
     k = np.divide(d2, -2.0 * spec.sigma_l**2, out=out)
     k = np.exp(k, out=out)
-    return np.multiply(k, spec.sigma_f**2, out=out)
+    scale = spec.sigma_f**2
+    if scale == 1.0:
+        return k  # x * 1.0 is x: the pass would change no bit
+    return np.multiply(k, scale, out=out)
 
 
 # Bytes of one support x targets slab in block_decisions. Slabs that stay in
 # a core's L2 cache ran fastest: 1-4 MB timed alike on a Xeon with 2 MB of
 # L2 per core.
 SLAB_BYTES = 2 << 20
+
+# Bytes of the rows that sq_dist_block carries through its elementwise passes
+# at once. With their norm sums they stay in L2 from pass to pass: on a
+# 4200 x 62 slab, 256 KB and 512 KB chunks ran alike and ~15% faster than
+# passes over the whole slab, which spill to L3.
+_PASS_BYTES = 256 << 10
 
 
 _SCATTER_ROWS = 1024  # rows filled per step in dense_rows; bounds its index temporaries
@@ -109,21 +114,40 @@ def dense_rows(points: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
     return X, np.einsum("ij,ij->i", X, X)
 
 
-def sq_dist_block(XA: np.ndarray, sqA: np.ndarray, XB: np.ndarray, sqB: np.ndarray, out=None):
+def sq_dist_block(
+    XA: np.ndarray,
+    sqA: np.ndarray,
+    XB: np.ndarray,
+    sqB: np.ndarray,
+    out=None,
+    spec: KernelSpec | None = None,
+):
     """Squared distances (sqA + sqB) - 2 XA XB^T between the rows of XA and
     XB, in that order, clamped at 0; into ``out`` when given. Passing one
-    array as both XA and XB keeps numpy's symmetric (syrk) product.
+    array as both XA and XB keeps numpy's symmetric (syrk) product. With a
+    KernelSpec ``spec``, the result is instead the kernel block
+    kernel_matrix_from_sq_dists(spec, d2), bit for bit.
 
-    The product is formed in the result and scaled by -2 there (exact); the
-    norm sums are added in row slabs of at most SLAB_BYTES, so the only
-    temporary beyond the result is one slab, and each entry is rounded as
-    in the one-shot formula."""
+    The product is formed in the result. Then, _PASS_BYTES of rows at a time
+    while they stay in cache, it is scaled by -2 (exact), the norm sums
+    sqA[i] + sqB[j] are added, the sum is clamped at 0 and, with ``spec``,
+    turned into kernel values. Every pass is elementwise, so each entry is
+    rounded as in the one-shot formula; the only temporary beyond the result
+    is one chunk of norm sums."""
     d2 = np.matmul(XA, XB.T, out=out)
-    d2 *= -2.0
-    step = max(1, SLAB_BYTES // (8 * max(d2.shape[1], 1)))
+    step = max(1, _PASS_BYTES // (8 * max(d2.shape[1], 1)))
+    sums = np.empty(min(step, d2.shape[0]) * d2.shape[1])
     for r in range(0, d2.shape[0], step):
-        d2[r : r + step] += sqA[r : r + step, None] + sqB[None, :]
-    return np.maximum(d2, 0.0, out=d2)
+        rows = d2[r : r + step]
+        norms = sums[: rows.size].reshape(rows.shape)
+        np.copyto(norms, sqA[r : r + step, None])  # a two-operand broadcast add: ~2x slower
+        norms += sqB
+        rows *= -2.0
+        rows += norms
+        np.maximum(rows, 0.0, out=rows)
+        if spec is not None:
+            kernel_matrix_from_sq_dists(spec, rows, out=rows)
+    return d2
 
 
 def sq_dist_pairs(X: np.ndarray, sq: np.ndarray, us, vs) -> np.ndarray:
@@ -149,109 +173,18 @@ def gram_sq_dists(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; all of the machine's where affinity is
-    unknown (macOS)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _blas_threads(cpus: int) -> int:
-    """The BLAS thread count the environment pins: the positive integer in
-    OPENBLAS_NUM_THREADS, else in OMP_NUM_THREADS, else all CPUs, which is
-    OpenBLAS's own default."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isascii() and value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
-
-
-def _slab_workers(slabs: int) -> int:
-    """Workers for ``slabs`` slabs: one per group of as many CPUs as BLAS
-    has threads, so workers x BLAS threads never exceed the CPUs, and one
-    where BLAS already uses every CPU."""
-    cpus = _cpu_count()
-    return max(1, min(slabs, cpus // _blas_threads(cpus)))
-
-
-_POOL: ThreadPoolExecutor | None = None  # made by the first pooled call
-_POOL_LOCK = threading.Lock()
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(thread_name_prefix="gkm-slab")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    global _POOL
-    _POOL = None  # a forked child has none of the pool's threads
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
     """coefs @ K(S, T) for support rows XS and target rows XT, over slabs of
-    T of at most SLAB_BYTES: memory is O(workers x slab) beyond the inputs.
-
-    With BLAS pinned (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS) to fewer
-    threads than there are CPUs, the slabs are spread over the calling
-    thread plus threads of one module-level pool, one worker per group of
-    as many CPUs as BLAS has threads, each with its own buffer. A slab's
-    operations are the same whichever worker claims it, so every decision
-    is bit for bit the serial loop's. With neither variable set, or one
-    slab, the loop runs in the calling thread alone, as it always did."""
+    T of at most SLAB_BYTES built in one reused buffer: memory is O(slab)
+    beyond the inputs. It runs in the calling thread; BLAS threads, as the
+    environment sets them, serve the slab's product."""
     k, m = XS.shape[0], XT.shape[0]
     width = max(1, SLAB_BYTES // (8 * max(k, 1)))
-    starts = range(0, m, width)
-    workers = _slab_workers(len(starts))
-    # the caller makes every worker's buffer: made in the workers' own
-    # threads, they raised peak RSS by more than their size
-    bufs = np.empty((workers, k * min(width, m)))
+    buf = np.empty(k * min(width, m))
     out = np.empty(m)
-
-    def run(buf: np.ndarray, claim) -> None:
-        for start in claim:
-            stop = min(start + width, m)
-            block = buf[: k * (stop - start)].reshape(k, stop - start)
-            sq_dist_block(XS, sqS, XT[start:stop], sqT[start:stop], out=block)
-            kernel_matrix_from_sq_dists(spec, block, out=block)
-            out[start:stop] = coefs @ block
-
-    if workers == 1:
-        run(bufs[0], starts)
-        return out
-
-    lock, todo = threading.Lock(), iter(starts)
-
-    def claim():
-        while True:
-            with lock:
-                start = next(todo, None)
-            if start is None:
-                return
-            yield start
-
-    err = np.geterr()  # numpy 1 keeps errstate per thread, numpy 2 in the context
-
-    def work(buf: np.ndarray) -> None:
-        with np.errstate(**err):
-            run(buf, claim())
-
-    pool = _pool()
-    futures = [pool.submit(contextvars.copy_context().run, work, buf) for buf in bufs[1:]]
-    try:
-        run(bufs[0], claim())
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()  # a worker's exception is raised here
+    for start in range(0, m, width):
+        stop = min(start + width, m)
+        block = buf[: k * (stop - start)].reshape(k, stop - start)
+        sq_dist_block(XS, sqS, XT[start:stop], sqT[start:stop], out=block, spec=spec)
+        out[start:stop] = coefs @ block
     return out

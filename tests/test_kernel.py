@@ -1,10 +1,5 @@
 import math
-import os
-import signal
-import sys
-import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -280,8 +275,10 @@ class TestBlockPrimitives:
 
     def test_in_place_kernel_equals_allocating_kernel(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
+        for i in range(200):
             spec = KernelSpec(rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0))
+            if i == 0:
+                spec = KernelSpec(1.0, spec.sigma_l)  # the sigma_f^2 multiply is skipped
             d2 = rng.exponential(rng.uniform(0.1, 50.0), 1000)
             d2[:3] = 0.0
             want = spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2))
@@ -309,123 +306,63 @@ class TestBlockPrimitives:
         got = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
         assert np.allclose(got, one_shot, rtol=1e-12, atol=0.0)
 
+    @staticmethod
+    def literal_kernel(spec, d2):
+        return spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2))
 
-def pin_blas(monkeypatch, cpus):
-    """One BLAS thread on ``cpus`` CPUs: block_decisions uses ``cpus`` workers."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: cpus)
+    @pytest.mark.parametrize("shape", [(1000, 500), (37, 53), (3, 90_000), (0, 5), (5, 0)])
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    def test_kernel_block_equals_distances_then_kernel(self, shape, sigma_f):
+        spec = KernelSpec(sigma_f=sigma_f, sigma_l=2.1)
+        rng = np.random.default_rng(6)
+        XA = 30.0 * rng.standard_normal((shape[0], 7))
+        XB = 30.0 * rng.standard_normal((shape[1], 7))
+        shared = min(shape) // 2
+        XB[:shared] = XA[:shared]  # targets that are support rows, as in the objective
+        sqA, sqB = np.einsum("ij,ij->i", XA, XA), np.einsum("ij,ij->i", XB, XB)
+        raw = sqA[:, None] + sqB[None, :] - 2.0 * (XA @ XB.T)
+        assert shared < 10 or (raw < 0.0).any()  # the clamp is exercised
+        want = self.literal_kernel(spec, self.old_block(XA, sqA, XB, sqB))
+        out = np.empty(shape)
+        assert sq_dist_block(XA, sqA, XB, sqB, out=out, spec=spec) is out
+        assert np.array_equal(out, want)
+        d2 = sq_dist_block(XA, sqA, XB, sqB)
+        assert np.array_equal(kernel_matrix_from_sq_dists(spec, d2), want)
 
-
-class TestPooledSlabs:
-    """block_decisions on several workers against the serial loop."""
-
-    SPEC = KernelSpec(sigma_f=1.3, sigma_l=0.9)
     K = 300
-    WIDTH = SLAB_BYTES // (8 * K)  # targets per slab
+    WIDTH = SLAB_BYTES // (8 * K)  # targets per slab of block_decisions
 
-    def problem(self, m, seed=0):
+    def slab_problem(self, m, seed=0):
         rng = np.random.default_rng(seed)
-        XS, XT = rng.standard_normal((self.K, 9)), rng.standard_normal((m, 9))
-        c = rng.standard_normal(self.K)
-        return c, XS, np.einsum("ij,ij->i", XS, XS), XT, np.einsum("ij,ij->i", XT, XT)
+        XS, sqS = self.rows(rng, self.K, dim=9)
+        XT, sqT = self.rows(rng, m, dim=9)
+        return rng.standard_normal(self.K), XS, sqS, XT, sqT
+
+    def literal_decisions(self, spec, c, XS, sqS, XT, sqT):
+        """block_decisions as a plain loop over slabs of the same width."""
+        width = SLAB_BYTES // (8 * XS.shape[0])
+        out = np.empty(XT.shape[0])
+        for s in range(0, XT.shape[0], width):
+            d2 = self.old_block(XS, sqS, XT[s : s + width], sqT[s : s + width])
+            out[s : s + width] = c @ self.literal_kernel(spec, d2)
+        return out
 
     @pytest.mark.parametrize(
         "m", [7 * WIDTH + 5, WIDTH + 1, WIDTH - 17, 23 * WIDTH], ids=["tail", "width+1", "one", "many"]
     )
-    def test_workers_are_bit_identical_to_one(self, monkeypatch, m):
-        args = self.problem(m)
-        pin_blas(monkeypatch, 1)
-        serial = block_decisions(self.SPEC, *args)
-        for workers in (2, 3):
-            pin_blas(monkeypatch, workers)
-            assert np.array_equal(block_decisions(self.SPEC, *args), serial), workers
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    def test_decisions_equal_the_literal_slab_loop(self, m, sigma_f):
+        spec = KernelSpec(sigma_f=sigma_f, sigma_l=0.9)
+        args = self.slab_problem(m)
+        assert self.K // (kernel_mod._PASS_BYTES // (8 * self.WIDTH)) >= 3  # several passes a slab
+        assert np.array_equal(block_decisions(spec, *args), self.literal_decisions(spec, *args))
 
-    def test_many_workers_under_fast_switching(self, monkeypatch):
-        args = self.problem(23 * self.WIDTH, seed=1)
-        pin_blas(monkeypatch, 1)
-        serial = block_decisions(self.SPEC, *args)
-        pin_blas(monkeypatch, 8)  # more workers than CPUs, switching threads often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def test_decisions_hold_one_slab_and_one_pass_chunk(self):
+        c, XS, sqS, XT, sqT = self.slab_problem(23 * self.WIDTH, seed=1)
+        tracemalloc.start()
         try:
-            for _ in range(5):
-                assert np.array_equal(block_decisions(self.SPEC, *args), serial)
+            out = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize(
-        "env, cpus, workers",
-        [
-            ({}, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
-            ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
-            ({"OMP_NUM_THREADS": "1"}, 2, 2),
-            ({"OMP_NUM_THREADS": "4,2"}, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
-            ({"OPENBLAS_NUM_THREADS": "\u00b2"}, 2, 1),  # a digit int() rejects
-            ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
-        ],
-    )
-    def test_worker_count_rule(self, monkeypatch, env, cpus, workers):
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: cpus)
-        assert kernel_mod._slab_workers(100) == workers
-        assert kernel_mod._slab_workers(1) == 1  # one slab runs inline
-        assert kernel_mod._slab_workers(0) == 1
-
-    def test_no_pool_unless_blas_is_pinned(self, monkeypatch):
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(kernel_mod, "_POOL", None)
-        block_decisions(self.SPEC, *self.problem(23 * self.WIDTH))
-        assert kernel_mod._POOL is None
-
-    def test_workers_keep_the_callers_errstate(self, monkeypatch):
-        c, XS, sqS, XT, sqT = self.problem(23 * self.WIDTH)
-        c[0] = np.inf  # inf * 0 in every decision: invalid
-        narrow = KernelSpec(sigma_f=1.3, sigma_l=1e-160)  # d2 / (-2 sigma_l^2) overflows
-        pin_blas(monkeypatch, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = block_decisions(narrow, c, XS, sqS, XT, sqT)
-        assert np.isnan(got).all()
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        pin_blas(monkeypatch, 2)
-        caller = threading.get_ident()
-        worker_ran = threading.Event()
-        real = kernel_mod.kernel_matrix_from_sq_dists
-
-        def failing_in_workers(spec, d2, out=None):
-            if threading.get_ident() == caller:
-                worker_ran.wait(timeout=30)  # leaves a slab for a worker to claim
-                return real(spec, d2, out=out)
-            worker_ran.set()
-            raise RuntimeError("slab failed in a worker")
-
-        monkeypatch.setattr(kernel_mod, "kernel_matrix_from_sq_dists", failing_in_workers)
-        with pytest.raises(RuntimeError, match="slab failed in a worker"):
-            block_decisions(self.SPEC, *self.problem(23 * self.WIDTH))
-        assert worker_ran.is_set()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_a_pool_of_its_own(self, monkeypatch):
-        pin_blas(monkeypatch, 2)
-        args = self.problem(23 * self.WIDTH)
-        want = block_decisions(self.SPEC, *args)  # the pool and its thread exist now
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-            pid = os.fork()
-        if pid == 0:  # the child has no pool thread; a stale pool would hang it
-            signal.alarm(30)
-            os._exit(0 if np.array_equal(block_decisions(self.SPEC, *args), want) else 1)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+            tracemalloc.stop()
+        assert peak <= SLAB_BYTES + kernel_mod._PASS_BYTES + out.nbytes + (64 << 10)

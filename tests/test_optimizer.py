@@ -265,31 +265,32 @@ class TestDeterminismAndPaths:
             assert np.array_equal(getattr(d1, field.name), getattr(d2, field.name)), field.name
 
 
-class TestPooledKernelBlocks:
-    """train() with its kernel blocks spread over two workers (BLAS pinned to
-    one thread on two CPUs) is bit for bit the single-worker run."""
+class TestStreamingKernelBlocks:
+    """train() past _GRAM_CAP is bit for bit the same with block_decisions
+    replaced by a plain slab loop: one-shot distances, then the kernel."""
 
-    def test_two_workers_train_bit_identical(self, monkeypatch):
+    def test_train_bit_identical_to_literal_slab_loop(self, monkeypatch):
         full = synth_two_gaussians(optimizer_mod._GRAM_CAP + 52, 5, 3.0, seed=11)
         hidden, _ = hide_labels(full, 0.8, seed=11)
         graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
         cfg = hinge_cfg(T=1600, seed=3, diagnostics_every=400)  # sampled trace J
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        used = []  # the worker count of every block_decisions call
-        slab_workers = kernel_mod._slab_workers
+        calls = []
 
-        def counted(slabs):
-            used.append(slab_workers(slabs))
-            return used[-1]
+        def literal(spec, coefs, XS, sqS, XT, sqT):
+            calls.append(XT.shape[0])
+            width = max(1, kernel_mod.SLAB_BYTES // (8 * max(XS.shape[0], 1)))
+            out = np.empty(XT.shape[0])
+            for s in range(0, XT.shape[0], width):
+                d2 = sqS[:, None] + sqT[None, s : s + width] - 2.0 * (XS @ XT[s : s + width].T)
+                np.maximum(d2, 0.0, out=d2)
+                K = spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2))
+                out[s : s + width] = coefs @ K
+            return out
 
-        monkeypatch.setattr(kernel_mod, "_slab_workers", counted)
-        runs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: cpus)
-            used.clear()
-            runs.append(train(hidden, graph, cfg, KERNEL))
-            assert max(used) == cpus
-        (m1, d1), (m2, d2) = runs
+        m1, d1 = train(hidden, graph, cfg, KERNEL)
+        monkeypatch.setattr(optimizer_mod, "block_decisions", literal)
+        m2, d2 = train(hidden, graph, cfg, KERNEL)
+        assert len(calls) > 10 and max(calls) > 1000  # step blocks and the sampled objectives
         assert np.array_equal(m1.beta, m2.beta)
         assert np.array_equal(d1.trace_t, d2.trace_t)
         assert np.array_equal(d1.trace_j_avg, d2.trace_j_avg)
