@@ -93,11 +93,27 @@ def dense_rows(points: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
     """Dense (X, squared row norms) of sparse vectors with one column per
     feature index that occurs, in increasing order, so memory follows the
     distinct indices, not the largest one. Distances are unchanged: a column
-    no vector uses adds only zeros."""
-    idx = np.concatenate([p.indices for p in points] + [np.empty(0, dtype=np.int64)])
+    no vector uses adds only zeros.
+
+    Beyond X and the norms, memory is the scan of all indices for the
+    columns, freed before X is allocated, and the temporaries of one
+    _SCATTER_ROWS chunk of rows."""
+    n = len(points)
+    if not n:
+        return np.zeros((0, 0)), np.zeros(0)
+    indices = [p.indices for p in points]
+    values = [p.values for p in points]
+    idx = np.concatenate(indices)
     top = int(idx.max(initial=0))
-    # compact indices (every dense input): an occupancy table no larger than
-    # the input, much faster than np.unique
+    # full rows (every dense input): a row's indices rise from 1, so it has
+    # at most top of them, and n * top of them means each row is 1..top.
+    # X is then the values in row order, the only allocation.
+    if idx.size == n * top:
+        del idx, indices
+        X = np.concatenate(values).reshape(n, top)
+        return X, np.einsum("ij,ij->i", X, X)
+    # compact indices: an occupancy table no larger than the input, much
+    # faster than np.unique
     if top <= idx.size:
         occupied = np.zeros(top + 1, dtype=bool)
         occupied[idx] = True
@@ -105,12 +121,19 @@ def dense_rows(points: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
     else:
         cols = np.unique(idx)
     del idx  # freed before X is allocated: peak memory stays near X alone
-    X = np.zeros((len(points), cols.size))
-    for start in range(0, len(points), _SCATTER_ROWS):
-        chunk = points[start : start + _SCATTER_ROWS]
-        rows = np.repeat(np.arange(start, start + len(chunk)), [p.indices.size for p in chunk])
-        pos = np.searchsorted(cols, np.concatenate([p.indices for p in chunk]))
-        X[rows, pos] = np.concatenate([p.values for p in chunk])
+    width = cols.size
+    X = np.zeros((n, width))
+    flat = X.reshape(-1)  # a view: X is C-contiguous
+    for start in range(0, n, _SCATTER_ROWS):
+        stop = min(start + _SCATTER_ROWS, n)
+        chunk = indices[start:stop]
+        pos = np.concatenate(chunk)
+        if width == top:  # every index 1..top occurs: its column is index - 1
+            pos -= 1
+        else:
+            pos = np.searchsorted(cols, pos)
+        pos += np.repeat(np.arange(start * width, stop * width, width), [a.size for a in chunk])
+        flat[pos] = np.concatenate(values[start:stop])
     return X, np.einsum("ij,ij->i", X, X)
 
 
@@ -177,7 +200,9 @@ def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
     """coefs @ K(S, T) for support rows XS and target rows XT, over slabs of
     T of at most SLAB_BYTES built in one reused buffer: memory is O(slab)
     beyond the inputs. It runs in the calling thread; BLAS threads, as the
-    environment sets them, serve the slab's product."""
+    environment sets them, serve the slab's product. The product's last bits
+    can depend on that thread count, so the decisions are reproducible for
+    a fixed BLAS library and thread count only."""
     k, m = XS.shape[0], XT.shape[0]
     width = max(1, SLAB_BYTES // (8 * max(k, 1)))
     buf = np.empty(k * min(width, m))

@@ -64,8 +64,10 @@ class TrainConfig:
     objective_samples: int = 10_000
 
     def __post_init__(self):
-        if not (self.C > 0 and self.C_prime > 0):
-            raise ValueError("C and C_prime must be positive")
+        for name in ("C", "C_prime"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("T", "seed", "objective_samples", "diagnostics_every"):
             value = getattr(self, name)
             if value is None and name == "diagnostics_every":

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkm import kernel as kernel_mod
+from gkm.data import separation_for_bayes_accuracy, synth_two_gaussians
 from gkm.kernel import (
     SLAB_BYTES,
     KernelSpec,
@@ -101,6 +102,106 @@ class TestSparseVector:
         assert np.array_equal(X, [[0.5, 0.0, -2.0], [0.5, 0.0, -2.0]])
         assert squared_distance(v, w) == 0.0
         assert block_sq_dist(v, w) == 0.0
+
+
+def reference_dense_rows(points):
+    """dense_rows written plainly: the distinct indices as columns, then one
+    row assignment per point."""
+    cols = np.unique(np.concatenate([p.indices for p in points] + [np.empty(0, dtype=np.int64)]))
+    column = {c: j for j, c in enumerate(cols.tolist())}
+    X = np.zeros((len(points), cols.size))
+    for r, p in enumerate(points):
+        X[r, [column[i] for i in p.indices.tolist()]] = p.values
+    return X, np.einsum("ij,ij->i", X, X)
+
+
+def random_rows(rng, n, dim, k):
+    """n rows of k distinct indices drawn from 1..dim."""
+    return [
+        SparseVector(np.sort(rng.choice(dim, size=k, replace=False)) + 1, rng.standard_normal(k))
+        for _ in range(n)
+    ]
+
+
+class TestDenseRows:
+    """dense_rows pinned bit for bit to reference_dense_rows on each of its
+    branches: full rows reshaped, the scatter at compact columns, at columns
+    with a gap (occupancy table) and at a huge index (np.unique)."""
+
+    N = 2 * kernel_mod._SCATTER_ROWS + 300  # the scatter spans three chunks
+    CASES = [
+        "full", "one-row-missing-an-index", "index-gap", "sparse", "huge-index",
+        "empty-rows", "only-empty-rows", "single-point", "single-point-with-gap", "no-points",
+    ]
+
+    def full(self):
+        return list(synth_two_gaussians(self.N, 50, 3.0, seed=1).points)
+
+    def inputs(self):
+        rng = np.random.default_rng(0)
+        full = self.full()
+        missing = SparseVector(np.r_[1:30, 31:51], rng.standard_normal(49))
+        return {
+            "full": full,
+            "one-row-missing-an-index": full[:1500] + [missing] + full[1500:],
+            "index-gap": [
+                SparseVector(np.r_[1:30, 40:60], rng.standard_normal(49)) for _ in range(self.N)
+            ],
+            "sparse": random_rows(rng, self.N, 500, 20),
+            "huge-index": random_rows(rng, self.N, 500, 20) + [sv((3, 1.0), (10**15, -2.0))],
+            "empty-rows": [sv(), sv((2, 1.5)), sv(), sv((1, -0.0), (2, 3.0))],
+            "only-empty-rows": [sv(), sv()],
+            "single-point": [sv((1, 0.5), (2, -1.0), (3, 2.0))],
+            "single-point-with-gap": [sv((2, 0.5), (7, -1.0))],
+            "no-points": [],
+        }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_the_reference(self, name):
+        inputs = self.inputs()
+        assert list(inputs) == self.CASES
+        points = inputs[name]
+        X, sq = dense_rows(points)
+        want_X, want_sq = reference_dense_rows(points)
+        assert X.dtype == sq.dtype == np.float64
+        assert X.shape == want_X.shape and sq.shape == want_sq.shape
+        assert np.array_equal(X, want_X) and np.array_equal(sq, want_sq)
+        assert np.array_equal(np.signbit(X), np.signbit(want_X))  # -0.0 kept
+
+    def test_stream_workload_data_equals_the_reference(self):
+        points = synth_two_gaussians(10_000, 50, separation_for_bayes_accuracy(0.95), seed=81).points
+        X, sq = dense_rows(points)
+        want_X, want_sq = reference_dense_rows(points)
+        assert np.array_equal(X, want_X) and np.array_equal(sq, want_sq)
+
+    @staticmethod
+    def traced_peak(points):
+        dense_rows(points)  # the first np.unique call keeps ~1 MB of state for good
+        tracemalloc.start()
+        try:
+            X, sq = dense_rows(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - X.nbytes - sq.nbytes
+
+    def test_full_rows_allocate_only_x_and_norms(self):
+        points = self.full()
+        row_lists = 2 * 8 * len(points)  # the rows' index and value arrays, collected once
+        assert self.traced_peak(points) <= row_lists + (8 << 10)
+
+    @pytest.mark.parametrize("name", ["one-row-missing-an-index", "index-gap", "huge-index"])
+    def test_scatter_holds_x_and_one_chunk(self, name):
+        """Beyond X and its norms, the scatter holds two arrays of one chunk's
+        entries (positions and values). The column scan before X is smaller
+        than X on these inputs."""
+        points = self.inputs()[name]
+        chunk = max(
+            sum(p.indices.size for p in points[s : s + kernel_mod._SCATTER_ROWS])
+            for s in range(0, len(points), kernel_mod._SCATTER_ROWS)
+        )
+        row_lists = 2 * 8 * len(points)
+        assert self.traced_peak(points) <= 2 * 8 * chunk + row_lists + (64 << 10)
 
 
 class TestSquaredDistance:

@@ -160,6 +160,11 @@ class TestTrainBasics:
             TrainConfig(C=math.nan, C_prime=0.05, loss=loss, smoothness=p, T=1)
         with pytest.raises(ValueError):
             TrainConfig(C=1.0, C_prime=math.nan, loss=loss, smoothness=p, T=1)
+        for field in ("C", "C_prime"):
+            for bad in (math.inf, -math.inf, np.float64(math.inf)):
+                kw = {"C": 1.0, "C_prime": 0.05, field: bad}
+                with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+                    TrainConfig(loss=loss, smoothness=p, T=1, **kw)
         with pytest.raises(ValueError):
             TrainConfig(C=1.0, C_prime=0.05, loss=loss, smoothness=p, T=1,
                         objective_mode="bogus")
@@ -360,14 +365,23 @@ class TestLiteralStepLoop:
         step written out plainly: its per-chunk schedule and in-place
         coefficient writes change no bit. The traced norms pin the
         contraction (t-1)/(t+1), which only the norm tracking reads."""
+        self.check(small_problem, loss, p, KERNEL)
+
+    def test_kernel_scale_factors_are_pinned(self, small_problem):
+        """At sigma_f != 1, K(x, x) = sigma_f^2 != 1: the kxx factors of
+        ||g_t||^2 and of the norm update count, which kxx = 1 hides."""
+        self.check(small_problem, "hinge", 2.0, KernelSpec(1.3, 0.9))
+
+    @staticmethod
+    def check(small_problem, loss, p, kernel):
         hidden, _, graph = small_problem
         cfg = TrainConfig(
             C=2.0, C_prime=0.3, loss=LossSpec(loss), smoothness=SmoothnessSpec(p),
             T=optimizer_mod._SAMPLE_CHUNK + 77, seed=6, diagnostics_every=97,
         )
-        model, diag = train(hidden, graph, cfg, KERNEL, record_iterates=True)
+        model, diag = train(hidden, graph, cfg, kernel, record_iterates=True)
         beta, iterates, norms, max_norm_w, max_norm_g = literal_gram_train(
-            hidden, graph, cfg, KERNEL
+            hidden, graph, cfg, kernel
         )
         assert np.any(beta != 0.0)
         assert np.array_equal(model.beta, beta)
