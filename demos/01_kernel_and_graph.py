@@ -10,12 +10,10 @@ import gkm
 from gkm.kernel import gram_sq_dists, kernel_matrix_from_sq_dists
 
 spec = gkm.KernelSpec(sigma_f=1.0, sigma_l=1.0)
-a = gkm.SparseVector.from_pairs([(1, 0.0)])
-b = gkm.SparseVector.from_pairs([(1, 1.0)])
-c = gkm.SparseVector.from_pairs([(1, 10.0)])
 
-# three points on a line, the first labeled; the first two are close
-points = (a, b, c)
+# three points on a line, the first labeled; the first two are close:
+# a = 0.0, b = 1.0 and c = 10.0 at feature index 1
+points = gkm.Points.from_rows([[(1, 0.0)], [(1, 1.0)], [(1, 10.0)]])
 dataset = gkm.Dataset(points, np.array([1, 0, 0], dtype=np.int8))
 
 K = kernel_matrix_from_sq_dists(spec, gram_sq_dists(*dataset.dense()))

@@ -14,7 +14,7 @@ from gkm.optimizer import TrainConfig, predict_batch, train
 rng = np.random.default_rng(12)
 X = np.vstack([rng.normal(0.0, 0.4, (15, 2)), rng.normal(3.5, 0.4, (15, 2))])
 labels = np.array([1] * 15 + [-1] * 15, dtype=np.int8)
-points = tuple(gkm.SparseVector.from_dense(row) for row in X)
+points = gkm.Points.from_dense(X)
 
 hidden, truth = gkm.hide_labels(gkm.Dataset(points, labels), 28 / 30, seed=2)
 print(f"n = {hidden.n}, labeled = {hidden.labeled_count}")
@@ -42,6 +42,6 @@ us, vs, ws = graph.enumerate_edges()
 problem = gkm.PropagationProblem(gkm.ExplicitEdges(us, vs, ws, hidden.n), hidden.labels)
 propagated = gkm.threshold_labels(gkm.solve_exact(problem))
 unlabeled = np.arange(hidden.labeled_count, hidden.n)
-model_preds = predict_batch(model, [hidden.points[i] for i in unlabeled])
+model_preds = predict_batch(model, hidden.points[unlabeled])
 agree = np.mean(model_preds == propagated[unlabeled])
 print(f"agreement with the propagation oracle on unlabeled points: {agree:.0%}")

@@ -45,7 +45,7 @@ from .harness import (
     solve_reference_optimum,
     write_trace,
 )
-from .kernel import KernelSpec, SparseVector
+from .kernel import KernelSpec, Points
 from .labelprop import PropagationProblem, solve_exact, threshold_labels
 from .losses import (
     LossSpec,
@@ -78,7 +78,7 @@ __all__ = [
     "build_fully_connected", "build_graph", "build_knn", "read_edges", "write_edges",
     "ConvergenceRun", "EvalReport", "ReferenceSolution", "evaluate",
     "run_convergence_experiment", "solve_reference_optimum", "write_trace",
-    "KernelSpec", "SparseVector", "PropagationProblem", "solve_exact",
+    "KernelSpec", "Points", "PropagationProblem", "solve_exact",
     "threshold_labels", "LossSpec", "SmoothnessSpec", "loss_grad_scalar", "loss_value",
     "lp_grad_scalar", "lp_value", "Diagnostics", "ModelState", "TrainConfig",
     "default_iterations", "hilbert_norm", "load_model", "objective",

@@ -1,4 +1,4 @@
-"""Squared-exponential kernel and the sparse-vector geometry built on it.
+"""Squared-exponential kernel and the sparse-point geometry built on it.
 
 The kernel is K(x, x') = sigma_f^2 * exp(-||x - x'||^2 / (2 sigma_l^2)), so
 every feature vector has norm ||Phi(x)|| = sigma_f. That constant norm is
@@ -8,43 +8,85 @@ what the convergence machinery in :mod:`gkm.bounds` leans on (R = sigma_f).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Sorted sparse vector with 1-based feature indices.
+class Points:
+    """Points as one CSR triple: point r holds the 1-based feature indices
+    ``indices[indptr[r]:indptr[r + 1]]``, strictly increasing, and the
+    ``values`` there; absent indices are zero. The arrays are read-only
+    int64, int64 and float64 copies, validated once (values finite). Keys act
+    as on a sequence: an integer gives a one-row Points of views of its row;
+    slices, index arrays and bool masks gather rows, as whole-row takes when
+    all rows have one size; full rows (each 1..d) share one index array."""
 
-    Indices must be strictly increasing positive integers; absent indices
-    are zero. Instances are immutable and hashable by identity.
-    """
-
+    indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-d arrays of equal length")
-        if idx.size and (idx[0] < 1 or np.any(np.diff(idx) <= 0)):
-            raise ValueError("indices must be strictly increasing and >= 1")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
+        ptr, idx = np.array(self.indptr, np.int64), np.array(self.indices, np.int64)
+        val = np.array(self.values, np.float64)
+        if not (ptr.ndim == idx.ndim == 1 and idx.shape == val.shape and ptr.size
+                and ptr[0] == 0 and ptr[-1] == idx.size and np.all(ptr[1:] >= ptr[:-1])):
+            raise ValueError("indptr must rise from 0 to len(indices), and indices and values "
+                             "be 1-d of equal length")
+        rising, starts = idx[1:] > idx[:-1], ptr[1:-1]
+        rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True  # where a point starts
+        if not rising.all() or idx.min(initial=1) < 1:
+            raise ValueError("indices must be strictly increasing and >= 1 within each point")
+        if not np.isfinite(val).all():
+            raise ValueError("feature values must be finite (no NaN or inf)")
+        _points(ptr, idx, val, self)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        pairs = list(pairs)
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        val = np.array([p[1] for p in pairs], dtype=np.float64)
-        return cls(idx, val)
+    def from_rows(cls, rows: Iterable[Iterable[tuple[int, float]]]) -> "Points":
+        """Points from rows of (index, value) pairs."""
+        rows = [list(row) for row in rows]
+        idx, val = [i for row in rows for i, _ in row], [v for row in rows for _, v in row]
+        return cls(np.cumsum([0] + [len(row) for row in rows]), idx, val)
 
     @classmethod
-    def from_dense(cls, dense: Sequence[float]) -> "SparseVector":
-        arr = np.asarray(dense, dtype=np.float64)
-        return cls(np.arange(1, arr.size + 1, dtype=np.int64), arr.copy())
+    def from_dense(cls, X) -> "Points":
+        """The rows of a 2-d array (1-d: one row), storing every index 1..d."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        n, d = X.shape
+        return cls(np.arange(n + 1) * d, np.tile(np.arange(1, d + 1), n), X.reshape(-1))
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __getitem__(self, key) -> "Points":  # iteration stops at its IndexError
+        if not (isinstance(key, slice) or np.ndim(key)):
+            r = range(len(self))[key]
+            a, b = self.indptr[r : r + 2]
+            return _points(np.array([0, b - a]), self.indices[a:b], self.values[a:b])
+        n, rows = len(self), np.arange(len(self))[key]
+        width = self.indices.size // max(n, 1)
+        if np.array_equal(self.indptr, np.arange(n + 1) * width):  # equal sizes: whole-row takes
+            values = self.values.reshape(n, width)[rows].reshape(-1)
+            if rows.size <= n and self.indices.max(initial=0) == width:  # every row is 1..width
+                indices = self.indices[: rows.size * width]  # the same 1..width rows, shared
+            else:
+                indices = self.indices.reshape(n, width)[rows].reshape(-1)
+            return _points(np.arange(rows.size + 1) * width, indices, values)
+        sizes = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        pos = np.repeat(self.indptr[rows] - indptr[:-1], sizes)
+        pos += np.arange(indptr[-1])
+        return _points(indptr, self.indices.take(pos), self.values.take(pos))
+
+
+def _points(indptr, indices, values, points: Points | None = None) -> Points:
+    """A Points (or ``points``) made read-only over valid arrays: no copy, no check."""
+    points = object.__new__(Points) if points is None else points
+    for name, a in (("indptr", indptr), ("indices", indices), ("values", values)):
+        a.flags.writeable = False
+        object.__setattr__(points, name, a)
+    return points
 
 
 @dataclass(frozen=True)
@@ -89,52 +131,43 @@ _PASS_BYTES = 256 << 10
 _SCATTER_ROWS = 1024  # rows filled per step in dense_rows; bounds its index temporaries
 
 
-def dense_rows(points: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (X, squared row norms) of sparse vectors with one column per
-    feature index that occurs, in increasing order, so memory follows the
-    distinct indices, not the largest one. Distances are unchanged: a column
-    no vector uses adds only zeros.
-
-    Beyond X and the norms, memory is the scan of all indices for the
-    columns, freed before X is allocated, and the temporaries of one
-    _SCATTER_ROWS chunk of rows."""
-    n = len(points)
-    if not n:
-        return np.zeros((0, 0)), np.zeros(0)
-    indices = [p.indices for p in points]
-    values = [p.values for p in points]
-    idx = np.concatenate(indices)
-    top = int(idx.max(initial=0))
-    # full rows (every dense input): a row's indices rise from 1, so it has
-    # at most top of them, and n * top of them means each row is 1..top.
-    # X is then the values in row order, the only allocation.
-    if idx.size == n * top:
-        del idx, indices
-        X = np.concatenate(values).reshape(n, top)
-        return X, np.einsum("ij,ij->i", X, X)
-    # compact indices: an occupancy table no larger than the input, much
-    # faster than np.unique
-    if top <= idx.size:
+def dense_rows(*parts: Points) -> tuple[np.ndarray, ...]:
+    """Dense X and squared row norms of each part in turn, flat: X0, sq0,
+    X1, sq1, ... The parts share one column per feature index that occurs
+    in any of them, in increasing order, so memory follows the distinct
+    indices, not the largest one; a column no point uses adds only zeros.
+    Full rows (each row 1..top: every dense input) make X a read-only
+    reshape of the values. Otherwise a scatter fills X, holding beyond it
+    the scan of all indices for the columns, freed before X is allocated,
+    and the temporaries of one _SCATTER_ROWS chunk of rows."""
+    top = max((int(p.indices.max(initial=0)) for p in parts), default=0)
+    # a row's indices rise from 1, so it has at most top of them, and
+    # n * top of them means each row is 1..top
+    if all(p.indices.size == len(p) * top for p in parts):
+        Xs = [p.values.reshape(len(p), top) for p in parts]
+        return tuple(a for X in Xs for a in (X, np.einsum("ij,ij->i", X, X)))
+    if top <= sum(p.indices.size for p in parts):
+        # compact indices: an occupancy table no larger than the input, much
+        # faster than np.unique
         occupied = np.zeros(top + 1, dtype=bool)
-        occupied[idx] = True
+        for p in parts:
+            occupied[p.indices] = True
         cols = np.flatnonzero(occupied)
     else:
-        cols = np.unique(idx)
-    del idx  # freed before X is allocated: peak memory stays near X alone
-    width = cols.size
-    X = np.zeros((n, width))
-    flat = X.reshape(-1)  # a view: X is C-contiguous
-    for start in range(0, n, _SCATTER_ROWS):
-        stop = min(start + _SCATTER_ROWS, n)
-        chunk = indices[start:stop]
-        pos = np.concatenate(chunk)
-        if width == top:  # every index 1..top occurs: its column is index - 1
-            pos -= 1
-        else:
-            pos = np.searchsorted(cols, pos)
-        pos += np.repeat(np.arange(start * width, stop * width, width), [a.size for a in chunk])
-        flat[pos] = np.concatenate(values[start:stop])
-    return X, np.einsum("ij,ij->i", X, X)
+        cols = np.unique(np.concatenate([p.indices for p in parts]))
+    out, width = [], cols.size
+    for p in parts:
+        X = np.zeros((len(p), width))
+        flat = X.reshape(-1)  # a view: X is C-contiguous
+        for start in range(0, len(p), _SCATTER_ROWS):
+            stop = min(start + _SCATTER_ROWS, len(p))
+            a, b = p.indptr[start], p.indptr[stop]
+            # where every index 1..top occurs, an index's column is index - 1
+            pos = p.indices[a:b] - 1 if width == top else np.searchsorted(cols, p.indices[a:b])
+            pos += np.repeat(np.arange(start, stop) * width, np.diff(p.indptr[start : stop + 1]))
+            flat[pos] = p.values[a:b]
+        out += [X, np.einsum("ij,ij->i", X, X)]
+    return tuple(out)
 
 
 def sq_dist_block(

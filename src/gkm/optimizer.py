@@ -22,17 +22,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .data import RNG_ALGORITHM, Dataset, format_point, parse_float, parse_label, parse_point
+from .data import RNG_ALGORITHM, Dataset, format_points, parse_float, parse_label, parse_point
 from .data import records, write_lines
 from .exceptions import EmptyEdgeSetError, NoLabeledDataError, NonFiniteStateError, ParseError
 from .graph import EdgeSet, ExplicitEdges, check_vertices
 from .kernel import (
     KernelSpec,
-    SparseVector,
+    Points,
     block_decisions,
     dense_rows,
     gram_sq_dists,
@@ -112,7 +111,7 @@ class ModelState:
     decisions."""
 
     kernel: KernelSpec
-    points: tuple[SparseVector, ...]
+    points: Points
     beta: np.ndarray
     config: TrainConfig
     sigma_s: float
@@ -425,17 +424,13 @@ def objective(
     return _objective_core(coefs, dataset, graph, config, kernel, rng)
 
 
-def decision_values(state: ModelState, points: Sequence[SparseVector]) -> np.ndarray:
+def decision_values(state: ModelState, points: Points) -> np.ndarray:
     """Decision function of the model on arbitrary points."""
     sup = np.flatnonzero(state.beta)
-    if sup.size == 0 or len(points) == 0:
-        return np.zeros(len(points))
-    X, sq = dense_rows([state.points[i] for i in sup] + list(points))
-    k = sup.size
-    return block_decisions(state.kernel, state.beta[sup], X[:k], sq[:k], X[k:], sq[k:])
+    return block_decisions(state.kernel, state.beta[sup], *dense_rows(state.points[sup], points))
 
 
-def predict_batch(state: ModelState, points: Sequence[SparseVector]) -> np.ndarray:
+def predict_batch(state: ModelState, points: Points) -> np.ndarray:
     """Thresholded labels: +1 where the decision value is >= 0, else -1."""
     return threshold_labels(decision_values(state, points))
 
@@ -444,7 +439,7 @@ def hilbert_norm(state: ModelState) -> float:
     """RKHS norm of the model (the averaged iterate it predicts with) via the
     kernel quadratic form."""
     sup = np.flatnonzero(state.beta)
-    dec = decision_values(state, [state.points[i] for i in sup])
+    dec = decision_values(state, state.points[sup])
     return math.sqrt(max(float(state.beta[sup] @ dec), 0.0))
 
 
@@ -473,10 +468,8 @@ def save_model(state: ModelState, path) -> None:
         ),
         f"support {sup.size}",
     ]
-    support = (
-        f"{repr(float(state.beta[i]))} {int(labels[i])} {format_point(state.points[i])}".rstrip()
-        for i in sup
-    )
+    rows = zip(state.beta[sup].tolist(), labels[sup].tolist(), format_points(state.points[sup]))
+    support = (f"{beta!r} {label} {point}".rstrip() for beta, label, point in rows)
     write_lines(path, [*header, *support, "end"])
 
 
@@ -533,9 +526,7 @@ def load_model(path) -> ModelState:
         k = int(tok[1])
         if k < 0:
             raise ValueError(f"negative support size {k}")
-        coefs: list[float] = []
-        points: list[SparseVector] = []
-        sup_labels: list[int] = []
+        coefs, sup_labels, rows = [], [], []
         rest = iter(lines[cursor + 1 :])
         for j in range(k):
             at, tok = next(rest, (at + 1, ["end"]))
@@ -543,7 +534,7 @@ def load_model(path) -> ModelState:
                 raise ParseError(f"support section ends after {j} of {k} points", at)
             coefs.append(num(tok[0]))
             sup_labels.append(parse_label(tok[1], at))
-            points.append(parse_point(tok[2:], at))
+            rows.append(parse_point(tok[2:], at))
     except (ValueError, IndexError, KeyError, OverflowError) as exc:
         raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at) from None
     at, tok = next(rest, (at + 1, None))
@@ -552,7 +543,7 @@ def load_model(path) -> ModelState:
 
     return ModelState(
         kernel=kernel,
-        points=tuple(points),
+        points=Points.from_rows(rows),
         beta=np.array(coefs, dtype=np.float64),
         config=config,
         sigma_s=sigma_s,

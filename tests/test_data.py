@@ -18,7 +18,7 @@ from gkm.data import (
     synth_two_gaussians,
 )
 from gkm.exceptions import DegenerateSplitError, InvalidLabelError, ParseError
-from gkm.kernel import SparseVector
+from gkm.kernel import Points
 
 
 class TestLoadLibsvm:
@@ -90,17 +90,17 @@ class TestLoadLibsvm:
 
 class TestDataset:
     def test_ordering_invariant_enforced(self):
-        pts = tuple(SparseVector.from_pairs([(1, float(i))]) for i in range(3))
+        pts = Points.from_rows([(1, float(i))] for i in range(3))
         with pytest.raises(ValueError):
             Dataset(pts, np.array([0, 1, 1], dtype=np.int8))
 
     def test_counts(self):
-        pts = tuple(SparseVector.from_pairs([(1, float(i))]) for i in range(4))
+        pts = Points.from_rows([(1, float(i))] for i in range(4))
         ds = Dataset(pts, np.array([1, -1, 0, 0], dtype=np.int8))
         assert (ds.n, ds.labeled_count, ds.unlabeled_count) == (4, 2, 2)
 
     def test_dense_view(self):
-        pts = (SparseVector.from_pairs([(2, 3.0)]), SparseVector.from_pairs([(1, 1.0)]))
+        pts = Points.from_rows([[(2, 3.0)], [(1, 1.0)]])
         ds = Dataset(pts, np.array([1, -1], dtype=np.int8))
         X, sq = ds.dense()
         assert X.shape == (2, 2)
@@ -108,11 +108,7 @@ class TestDataset:
         assert sq.tolist() == [9.0, 1.0]
 
     def test_dense_view_has_a_column_per_index_that_occurs(self):
-        pts = (
-            SparseVector.from_pairs([(2, 3.0), (10**15, 1.0)]),
-            SparseVector.from_pairs([(1, 1.0)]),
-            SparseVector.from_pairs([]),
-        )
+        pts = Points.from_rows([[(2, 3.0), (10**15, 1.0)], [(1, 1.0)], []])
         X, sq = Dataset(pts, np.array([1, -1, 0], dtype=np.int8)).dense()
         assert X.tolist() == [[0.0, 3.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         assert sq.tolist() == [10.0, 1.0, 0.0]
@@ -154,7 +150,7 @@ class TestHideLabels:
         assert orig == new
 
     def test_degenerate_split_raises(self):
-        pts = tuple(SparseVector.from_pairs([(1, float(i))]) for i in range(4))
+        pts = Points.from_rows([(1, float(i))] for i in range(4))
         ds = Dataset(pts, np.array([1, 1, 1, -1], dtype=np.int8))
         with pytest.raises(DegenerateSplitError):
             apply_mask(ds, [3])  # hides the only -1 point

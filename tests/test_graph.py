@@ -18,17 +18,22 @@ from gkm.graph import (
     read_edges,
     write_edges,
 )
-from gkm.kernel import SLAB_BYTES, SparseVector, gram_sq_dists, sq_dist_pairs
+from gkm.kernel import SLAB_BYTES, Points, dense_rows, gram_sq_dists, sq_dist_pairs
+
+
+def point(*pairs):
+    """One point of (index, value) pairs."""
+    return Points.from_rows([pairs])
 
 
 def line_dataset(coords, labels):
-    pts = tuple(SparseVector.from_pairs([(1, float(c))]) for c in coords)
+    pts = Points.from_rows([(1, float(c))] for c in coords)
     return Dataset(pts, np.array(labels, dtype=np.int8))
 
 
 def random_dataset(n, l, dim, seed):
     rng = np.random.default_rng(seed)
-    pts = tuple(SparseVector.from_dense(row) for row in rng.normal(size=(n, dim)))
+    pts = Points.from_dense(rng.normal(size=(n, dim)))
     labels = np.zeros(n, dtype=np.int8)
     labels[:l] = rng.choice([-1, 1], size=l)
     return Dataset(pts, labels)
@@ -40,19 +45,20 @@ def random_dataset(n, l, dim, seed):
 # edge weight goes through) are pinned to them.
 
 
-def edge_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
+def edge_weight(x_i: Points, x_j: Points, sigma_s: float) -> float:
     """Gaussian edge weight in (0, 1]; equals 1 iff x_i = x_j."""
-    X, _ = Dataset((x_i, x_j), np.zeros(2, dtype=np.int8)).dense()
-    return math.exp(-float(np.sum((X[0] - X[1]) ** 2)) / (2.0 * sigma_s**2))
+    Xi, _, Xj, _ = dense_rows(x_i, x_j)
+    return math.exp(-float(np.sum((Xi[0] - Xj[0]) ** 2)) / (2.0 * sigma_s**2))
 
 
 def gaussian_weights(d2, sigma_s):
     return np.maximum(np.exp(-d2 / (2.0 * sigma_s**2)), np.finfo(np.float64).tiny)
 
 
-def pair_weight(x_i: SparseVector, x_j: SparseVector, sigma_s: float) -> float:
-    ds = Dataset((x_i, x_j), np.zeros(2, dtype=np.int8))
-    return float(gaussian_weights(sq_dist_pairs(*ds.dense(), [0], [1]), sigma_s)[0])
+def pair_weight(x_i: Points, x_j: Points, sigma_s: float) -> float:
+    Xi, sqi, Xj, sqj = dense_rows(x_i, x_j)
+    d2 = sq_dist_pairs(np.vstack([Xi, Xj]), np.concatenate([sqi, sqj]), [0], [1])
+    return float(gaussian_weights(d2, sigma_s)[0])
 
 
 def knn_reference(dataset, k):
@@ -80,20 +86,20 @@ def eps_reference(dataset, epsilon):
 
 class TestEdgeWeight:
     def test_identical_points(self):
-        x = SparseVector.from_pairs([(1, 2.0)])
+        x = point((1, 2.0))
         assert edge_weight(x, x, 1.0) == 1.0
         assert pair_weight(x, x, 1.0) == 1.0
 
     def test_formula_value(self):
         # ||x - y||^2 = 2 sigma_s^2 gives exp(-1)
-        x = SparseVector.from_pairs([(1, 0.0)])
-        y = SparseVector.from_pairs([(1, 2.0)])
+        x = point((1, 0.0))
+        y = point((1, 2.0))
         assert edge_weight(x, y, math.sqrt(2.0)) == pytest.approx(math.exp(-1.0))
         assert pair_weight(x, y, math.sqrt(2.0)) == pytest.approx(math.exp(-1.0))
 
     def test_symmetry(self):
-        x = SparseVector.from_pairs([(1, 0.3), (2, 1.0)])
-        y = SparseVector.from_pairs([(2, -1.0), (3, 0.5)])
+        x = point((1, 0.3), (2, 1.0))
+        y = point((2, -1.0), (3, 0.5))
         assert edge_weight(x, y, 0.7) == edge_weight(y, x, 0.7)
         assert pair_weight(x, y, 0.7) == pair_weight(y, x, 0.7)
         assert pair_weight(x, y, 0.7) == pytest.approx(edge_weight(x, y, 0.7), rel=1e-13)
@@ -209,9 +215,7 @@ GRID_SIDE = 20
 
 def grid_dataset():
     """The integer grid: every distance is exact, with many ties."""
-    pts = tuple(
-        SparseVector.from_dense([float(i), float(j)]) for i in range(GRID_SIDE) for j in range(GRID_SIDE)
-    )
+    pts = Points.from_dense([[float(i), float(j)] for i in range(GRID_SIDE) for j in range(GRID_SIDE)])
     labels = np.zeros(GRID_SIDE**2, dtype=np.int8)
     labels[:30] = 1
     return Dataset(pts, labels)

@@ -3,7 +3,7 @@ import pytest
 
 from gkm.data import Dataset, hide_labels, synth_two_gaussians
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected
-from gkm.kernel import KernelSpec, SparseVector
+from gkm.kernel import KernelSpec, Points
 from gkm.losses import LOSS_KINDS, LossSpec, SmoothnessSpec
 from gkm.optimizer import ModelState, TrainConfig, objective, train
 from gkm.harness import (
@@ -35,7 +35,7 @@ def constant_model(points, value):
     coefs[0] = value
     return ModelState(
         kernel=KERNEL,
-        points=tuple(points),
+        points=points,
         beta=coefs,
         config=cfg_for("hinge", 2.0),
         sigma_s=1.0,
@@ -44,7 +44,7 @@ def constant_model(points, value):
 
 class TestEvaluate:
     def make_truth(self, labels):
-        pts = tuple(SparseVector.from_pairs([(1, 0.1 * i)]) for i in range(len(labels)))
+        pts = Points.from_rows([(1, 0.1 * i)] for i in range(len(labels)))
         return Dataset(pts, np.array(labels, dtype=np.int8))
 
     def test_perfect_predictions(self):
@@ -76,7 +76,7 @@ class TestEvaluate:
         assert rep.accuracy == (rep.tp + rep.tn) / total
 
     def test_requires_full_labels(self):
-        pts = tuple(SparseVector.from_pairs([(1, float(i))]) for i in range(2))
+        pts = Points.from_rows([(1, float(i))] for i in range(2))
         partial = Dataset(pts, np.array([1, 0], dtype=np.int8))
         with pytest.raises(ValueError):
             evaluate(constant_model(pts, 1.0), partial)
@@ -94,8 +94,7 @@ class TestReferenceOptimum:
 
     def test_single_labeled_point_closed_form(self):
         # J(w) = ||w||^2/2 + max(0, 1 - y w.Phi(x)); minimizer y Phi(x), J* = 1/2
-        x = SparseVector.from_pairs([(1, 0.4)])
-        ds = Dataset((x,), np.array([-1], dtype=np.int8))
+        ds = Dataset(Points.from_rows([[(1, 0.4)]]), np.array([-1], dtype=np.int8))
         empty = ExplicitEdges([], [], [], n=1)
         ref = solve_reference_optimum(ds, empty, cfg_for("hinge", 2.0, C=1.0), KERNEL)
         assert ref.j_star == pytest.approx(0.5, abs=1e-6)
@@ -134,9 +133,8 @@ class TestReferenceOptimum:
 
     def test_rejects_unlabeled_dataset(self):
         from gkm.exceptions import NoLabeledDataError
-        from gkm.kernel import SparseVector as SV
 
-        pts = tuple(SV.from_pairs([(1, float(i))]) for i in range(3))
+        pts = Points.from_rows([(1, float(i))] for i in range(3))
         ds = Dataset(pts, np.zeros(3, dtype=np.int8))
         graph = build_fully_connected(ds, GraphSpec("full", 1.0))
         with pytest.raises(NoLabeledDataError):
@@ -162,8 +160,8 @@ class TestReferenceOptimum:
                 assert objective(bumped, hidden, graph, cfg, KERNEL) >= ref.j_star - ref.residual
 
     def test_edge_between_identical_points_is_skipped(self):
-        x, z = SparseVector.from_pairs([(1, 0.3)]), SparseVector.from_pairs([(1, -0.8)])
-        ds = Dataset((x, z, x), np.array([1, -1, 0], dtype=np.int8))
+        x, z = [(1, 0.3)], [(1, -0.8)]
+        ds = Dataset(Points.from_rows([x, z, x]), np.array([1, -1, 0], dtype=np.int8))
         edges = ExplicitEdges([0, 1], [2, 2], [1.0, 0.5], n=3)
         cfg = cfg_for("hinge", 2.0)
         ref = solve_reference_optimum(ds, edges, cfg, KERNEL)

@@ -11,7 +11,7 @@ from gkm.data import separation_for_bayes_accuracy, synth_two_gaussians
 from gkm.kernel import (
     SLAB_BYTES,
     KernelSpec,
-    SparseVector,
+    Points,
     block_decisions,
     dense_rows,
     gram_sq_dists,
@@ -21,7 +21,17 @@ from gkm.kernel import (
 
 
 def sv(*pairs):
-    return SparseVector.from_pairs(pairs)
+    """One point of (index, value) pairs."""
+    return Points.from_rows([pairs])
+
+
+def row(indices, values):
+    return Points([0, len(indices)], indices, values)
+
+
+def stack(*points):
+    """One Points of the rows of one-row Points."""
+    return Points.from_rows(zip(p.indices.tolist(), p.values.tolist()) for p in points)
 
 
 # Literal scalar references, one pair or point at a time. Each test below
@@ -30,7 +40,7 @@ def sv(*pairs):
 # over gram_sq_dists, and block_decisions.
 
 
-def squared_distance(x: SparseVector, y: SparseVector) -> float:
+def squared_distance(x: Points, y: Points) -> float:
     """||x - y||^2 via a merged index walk; exact zero when x is y."""
     if x is y:
         return 0.0
@@ -40,44 +50,42 @@ def squared_distance(x: SparseVector, y: SparseVector) -> float:
     return d2 if d2 > 0.0 else 0.0
 
 
-def eval_kernel(spec: KernelSpec, x: SparseVector, y: SparseVector) -> float:
+def eval_kernel(spec: KernelSpec, x: Points, y: Points) -> float:
     return spec.sigma_f**2 * math.exp(-squared_distance(x, y) / (2.0 * spec.sigma_l**2))
 
 
-def feature_norm(spec: KernelSpec, x: SparseVector) -> float:
+def feature_norm(spec: KernelSpec, x: Points) -> float:
     """||Phi(x)|| = K(x, x)^(1/2) = sigma_f for every x."""
     return spec.sigma_f
 
 
-def decision_value(spec: KernelSpec, coefficients, x: SparseVector) -> float:
+def decision_value(spec: KernelSpec, coefficients, x: Points) -> float:
     return sum(alpha * eval_kernel(spec, xi, x) for xi, alpha in coefficients)
 
 
-def block_sq_dist(x: SparseVector, y: SparseVector) -> float:
-    X, sq = dense_rows([x, y])
-    return float(sq_dist_block(X[:1], sq[:1], X[1:], sq[1:])[0, 0])
+def block_sq_dist(x: Points, y: Points) -> float:
+    return float(sq_dist_block(*dense_rows(x, y))[0, 0])
 
 
-def block_gram(spec: KernelSpec, *points: SparseVector) -> np.ndarray:
-    return kernel_matrix_from_sq_dists(spec, gram_sq_dists(*dense_rows(points)))
+def block_gram(spec: KernelSpec, *points: Points) -> np.ndarray:
+    return kernel_matrix_from_sq_dists(spec, gram_sq_dists(*dense_rows(stack(*points))))
 
 
-def block_kernel(spec: KernelSpec, x: SparseVector, y: SparseVector) -> float:
+def block_kernel(spec: KernelSpec, x: Points, y: Points) -> float:
     return float(block_gram(spec, x, y)[0, 1])
 
 
-def block_feature_norms(spec: KernelSpec, *points: SparseVector) -> np.ndarray:
+def block_feature_norms(spec: KernelSpec, *points: Points) -> np.ndarray:
     return np.sqrt(np.diagonal(block_gram(spec, *points)))
 
 
-def block_decision(spec: KernelSpec, coefficients, x: SparseVector) -> float:
-    X, sq = dense_rows([xi for xi, _ in coefficients] + [x])
+def block_decision(spec: KernelSpec, coefficients, x: Points) -> float:
+    support = stack(*[xi for xi, _ in coefficients])
     coefs = np.array([alpha for _, alpha in coefficients])
-    m = len(coefficients)
-    return float(block_decisions(spec, coefs, X[:m], sq[:m], X[m:], sq[m:])[0])
+    return float(block_decisions(spec, coefs, *dense_rows(support, x))[0])
 
 
-class TestSparseVector:
+class TestPoints:
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
             sv((3, 1.0), (2, 1.0))
@@ -97,11 +105,137 @@ class TestSparseVector:
 
     def test_dense_round_trip(self):
         v = sv((1, 0.5), (3, -2.0))
-        w = SparseVector.from_dense([0.5, 0.0, -2.0])
-        X, _ = dense_rows([v, w])
+        w = Points.from_dense([0.5, 0.0, -2.0])
+        X, _ = dense_rows(stack(v, w))
         assert np.array_equal(X, [[0.5, 0.0, -2.0], [0.5, 0.0, -2.0]])
         assert squared_distance(v, w) == 0.0
         assert block_sq_dist(v, w) == 0.0
+
+    @pytest.mark.parametrize(
+        "indptr, indices, match",
+        [
+            ([0, 2], [3, 2], "strictly increasing"),  # decreasing
+            ([0, 2], [2, 2], "strictly increasing"),  # duplicate
+            ([0, 1, 3], [5, 0, 1], "strictly increasing"),  # index 0 in the second point
+            ([0, 3, 2, 3], [1, 2, 3], "indptr"),  # indptr falls
+            ([1, 3], [1, 2, 3], "indptr"),  # indptr does not start at 0
+            ([0, 2], [1, 2, 3], "indptr"),  # indptr does not end at the entry count
+            ([], [], "indptr"),  # no indptr at all
+        ],
+    )
+    def test_validation_errors(self, indptr, indices, match):
+        with pytest.raises(ValueError, match=match):
+            Points(indptr, indices, np.ones(len(indices)))
+
+    def test_rows_may_restart_their_indices(self):
+        p = Points([0, 2, 2, 4], [3, 9, 1, 2], [1.0, 2.0, 3.0, 4.0])
+        assert [q.indices.tolist() for q in p] == [[3, 9], [], [1, 2]]
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Points([0, 2], [1, 2], [1.0])
+        with pytest.raises(ValueError, match="1-d"):
+            Points([[0, 1]], [1], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        """In memory as in files: a NaN or inf feature fails where the point
+        is built, not as a NaN decision or a non-finite training state."""
+        with pytest.raises(ValueError, match="finite"):
+            Points.from_dense([bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            Points([0, 1], [2], [bad])
+
+    def test_arrays_are_read_only_copies(self):
+        indices, values = np.array([1, 4]), np.array([0.5, -1.0])
+        p = Points([0, 2], indices, values)
+        indices[0], values[0] = 3, 9.0
+        assert p.indices.tolist() == [1, 4] and p.values.tolist() == [0.5, -1.0]
+        assert (p.indptr.dtype, p.indices.dtype, p.values.dtype) == (np.int64, np.int64, np.float64)
+        for a in (p.indptr, p.indices, p.values, p[0].values, p[[0]].values, p[:1].indices):
+            with pytest.raises(ValueError):
+                a[0] = 2
+        with pytest.raises(AttributeError):
+            p.values = values
+
+    def test_dense_view_cannot_write_the_stored_values(self):
+        full = Points.from_dense([[1.0, 2.0], [3.0, 4.0]])
+        X, _ = dense_rows(full)
+        with pytest.raises(ValueError):
+            X[0, 0] = 7.0
+        sparse = Points.from_rows([[(1, 1.0)], [(3, 2.0)]])
+        X, _ = dense_rows(sparse)
+        assert not np.shares_memory(X, sparse.values)
+
+    def test_no_points(self):
+        p = Points.from_rows([])
+        assert len(p) == 0 and list(p) == [] and len(p[:]) == 0 and len(p[np.array([], int)]) == 0
+        with pytest.raises(IndexError):
+            p[0]
+        X, sq = dense_rows(p)
+        assert X.shape == (0, 0) and sq.shape == (0,)
+
+    def test_one_point_and_a_huge_index(self):
+        p = sv((2, 0.5), (10**15, -1.0))
+        assert len(p) == 1 and p[0].indices.tolist() == [2, 10**15] and p[-1].values.tolist() == [0.5, -1.0]
+        with pytest.raises(IndexError):
+            p[1]
+        with pytest.raises(IndexError):
+            p[-2]
+
+    def test_out_of_range_index_arrays_rejected(self):
+        p = Points.from_dense(np.ones((3, 2)))
+        with pytest.raises(IndexError):
+            p[np.array([0, 3])]
+        with pytest.raises(IndexError):
+            p[[-4]]
+        with pytest.raises(IndexError):
+            p[np.array([True, False])]  # a mask of the wrong length
+
+
+POINT_ROWS = st.lists(
+    st.lists(
+        st.tuples(st.integers(1, 40) | st.just(10**15), st.floats(-1e6, 1e6)),
+        max_size=4,
+        unique_by=lambda pair: pair[0],
+    ).map(sorted),
+    max_size=7,
+)
+
+
+def rows_of(points):
+    return [list(zip(p.indices.tolist(), p.values.tolist())) for p in points]
+
+
+@given(rows=POINT_ROWS, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_points_access_matches_a_list_of_rows(rows, data):
+    """len, iteration, integer (negative too), slice, index-array and
+    bool-mask access agree with a plain list of the same rows, on rows of
+    several sizes, of one size (whole-row takes) and full rows."""
+    shape = data.draw(st.sampled_from(["ragged", "one size", "full"]))
+    if shape != "ragged":
+        rows = [row[: min(map(len, rows))] for row in rows]
+    if shape == "full":  # every row 1..d: gathers share one index array
+        rows = [[(j + 1, v) for j, (_, v) in enumerate(row)] for row in rows]
+    p = Points.from_rows(rows)
+    n = len(rows)
+    assert len(p) == n and rows_of(p) == rows
+    i = data.draw(st.integers(-n - 2, n + 1))
+    if -n <= i < n:
+        assert len(p[i]) == 1 and rows_of(p[i]) == [rows[i]]
+    else:
+        with pytest.raises(IndexError):
+            p[i]
+    key = data.draw(st.slices(n + 2))
+    assert rows_of(p[key]) == rows[key]
+    picks = data.draw(st.lists(st.integers(-n, n - 1), max_size=9)) if n else []
+    assert rows_of(p[np.array(picks, dtype=np.int64)]) == [rows[j] for j in picks]
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    got = p[np.array(mask, dtype=bool)]
+    assert rows_of(got) == [r for r, keep in zip(rows, mask) if keep]
+    again = Points(got.indptr, got.indices, got.values)  # a gather is itself valid
+    assert rows_of(again) == rows_of(got)
 
 
 def reference_dense_rows(points):
@@ -118,7 +252,7 @@ def reference_dense_rows(points):
 def random_rows(rng, n, dim, k):
     """n rows of k distinct indices drawn from 1..dim."""
     return [
-        SparseVector(np.sort(rng.choice(dim, size=k, replace=False)) + 1, rng.standard_normal(k))
+        row(np.sort(rng.choice(dim, size=k, replace=False)) + 1, rng.standard_normal(k))
         for _ in range(n)
     ]
 
@@ -135,25 +269,25 @@ class TestDenseRows:
     ]
 
     def full(self):
-        return list(synth_two_gaussians(self.N, 50, 3.0, seed=1).points)
+        return synth_two_gaussians(self.N, 50, 3.0, seed=1).points
 
     def inputs(self):
         rng = np.random.default_rng(0)
         full = self.full()
-        missing = SparseVector(np.r_[1:30, 31:51], rng.standard_normal(49))
+        missing = row(np.r_[1:30, 31:51], rng.standard_normal(49))
         return {
             "full": full,
-            "one-row-missing-an-index": full[:1500] + [missing] + full[1500:],
-            "index-gap": [
-                SparseVector(np.r_[1:30, 40:60], rng.standard_normal(49)) for _ in range(self.N)
-            ],
-            "sparse": random_rows(rng, self.N, 500, 20),
-            "huge-index": random_rows(rng, self.N, 500, 20) + [sv((3, 1.0), (10**15, -2.0))],
-            "empty-rows": [sv(), sv((2, 1.5)), sv(), sv((1, -0.0), (2, 3.0))],
-            "only-empty-rows": [sv(), sv()],
-            "single-point": [sv((1, 0.5), (2, -1.0), (3, 2.0))],
-            "single-point-with-gap": [sv((2, 0.5), (7, -1.0))],
-            "no-points": [],
+            "one-row-missing-an-index": stack(*full[:1500], missing, *full[1500:]),
+            "index-gap": stack(
+                *[row(np.r_[1:30, 40:60], rng.standard_normal(49)) for _ in range(self.N)]
+            ),
+            "sparse": stack(*random_rows(rng, self.N, 500, 20)),
+            "huge-index": stack(*random_rows(rng, self.N, 500, 20), sv((3, 1.0), (10**15, -2.0))),
+            "empty-rows": stack(sv(), sv((2, 1.5)), sv(), sv((1, -0.0), (2, 3.0))),
+            "only-empty-rows": stack(sv(), sv()),
+            "single-point": sv((1, 0.5), (2, -1.0), (3, 2.0)),
+            "single-point-with-gap": sv((2, 0.5), (7, -1.0)),
+            "no-points": stack(),
         }
 
     @pytest.mark.parametrize("name", CASES)
@@ -167,6 +301,21 @@ class TestDenseRows:
         assert X.shape == want_X.shape and sq.shape == want_sq.shape
         assert np.array_equal(X, want_X) and np.array_equal(sq, want_sq)
         assert np.array_equal(np.signbit(X), np.signbit(want_X))  # -0.0 kept
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [("full", "single-point"), ("single-point", "single-point-with-gap"),
+         ("sparse", "empty-rows"), ("no-points", "full")],
+    )
+    def test_parts_share_columns(self, a, b):
+        """dense_rows(a, b) gives each part its rows of the dense view of both
+        stacked, bit for bit: the parts share one column set."""
+        inputs = self.inputs()
+        XA, sqA, XB, sqB = dense_rows(inputs[a], inputs[b])
+        X, sq = dense_rows(stack(*inputs[a], *inputs[b]))
+        k = len(inputs[a])
+        assert np.array_equal(XA, X[:k]) and np.array_equal(XB, X[k:])
+        assert np.array_equal(sqA, sq[:k]) and np.array_equal(sqB, sq[k:])
 
     def test_stream_workload_data_equals_the_reference(self):
         points = synth_two_gaussians(10_000, 50, separation_for_bayes_accuracy(0.95), seed=81).points
@@ -183,12 +332,14 @@ class TestDenseRows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak - X.nbytes - sq.nbytes
+        return peak, X, sq
 
-    def test_full_rows_allocate_only_x_and_norms(self):
+    def test_full_rows_allocate_only_the_norms(self):
+        """X is a read-only reshape of the stored values."""
         points = self.full()
-        row_lists = 2 * 8 * len(points)  # the rows' index and value arrays, collected once
-        assert self.traced_peak(points) <= row_lists + (8 << 10)
+        peak, X, sq = self.traced_peak(points)
+        assert np.shares_memory(X, points.values) and not X.flags.writeable
+        assert peak <= sq.nbytes + (4 << 10)
 
     @pytest.mark.parametrize("name", ["one-row-missing-an-index", "index-gap", "huge-index"])
     def test_scatter_holds_x_and_one_chunk(self, name):
@@ -200,8 +351,8 @@ class TestDenseRows:
             sum(p.indices.size for p in points[s : s + kernel_mod._SCATTER_ROWS])
             for s in range(0, len(points), kernel_mod._SCATTER_ROWS)
         )
-        row_lists = 2 * 8 * len(points)
-        assert self.traced_peak(points) <= 2 * 8 * chunk + row_lists + (64 << 10)
+        peak, X, sq = self.traced_peak(points)
+        assert peak - X.nbytes - sq.nbytes <= 2 * 8 * chunk + (8 << 10)
 
 
 class TestSquaredDistance:
@@ -222,8 +373,8 @@ class TestSquaredDistance:
         for _ in range(50):
             iv = np.sort(rng.choice(20, size=5, replace=False)) + 1
             iw = np.sort(rng.choice(20, size=7, replace=False)) + 1
-            v = SparseVector(iv, rng.normal(size=5))
-            w = SparseVector(iw, rng.normal(size=7))
+            v = row(iv, rng.normal(size=5))
+            w = row(iw, rng.normal(size=7))
             assert squared_distance(v, w) == squared_distance(w, v)
             assert block_sq_dist(v, w) == block_sq_dist(w, v)
             assert block_sq_dist(v, w) == pytest.approx(squared_distance(v, w), rel=1e-12, abs=1e-12)
@@ -250,8 +401,8 @@ class TestEvalKernel:
         rng = np.random.default_rng(1)
         spec = KernelSpec(1.7, 0.8)
         for _ in range(200):
-            x = SparseVector.from_dense(rng.normal(size=4))
-            y = SparseVector.from_dense(rng.normal(size=4))
+            x = Points.from_dense(rng.normal(size=4))
+            y = Points.from_dense(rng.normal(size=4))
             k = eval_kernel(spec, x, y)
             assert 0.0 < k <= spec.sigma_f**2 + 1e-15
             assert eval_kernel(spec, y, x) == k
@@ -265,8 +416,8 @@ class TestEvalKernel:
         rng = np.random.default_rng(2)
         spec = KernelSpec(1.3, 1.1)
         for _ in range(200):
-            x = SparseVector.from_dense(rng.normal(size=3))
-            y = SparseVector.from_dense(rng.normal(size=3))
+            x = Points.from_dense(rng.normal(size=3))
+            y = Points.from_dense(rng.normal(size=3))
             d2 = 2.0 * spec.sigma_f**2 - 2.0 * eval_kernel(spec, x, y)
             assert -1e-12 <= d2 <= (2.0 * spec.sigma_f) ** 2
             K = block_gram(spec, x, y)
@@ -281,7 +432,7 @@ class TestEvalKernel:
     @settings(max_examples=100, deadline=None)
     def test_self_kernel_is_sigma_f_squared(self, sf, sl, xv):
         spec = KernelSpec(sf, sl)
-        x = SparseVector.from_dense(xv)
+        x = Points.from_dense(xv)
         assert eval_kernel(spec, x, x) == pytest.approx(sf**2, rel=1e-12)
         assert block_gram(spec, x)[0, 0] == pytest.approx(sf**2, rel=1e-12)
 

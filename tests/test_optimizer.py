@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from gkm.exceptions import (
 )
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
 from gkm.harness import solve_reference_optimum
-from gkm.kernel import KernelSpec, SparseVector, gram_sq_dists, kernel_matrix_from_sq_dists
+from gkm.kernel import KernelSpec, Points, gram_sq_dists, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
 from gkm.optimizer import (
@@ -75,7 +76,7 @@ class TestTrainBasics:
     def test_zero_gradients_keep_zero_vector(self):
         # labeled targets already far outside the eps tube, C' edge term uses
         # p >= 2 so its gradient vanishes at w = 0 too: w stays 0 forever
-        pts = tuple(SparseVector.from_pairs([(1, float(i))]) for i in range(3))
+        pts = Points.from_rows([(1, float(i))] for i in range(3))
         ds = Dataset(pts, np.array([1, -1, 0], dtype=np.int8))
         graph = build_fully_connected(ds, GraphSpec("full", 1.0))
         cfg = TrainConfig(
@@ -91,7 +92,7 @@ class TestTrainBasics:
         assert hilbert_norm(model) == 0.0
 
     def test_rejects_unlabeled_only(self):
-        pts = tuple(SparseVector.from_pairs([(1, float(i))]) for i in range(3))
+        pts = Points.from_rows([(1, float(i))] for i in range(3))
         ds = Dataset(pts, np.zeros(3, dtype=np.int8))
         graph = build_fully_connected(ds, GraphSpec("full", 1.0))
         with pytest.raises(NoLabeledDataError):
@@ -503,9 +504,7 @@ class TestObjective:
 
     def test_hand_computed_two_point_instance(self):
         # one labeled, one unlabeled point at squared distance 2, one edge
-        a = SparseVector.from_pairs([(1, 1.0)])
-        b = SparseVector.from_pairs([(2, 1.0)])
-        ds = Dataset((a, b), np.array([1, 0], dtype=np.int8))
+        ds = Dataset(Points.from_rows([[(1, 1.0)], [(2, 1.0)]]), np.array([1, 0], dtype=np.int8))
         edges = ExplicitEdges([0], [1], [0.25], n=2)
         cfg = TrainConfig(
             C=2.0,
@@ -653,7 +652,7 @@ class TestPredict:
         dec = decision_values(model, truth.points)
         preds = predict_batch(model, truth.points)
         assert np.array_equal(preds, np.where(dec >= 0, 1, -1))
-        assert predict_batch(model, []).shape == (0,)
+        assert predict_batch(model, truth.points[:0]).shape == (0,)
 
     def test_two_cluster_accuracy_matches_labelprop_oracle(self):
         # the trained model and the exact propagation oracle agree on the
@@ -661,8 +660,7 @@ class TestPredict:
         rng = np.random.default_rng(12)
         X = np.vstack([rng.normal(0, 0.4, (15, 2)), rng.normal(3.5, 0.4, (15, 2))])
         y = np.array([1] * 15 + [-1] * 15, dtype=np.int8)
-        pts = tuple(SparseVector.from_dense(r) for r in X)
-        hidden, truth = hide_labels(Dataset(pts, y), 28 / 30, seed=2)
+        hidden, truth = hide_labels(Dataset(Points.from_dense(X), y), 28 / 30, seed=2)
         graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
         model, _ = train(hidden, graph, hinge_cfg(T=5000, seed=0), KERNEL)
 
@@ -676,8 +674,29 @@ class TestPredict:
             PropagationProblem(ExplicitEdges(us, vs, ws, hidden.n), hidden.labels)
         )
         oracle_labels = threshold_labels(prop)[unlabeled]
-        model_labels = predict_batch(model, [hidden.points[i] for i in unlabeled])
+        model_labels = predict_batch(model, hidden.points[unlabeled])
         assert np.array_equal(oracle_labels, model_labels)
+
+    def test_decisions_hold_the_support_rows_and_one_slab(self):
+        """On full rows the query's dense rows are a view of its values, so
+        beyond the gathered support (its dense rows and their indices)
+        decision_values holds one SLAB_BYTES slab: no copy of the query and no
+        support + query concatenation."""
+        rng = np.random.default_rng(0)
+        k, m, d = 3000, 5000, 50
+        support = Points.from_dense(rng.normal(size=(k, d)))
+        query = Points.from_dense(rng.normal(size=(m, d)))
+        state = ModelState(KERNEL, support, rng.normal(size=k), hinge_cfg(T=1), 1.0)
+        want = decision_values(state, query)
+        tracemalloc.start()
+        try:
+            got = decision_values(state, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        support_rows = 8 * k * d
+        assert peak <= 2 * support_rows + kernel_mod.SLAB_BYTES + (8 << 10)
 
 
 class TestHilbertNorm:
@@ -699,10 +718,9 @@ class TestHilbertNorm:
         assert hilbert_norm(model) == 0.0
 
     def test_single_coefficient(self):
-        x = SparseVector.from_pairs([(1, 1.0)])
         state = ModelState(
             kernel=KERNEL,
-            points=(x,),
+            points=Points.from_rows([[(1, 1.0)]]),
             beta=np.array([2.0]),
             config=hinge_cfg(T=1),
             sigma_s=1.0,
@@ -710,11 +728,9 @@ class TestHilbertNorm:
         assert hilbert_norm(state) == pytest.approx(2.0)
 
     def test_cancellation_of_equal_points(self):
-        x = SparseVector.from_pairs([(1, 1.0)])
-        y = SparseVector.from_pairs([(1, 1.0)])
         state = ModelState(
             kernel=KERNEL,
-            points=(x, y),
+            points=Points.from_rows([[(1, 1.0)], [(1, 1.0)]]),
             beta=np.array([1.0, -1.0]),
             config=hinge_cfg(T=1),
             sigma_s=1.0,
