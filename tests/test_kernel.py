@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkm import kernel as kernel_mod
-from gkm.data import separation_for_bayes_accuracy, synth_two_gaussians
+from gkm.data import Dataset, separation_for_bayes_accuracy, synth_two_gaussians
 from gkm.kernel import (
     SLAB_BYTES,
     KernelSpec,
@@ -159,12 +159,13 @@ class TestPoints:
             p.values = values
 
     def test_dense_view_cannot_write_the_stored_values(self):
+        labels = np.array([1, -1], dtype=np.int8)
         full = Points.from_dense([[1.0, 2.0], [3.0, 4.0]])
-        X, _ = dense_rows(full)
+        X, _ = Dataset(full, labels).dense()
         with pytest.raises(ValueError):
             X[0, 0] = 7.0
         sparse = Points.from_rows([[(1, 1.0)], [(3, 2.0)]])
-        X, _ = dense_rows(sparse)
+        X, _ = Dataset(sparse, labels).dense()
         assert not np.shares_memory(X, sparse.values)
 
     def test_no_points(self):
