@@ -85,7 +85,9 @@ def block_decision(spec: KernelSpec, coefficients, x: Points) -> float:
     return float(block_decisions(spec, coefs, *dense_rows(support, x))[0])
 
 
-class TestPoints:
+class TestSparseVector:
+    """The rules for one sparse vector, held as a one-row Points."""
+
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
             sv((3, 1.0), (2, 1.0))
@@ -111,6 +113,8 @@ class TestPoints:
         assert squared_distance(v, w) == 0.0
         assert block_sq_dist(v, w) == 0.0
 
+
+class TestPoints:
     @pytest.mark.parametrize(
         "indptr, indices, match",
         [
@@ -335,8 +339,9 @@ class TestDenseRows:
             tracemalloc.stop()
         return peak, X, sq
 
-    def test_full_rows_allocate_only_the_norms(self):
-        """X is a read-only reshape of the stored values."""
+    def test_full_rows_allocate_only_x_and_norms(self):
+        """X is a read-only reshape of the stored values, so it allocates
+        nothing and only the norms remain."""
         points = self.full()
         peak, X, sq = self.traced_peak(points)
         assert np.shares_memory(X, points.values) and not X.flags.writeable
