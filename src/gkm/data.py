@@ -147,13 +147,17 @@ def load_libsvm(path) -> tuple[Dataset, np.ndarray]:
     unlabeled. Feature indices must be strictly increasing within a line,
     and labels and feature values must be finite.
     """
-    rows, labels = [], []
-    for lineno, tokens in records(path):
-        labels.append(parse_label(tokens[0], lineno))
-        rows.append(parse_point(tokens[1:], lineno))
+    labels = []
+
+    def rows():
+        for lineno, tokens in records(path):
+            labels.append(parse_label(tokens[0], lineno))
+            yield parse_point(tokens[1:], lineno)
+
+    points = Points.from_rows(rows())  # in file order
     lab = np.array(labels, dtype=np.int8)
     perm = _labeled_first(lab)
-    return Dataset(Points.from_rows(rows[i] for i in perm.tolist()), lab[perm]), perm
+    return Dataset(points[perm], lab[perm]), perm
 
 
 def save_libsvm(dataset: Dataset, path) -> None:

@@ -7,6 +7,7 @@ what the convergence machinery in :mod:`gkm.bounds` leans on (R = sigma_f).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,8 +21,8 @@ class Points:
     ``values`` there; absent indices are zero. The arrays are read-only
     int64, int64 and float64 copies, validated once (values finite). Keys act
     as on a sequence: an integer gives a one-row Points of views of its row;
-    slices, index arrays and bool masks gather rows, as whole-row takes when
-    all rows have one size; full rows (each 1..d) share one index array."""
+    slices, index arrays and bool masks gather rows. A gather of full rows
+    (each 1..d) copies only values and shares a prefix of the index array."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -29,25 +30,19 @@ class Points:
 
     def __post_init__(self):
         ptr, idx = np.array(self.indptr, np.int64), np.array(self.indices, np.int64)
-        val = np.array(self.values, np.float64)
-        if not (ptr.ndim == idx.ndim == 1 and idx.shape == val.shape and ptr.size
-                and ptr[0] == 0 and ptr[-1] == idx.size and np.all(ptr[1:] >= ptr[:-1])):
-            raise ValueError("indptr must rise from 0 to len(indices), and indices and values "
-                             "be 1-d of equal length")
-        rising, starts = idx[1:] > idx[:-1], ptr[1:-1]
-        rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True  # where a point starts
-        if not rising.all() or idx.min(initial=1) < 1:
-            raise ValueError("indices must be strictly increasing and >= 1 within each point")
-        if not np.isfinite(val).all():
-            raise ValueError("feature values must be finite (no NaN or inf)")
-        _points(ptr, idx, val, self)
+        _checked(ptr, idx, np.array(self.values, np.float64), self)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[tuple[int, float]]]) -> "Points":
-        """Points from rows of (index, value) pairs."""
-        rows = [list(row) for row in rows]
-        idx, val = [i for row in rows for i, _ in row], [v for row in rows for _, v in row]
-        return cls(np.cumsum([0] + [len(row) for row in rows]), idx, val)
+        """Points from rows of (index, value) pairs, taken one row at a time
+        into flat 8-byte arrays, which the points keep: no second copy."""
+        ptr, idx, val = array("q", [0]), array("q"), array("d")
+        for row in rows:
+            for i, v in row:
+                idx.append(i)
+                val.append(v)
+            ptr.append(len(idx))
+        return _checked(*(np.frombuffer(a, a.typecode) for a in (ptr, idx, val)))
 
     @classmethod
     def from_dense(cls, X) -> "Points":
@@ -66,18 +61,39 @@ class Points:
             return _points(np.array([0, b - a]), self.indices[a:b], self.values[a:b])
         n, rows = len(self), np.arange(len(self))[key]
         width = self.indices.size // max(n, 1)
-        if np.array_equal(self.indptr, np.arange(n + 1) * width):  # equal sizes: whole-row takes
+        if (rows.size <= n and np.array_equal(self.indptr, np.arange(n + 1) * width)
+                and self.indices.max(initial=0) == width):  # each row is 1..width
             values = self.values.reshape(n, width)[rows].reshape(-1)
-            if rows.size <= n and self.indices.max(initial=0) == width:  # every row is 1..width
-                indices = self.indices[: rows.size * width]  # the same 1..width rows, shared
-            else:
-                indices = self.indices.reshape(n, width)[rows].reshape(-1)
-            return _points(np.arange(rows.size + 1) * width, indices, values)
+            return _points(np.arange(rows.size + 1) * width, self.indices[: values.size], values)
         sizes = self.indptr[rows + 1] - self.indptr[rows]
         indptr = np.concatenate([[0], np.cumsum(sizes)])
-        pos = np.repeat(self.indptr[rows] - indptr[:-1], sizes)
-        pos += np.arange(indptr[-1])
-        return _points(indptr, self.indices.take(pos), self.values.take(pos))
+        shift = self.indptr[rows] - indptr[:-1]  # source minus gathered position, per row
+        indices, values = np.empty(indptr[-1], np.int64), np.empty(indptr[-1])
+        # positions a chunk of rows at a time, so they stay small and in cache;
+        # mode="clip": they are in range, and the default mode buffers ``out``
+        for start in range(0, rows.size, _SCATTER_ROWS):
+            r = slice(start, start + _SCATTER_ROWS)
+            pos = np.repeat(shift[r], sizes[r])
+            out = slice(indptr[start], indptr[start] + pos.size)
+            pos += np.arange(out.start, out.stop)
+            self.indices.take(pos, out=indices[out], mode="clip")
+            self.values.take(pos, out=values[out], mode="clip")
+        return _points(indptr, indices, values)
+
+
+def _checked(ptr, idx, val, points: Points | None = None) -> Points:
+    """_points over the arrays once they pass the Points checks."""
+    if not (ptr.ndim == idx.ndim == 1 and idx.shape == val.shape and ptr.size
+            and ptr[0] == 0 and ptr[-1] == idx.size and np.all(ptr[1:] >= ptr[:-1])):
+        raise ValueError("indptr must rise from 0 to len(indices), and indices and values "
+                         "be 1-d of equal length")
+    rising, starts = idx[1:] > idx[:-1], ptr[1:-1]
+    rising[starts[(starts > 0) & (starts < idx.size)] - 1] = True  # where a point starts
+    if not rising.all() or idx.min(initial=1) < 1:
+        raise ValueError("indices must be strictly increasing and >= 1 within each point")
+    if not np.isfinite(val).all():
+        raise ValueError("feature values must be finite (no NaN or inf)")
+    return _points(ptr, idx, val, points)
 
 
 def _points(indptr, indices, values, points: Points | None = None) -> Points:
@@ -128,7 +144,8 @@ SLAB_BYTES = 2 << 20
 _PASS_BYTES = 256 << 10
 
 
-_SCATTER_ROWS = 1024  # rows filled per step in dense_rows; bounds its index temporaries
+# rows per step of dense_rows' scatter and of a Points gather: bounds their temporaries
+_SCATTER_ROWS = 1024
 
 
 def dense_rows(*parts: Points) -> tuple[np.ndarray, ...]:

@@ -439,6 +439,8 @@ def hilbert_norm(state: ModelState) -> float:
     """RKHS norm of the model (the averaged iterate it predicts with) via the
     kernel quadratic form."""
     sup = np.flatnonzero(state.beta)
+    # a second gather of the support, not a shared one: one array as support
+    # and targets takes numpy's symmetric product, whose last bits differ
     dec = decision_values(state, state.points[sup])
     return math.sqrt(max(float(state.beta[sup] @ dec), 0.0))
 
@@ -526,15 +528,19 @@ def load_model(path) -> ModelState:
         k = int(tok[1])
         if k < 0:
             raise ValueError(f"negative support size {k}")
-        coefs, sup_labels, rows = [], [], []
-        rest = iter(lines[cursor + 1 :])
-        for j in range(k):
-            at, tok = next(rest, (at + 1, ["end"]))
-            if tok == ["end"]:
-                raise ParseError(f"support section ends after {j} of {k} points", at)
-            coefs.append(num(tok[0]))
-            sup_labels.append(parse_label(tok[1], at))
-            rows.append(parse_point(tok[2:], at))
+        coefs, sup_labels, rest = [], [], iter(lines[cursor + 1 :])
+
+        def support():
+            nonlocal at
+            for j in range(k):
+                at, tok = next(rest, (at + 1, ["end"]))
+                if tok == ["end"]:
+                    raise ParseError(f"support section ends after {j} of {k} points", at)
+                coefs.append(num(tok[0]))
+                sup_labels.append(parse_label(tok[1], at))
+                yield parse_point(tok[2:], at)
+
+        points = Points.from_rows(support())
     except (ValueError, IndexError, KeyError, OverflowError) as exc:
         raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at) from None
     at, tok = next(rest, (at + 1, None))
@@ -543,7 +549,7 @@ def load_model(path) -> ModelState:
 
     return ModelState(
         kernel=kernel,
-        points=Points.from_rows(rows),
+        points=points,
         beta=np.array(coefs, dtype=np.float64),
         config=config,
         sigma_s=sigma_s,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from gkm.data import (
     synth_two_gaussians,
 )
 from gkm.exceptions import DegenerateSplitError, InvalidLabelError, ParseError
+from gkm import kernel as kernel_mod
 from gkm.kernel import Points
 
 
@@ -75,6 +77,34 @@ class TestLoadLibsvm:
             load_libsvm(f)
         assert err.value.line == 2
         assert "non-finite" in str(err.value)
+
+    def test_reader_holds_the_entries_twice_at_most(self, tmp_path):
+        """Lines go straight into flat 8-byte arrays in file order, which one
+        gather puts labeled first: the peak is those arrays (array's growth
+        slack is under 1/8), the gathered copy, the positions of one chunk of
+        rows and a few per-row arrays, not a Python object per entry."""
+        rng = np.random.default_rng(5)
+        n = 3000
+        sizes = rng.integers(10, 31, n)
+        indices = np.concatenate([np.sort(rng.choice(500, k, replace=False)) + 1 for k in sizes])
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        points = Points(indptr, indices, rng.standard_normal(indices.size))
+        labels = rng.choice(np.array([-1, 0, 1], dtype=np.int8), n)
+        labels = labels[np.argsort(labels == 0, kind="stable")]  # 0 last
+        path = tmp_path / "ragged.txt"
+        save_libsvm(Dataset(points, labels), path)
+        path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))  # 0 first
+        load_libsvm(path)  # warm up
+        tracemalloc.start()
+        try:
+            ds, perm = load_libsvm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert perm[0] != 0 and ds.labeled_count == np.count_nonzero(labels)
+        step = kernel_mod._SCATTER_ROWS
+        chunk = max(sizes[s : s + step].sum() for s in range(0, n, step))
+        assert peak <= 2.125 * 16 * indices.size + 2 * 8 * chunk + 16 * 8 * n + (64 << 10)
 
     def test_round_trip_exact(self, tmp_path):
         ds = synth_two_gaussians(20, 3, 2.5, seed=9)

@@ -188,6 +188,22 @@ class TestPoints:
         with pytest.raises(IndexError):
             p[-2]
 
+    @pytest.mark.parametrize("shape", ["ragged", "one size", "full"])
+    def test_gathers_span_chunks_and_repeat_rows(self, shape):
+        """Gathers of more rows than one chunk, in a new order, and with
+        repeats (more rows than the source: full rows too take the general
+        gather), against a list of the rows."""
+        rng = np.random.default_rng(8)
+        n = 2 * kernel_mod._SCATTER_ROWS + 300
+        sizes = rng.integers(0, 9, n) if shape == "ragged" else np.full(n, 6)
+        rows = [sorted(rng.choice(40, k, replace=False) + 1) for k in sizes]
+        if shape == "full":
+            rows = [range(1, 7)] * n
+        rows = [[(int(i), float(v)) for i, v in zip(r, rng.standard_normal(len(r)))] for r in rows]
+        p = Points.from_rows(rows)
+        for key in (rng.permutation(n), rng.integers(0, n, n + 700)):
+            assert rows_of(p[key]) == [rows[j] for j in key]
+
     def test_out_of_range_index_arrays_rejected(self):
         p = Points.from_dense(np.ones((3, 2)))
         with pytest.raises(IndexError):
@@ -217,7 +233,7 @@ def rows_of(points):
 def test_points_access_matches_a_list_of_rows(rows, data):
     """len, iteration, integer (negative too), slice, index-array and
     bool-mask access agree with a plain list of the same rows, on rows of
-    several sizes, of one size (whole-row takes) and full rows."""
+    several sizes, of one size and full rows (a shared index array)."""
     shape = data.draw(st.sampled_from(["ragged", "one size", "full"]))
     if shape != "ragged":
         rows = [row[: min(map(len, rows))] for row in rows]
