@@ -40,11 +40,12 @@ class Dataset:
     _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
         if labels.shape != (len(self.points),):
             raise ValueError("labels must align with points")
-        if not np.all(np.isin(labels, (-1, 0, 1))):
+        if not np.all(np.isin(labels, (-1, 0, 1))):  # before the cast, which would truncate
             raise InvalidLabelError("labels must be -1, 0 (unlabeled) or +1")
+        labels = labels.astype(np.int8, copy=False)
         l = int(np.count_nonzero(labels))
         if np.any(labels[:l] == 0):
             raise ValueError("labeled points must occupy the leading indices")

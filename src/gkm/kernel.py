@@ -60,9 +60,9 @@ class Points:
             a, b = self.indptr[r : r + 2]
             return _points(np.array([0, b - a]), self.indices[a:b], self.values[a:b])
         n, rows = len(self), np.arange(len(self))[key]
-        width = self.indices.size // max(n, 1)
-        if (rows.size <= n and np.array_equal(self.indptr, np.arange(n + 1) * width)
-                and self.indices.max(initial=0) == width):  # each row is 1..width
+        width = int(self.indices.max(initial=0))
+        # dense_rows' counting rule: then each row is 1..width
+        if rows.size <= n and self.indices.size == n * width:
             values = self.values.reshape(n, width)[rows].reshape(-1)
             return _points(np.arange(rows.size + 1) * width, self.indices[: values.size], values)
         sizes = self.indptr[rows + 1] - self.indptr[rows]

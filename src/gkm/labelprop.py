@@ -27,11 +27,12 @@ class PropagationProblem:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
         if labels.ndim != 1:
             raise ValueError("labels must be a 1-d array")
-        if not np.all(np.isin(labels, (-1, 0, 1))):
+        if not np.all(np.isin(labels, (-1, 0, 1))):  # before the cast, which would truncate
             raise ValueError("labels must be -1, 0 or +1")
+        labels = labels.astype(np.int8, copy=False)
         if labels.size < self.edges.n:
             raise ValueError("labels must cover every vertex")
         if not np.any(labels != 0):

@@ -19,9 +19,11 @@ recording their maxima on every run affordable.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,82 +120,45 @@ class ModelState:
     labels: np.ndarray | None = None
 
 
-class _Geometry:
-    """The step's decision values and kernel entries: read from a cached
-    Gram matrix at small n, otherwise computed a block of steps at a time.
+def _gram_values(K_rows: list[np.ndarray], u: np.ndarray, lab_idx, eu, ev):
+    """The step values of a chunk's targets (i, a, b), read from the cached
+    Gram's rows: the unscaled decisions u . K[:, t] at t = i, a, b, then
+    K(a, b), K(i, a) and K(i, b), as Python floats. A decision is one BLAS
+    dot ``u.dot(K_rows[i])`` and an entry one ``K_rows[a].item(b)``, which
+    spares each step numpy's matmul dispatch and per-call row views."""
+    for i, a, b in zip(lab_idx, eu, ev):
+        K_i, K_a = K_rows[i], K_rows[a]
+        yield (
+            float(u.dot(K_i)), float(u.dot(K_a)), float(u.dot(K_rows[b])),
+            K_a.item(b), K_i.item(a), K_i.item(b),
+        )
 
-    The Gram half keeps the Gram's rows as a list of views, ``K_rows``,
-    built once: a decision is one BLAS dot ``u.dot(K_rows[i])`` and an
-    entry one ``K_rows[a].item(b)``, which spares each step numpy's matmul
-    dispatch and per-call row views.
 
-    Above ``_GRAM_CAP`` the trainer hands each chunk's sampled targets to
-    ``plan`` before the chunk's first step. Every ``_BLOCK_STEPS`` steps the
-    blocked half takes the block's distinct targets P, the decisions at P of
-    the nonzero coefficients outside P (one slabbed ``block_decisions`` pass)
-    and the kernel K_P among P. A step's decisions are then
-    scale * (base + K_P u[P]) at its rows of P, and its entries are read from
-    K_P. This relies on one invariant: between ``plan`` and the end of a
-    block, u changes only at that block's targets, and the steps ask for
-    their decisions in the planned order, each followed by its entries.
-    """
+def _block_values(kernel: KernelSpec, X, sq, u: np.ndarray, lab_idx, eu, ev):
+    """The values of _gram_values, computed _BLOCK_STEPS steps at a time.
 
-    def __init__(self, dataset: Dataset, kernel: KernelSpec):
-        self.kernel = kernel
-        self.X, self.sq = dataset.dense()
-        if dataset.n <= _GRAM_CAP:
-            d2 = gram_sq_dists(self.X, self.sq)
-            self.K = kernel_matrix_from_sq_dists(kernel, d2, out=d2)
-            self.K_rows: list[np.ndarray] | None = list(self.K)
-        else:
-            self.K = self.K_rows = None
-
-    def plan(self, lab_idx: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> None:
-        """The targets (i, a, b) of a chunk's steps, in order; a no-op on the
-        Gram half."""
-        if self.K is None:
-            self._targets = np.stack([lab_idx, eu, ev], axis=1)  # steps not yet in a block
-            self._rows: list[list[int]] = []  # the current block's steps, as rows of P
-            self._step = 0  # steps of the current block asked for so far
-
-    def _start_block(self, u: np.ndarray) -> None:
-        block = self._targets[:_BLOCK_STEPS]
-        self._targets = self._targets[_BLOCK_STEPS:]
+    When a block's first values are pulled, it takes the block's distinct
+    targets P, the decisions at P of the nonzero coefficients outside P (one
+    slabbed ``block_decisions`` pass) and the kernel K_P among P. A step's
+    decisions are then base + K_P u[P] at its rows of P, and its entries are
+    read from K_P: exact as long as u changes only at the block's targets
+    between pulls, which is what a step does."""
+    targets = np.stack([lab_idx, eu, ev], axis=1)
+    for start in range(0, len(targets), _BLOCK_STEPS):
+        block = targets[start : start + _BLOCK_STEPS]
         P, rows = np.unique(block, return_inverse=True)
-        self._rows = rows.reshape(block.shape).tolist()
-        self._step = 0
-        self._P = P
         outside = u != 0.0
         outside[P] = False
         old = np.flatnonzero(outside)
-        X, sq = self.X, self.sq
-        self._base = block_decisions(self.kernel, u[old], X[old], sq[old], X[P], sq[P])
+        base = block_decisions(kernel, u[old], X[old], sq[old], X[P], sq[P])
         d2 = gram_sq_dists(X[P], sq[P])
-        self._KP = kernel_matrix_from_sq_dists(self.kernel, d2, out=d2)
-
-    def decisions(self, u: np.ndarray, scale: float, i: int, a: int, b: int) -> list[float]:
-        """scale * (u . K[:, t]) for the targets t = i, a, b."""
-        K_rows = self.K_rows
-        if K_rows is not None:
-            return [
-                scale * float(u.dot(K_rows[i])),
-                scale * float(u.dot(K_rows[a])),
-                scale * float(u.dot(K_rows[b])),
-            ]
-        if self._step == len(self._rows):
-            self._start_block(u)
-        self._cur = rows = self._rows[self._step]
-        self._step += 1
-        return (scale * (self._base[rows] + self._KP[rows] @ u[self._P])).tolist()
-
-    def entries(self, i: int, a: int, b: int) -> list[float]:
-        """The kernel entries K(a, b), K(i, a), K(i, b)."""
-        K_rows = self.K_rows
-        if K_rows is not None:
-            return [K_rows[a].item(b), K_rows[i].item(a), K_rows[i].item(b)]
-        r_i, r_a, r_b = self._cur
-        K = self._KP
-        return [float(K[r_a, r_b]), float(K[r_i, r_a]), float(K[r_i, r_b])]
+        K = kernel_matrix_from_sq_dists(kernel, d2, out=d2)
+        for r in rows.reshape(block.shape).tolist():
+            r_i, r_a, r_b = r
+            yield (
+                *(base[r] + K[r] @ u[P]).tolist(),
+                float(K[r_a, r_b]), float(K[r_i, r_a]), float(K[r_i, r_b]),
+            )
 
 
 def train(
@@ -226,7 +191,6 @@ def train(
     rng = np.random.default_rng(main_ss)
     diag_rng = np.random.default_rng(diag_ss)
 
-    geom = _Geometry(dataset, kernel)
     n, T = dataset.n, config.T
     labels = dataset.labels.astype(np.float64).tolist()
 
@@ -236,6 +200,12 @@ def train(
     kxx = kernel.sigma_f**2
 
     u = np.zeros(n)
+    X, sq = dataset.dense()
+    if n <= _GRAM_CAP:
+        d2 = gram_sq_dists(X, sq)
+        values = partial(_gram_values, list(kernel_matrix_from_sq_dists(kernel, d2, out=d2)), u)
+    else:
+        values = partial(_block_values, kernel, X, sq, u)
     v = [0.0] * n  # read only at trace points and at the end, so a list
     s = 1.0  # scale of u: w_t = s u (u = 0 until step 1)
     Q = 0.0
@@ -252,7 +222,6 @@ def train(
     iterates: list[np.ndarray] | None = [] if record_iterates else None
 
     isfinite = math.isfinite
-    decisions, entries = geom.decisions, geom.entries
     uw = memoryview(u)  # u's own memory: a write adds the double, unboxed
     # overflow of a divergent configuration is detected by the finiteness
     # checks below; keep numpy quiet on the way there
@@ -261,7 +230,6 @@ def train(
             chunk = min(_SAMPLE_CHUNK, T + 1 - chunk_start)
             lab_idx = rng.integers(0, l, size=chunk)
             eu, ev, ew = graph.sample_batch(rng, chunk)
-            geom.plan(lab_idx, eu, ev)
             lab_idx, eu, ev, ew = lab_idx.tolist(), eu.tolist(), ev.tolist(), ew.tolist()
             # the chunk's step schedule: numpy's float64 + - * / round as
             # Python's do, so each value is the float the step would compute
@@ -272,11 +240,13 @@ def train(
             neg_ts = (-ts).tolist()
             steps = range(chunk_start, chunk_start + chunk)
 
-            for t, i, a, b, mu, eta, c, s_t, neg_t in zip(
-                steps, lab_idx, eu, ev, ew, etas, cs, scales, neg_ts
+            # each step's values are computed as it pulls them, after the
+            # previous step's coefficient writes
+            for t, i, a, b, mu, eta, c, s_t, neg_t, (d_i, d_a, d_b, k_ab, k_ia, k_ib) in zip(
+                steps, lab_idx, eu, ev, ew, etas, cs, scales, neg_ts, values(lab_idx, eu, ev)
             ):
-                o_i, o_a, o_b = decisions(u, s, i, a, b)
-                o_e = o_a - o_b
+                o_i = s * d_i
+                o_e = s * d_a - s * d_b
                 sl = loss_grad(o_i, labels[i])
                 sp = lp_grad(o_e)
                 if not (isfinite(o_i) and isfinite(o_e) and isfinite(sp)):
@@ -286,7 +256,6 @@ def train(
 
                 dl = C * sl
                 de = Cp * mu * sp
-                k_ab, k_ia, k_ib = entries(i, a, b)
                 wdelta = dl * o_i + de * o_e
                 dd2 = (
                     dl * dl * kxx
@@ -485,67 +454,72 @@ def load_model(path) -> ModelState:
     ignored. Files whose kernel line carries ``offset 0.0`` still load; a
     nonzero kernel offset is rejected.
     """
-    lines = list(records(path))
-    if not lines or lines[0][1] != MODEL_FORMAT_TAG.split():
-        raise ParseError(f"not a model file (missing '{MODEL_FORMAT_TAG}' header)", 1)
-    cursor = next((i for i, (_, tok) in enumerate(lines) if tok[0] == "support"), len(lines))
-    if cursor == len(lines):
-        raise ParseError("missing support section")
-    header = {tok[0]: i for i, (_, tok) in enumerate(lines[:cursor])}  # key -> its record
-    at = lines[cursor][0]  # the line being parsed, named in errors
+    # one pass: the header, the support section, end
+    with contextlib.closing(records(path)) as lines:
+        first = next(lines, None)
+        if first is None or first[1] != MODEL_FORMAT_TAG.split():
+            raise ParseError(f"not a model file (missing '{MODEL_FORMAT_TAG}' header)", 1)
+        header = {}  # key -> its record
+        for record in lines:
+            if record[1][0] == "support":
+                break
+            header[record[1][0]] = record
+        else:
+            raise ParseError("missing support section")
+        at = record[0]  # the line being parsed, named in errors
 
-    def field(key: str) -> list[str]:
-        nonlocal at
-        if key not in header:
-            raise ParseError(f"missing '{key}' line")
-        at, tok = lines[header[key]]
-        return tok[1:]
-
-    def num(token: str) -> float:
-        return parse_float(token, at)
-
-    try:
-        tok = field("kernel")
-        kv = dict(zip(tok[::2], tok[1::2]))
-        kernel = KernelSpec(num(kv["sigma_f"]), num(kv["sigma_l"]))
-        if num(kv.get("offset", "0")) != 0.0:
-            raise ParseError(f"kernel offset {kv['offset']} is not supported (R = sigma_f)", at)
-        tok = field("config")
-        kv = dict(zip(tok[::2], tok[1::2]))
-        config = TrainConfig(
-            C=num(kv["C"]),
-            C_prime=num(kv["C_prime"]),
-            loss=LossSpec(kv["loss"], tau=num(kv["tau"]), epsilon=num(kv["epsilon"])),
-            smoothness=SmoothnessSpec(num(kv["p"])),
-            T=int(kv["T"]),
-            seed=int(kv["seed"]),
-            objective_mode=kv.get("objective_mode", "auto"),
-        )
-        sigma_s = num(field("sigma_s")[0])
-        if not sigma_s > 0:
-            raise ValueError("sigma_s must be positive")
-        at, tok = lines[cursor]
-        k = int(tok[1])
-        if k < 0:
-            raise ValueError(f"negative support size {k}")
-        coefs, sup_labels, rest = [], [], iter(lines[cursor + 1 :])
-
-        def support():
+        def field(key: str) -> list[str]:
             nonlocal at
-            for j in range(k):
-                at, tok = next(rest, (at + 1, ["end"]))
-                if tok == ["end"]:
-                    raise ParseError(f"support section ends after {j} of {k} points", at)
-                coefs.append(num(tok[0]))
-                sup_labels.append(parse_label(tok[1], at))
-                yield parse_point(tok[2:], at)
+            if key not in header:
+                raise ParseError(f"missing '{key}' line")
+            at, tok = header[key]
+            return tok[1:]
 
-        points = Points.from_rows(support())
-    except (ValueError, IndexError, KeyError, OverflowError) as exc:
-        raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at) from None
-    at, tok = next(rest, (at + 1, None))
-    if tok != ["end"]:
-        raise ParseError("missing 'end' terminator", at)
+        def num(token: str) -> float:
+            return parse_float(token, at)
+
+        try:
+            tok = field("kernel")
+            kv = dict(zip(tok[::2], tok[1::2]))
+            kernel = KernelSpec(num(kv["sigma_f"]), num(kv["sigma_l"]))
+            if num(kv.get("offset", "0")) != 0.0:
+                raise ParseError(f"kernel offset {kv['offset']} is not supported (R = sigma_f)", at)
+            tok = field("config")
+            kv = dict(zip(tok[::2], tok[1::2]))
+            config = TrainConfig(
+                C=num(kv["C"]),
+                C_prime=num(kv["C_prime"]),
+                loss=LossSpec(kv["loss"], tau=num(kv["tau"]), epsilon=num(kv["epsilon"])),
+                smoothness=SmoothnessSpec(num(kv["p"])),
+                T=int(kv["T"]),
+                seed=int(kv["seed"]),
+                objective_mode=kv.get("objective_mode", "auto"),
+            )
+            sigma_s = num(field("sigma_s")[0])
+            if not sigma_s > 0:
+                raise ValueError("sigma_s must be positive")
+            at, tok = record
+            k = int(tok[1])
+            if k < 0:
+                raise ValueError(f"negative support size {k}")
+            coefs, sup_labels = [], []
+
+            def support():
+                nonlocal at
+                for j in range(k):
+                    at, tok = next(lines, (at + 1, ["end"]))
+                    if tok == ["end"]:
+                        raise ParseError(f"support section ends after {j} of {k} points", at)
+                    coefs.append(num(tok[0]))
+                    sup_labels.append(parse_label(tok[1], at))
+                    yield parse_point(tok[2:], at)
+
+            points = Points.from_rows(support())
+        except (ValueError, IndexError, KeyError, OverflowError) as exc:
+            raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at) from None
+        at, tok = next(lines, (at + 1, None))
+        if tok != ["end"]:
+            raise ParseError("missing 'end' terminator", at)
 
     return ModelState(
         kernel=kernel,

@@ -124,6 +124,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(pts, np.array([0, 1, 1], dtype=np.int8))
 
+    @pytest.mark.parametrize("bad", [1.5, -0.7, np.nan, np.inf, 255.0])
+    def test_inexact_labels_are_rejected_not_truncated(self, bad):
+        pts = Points.from_rows([(1, float(i))] for i in range(3))
+        with pytest.raises(InvalidLabelError, match="labels must be -1, 0"):
+            Dataset(pts, np.array([bad, 1.0, 0.0]))
+
+    def test_exact_float_labels_load(self):
+        pts = Points.from_rows([(1, float(i))] for i in range(3))
+        ds = Dataset(pts, np.array([1.0, -1.0, 0.0]))
+        assert ds.labels.dtype == np.int8 and ds.labels.tolist() == [1, -1, 0]
+
     def test_counts(self):
         pts = Points.from_rows([(1, float(i))] for i in range(4))
         ds = Dataset(pts, np.array([1, -1, 0, 0], dtype=np.int8))

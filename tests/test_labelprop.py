@@ -200,6 +200,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             PropagationProblem(chain(3), np.zeros(3, dtype=np.int8))
 
+    @pytest.mark.parametrize("bad", [1.5, -0.7, np.nan, np.inf, 255.0])
+    def test_inexact_labels_are_rejected_not_truncated(self, bad):
+        with pytest.raises(ValueError, match=r"labels must be -1, 0 or \+1"):
+            PropagationProblem(chain(3), np.array([bad, 0.0, 1.0]))
+
+    def test_exact_float_labels_load(self):
+        labels = PropagationProblem(chain(3), np.array([1.0, 0.0, -1.0])).labels
+        assert labels.dtype == np.int8 and labels.tolist() == [1, 0, -1]
+
     def test_labels_cover_vertices(self):
         with pytest.raises(ValueError):
             PropagationProblem(chain(4), np.array([1, 0], dtype=np.int8))

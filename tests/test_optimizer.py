@@ -310,7 +310,7 @@ def literal_gram_train(dataset, graph, config, kernel):
     and their maxima."""
     main_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(main_ss)
-    K = optimizer_mod._Geometry(dataset, kernel).K
+    K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*dataset.dense()))
     loss_grad, lp_grad = loss_slope(config.loss), lp_slope(config.smoothness)
     y = dataset.labels.astype(np.float64)
     kxx = kernel.sigma_f**2
@@ -397,7 +397,7 @@ class TestLiteralStepLoop:
 
 
 class TestGeometry:
-    """Both halves of the step's geometry pinned to the dense Gram."""
+    """Both halves of the step's value stream pinned to the dense Gram."""
 
     @staticmethod
     def triples(n):
@@ -416,24 +416,31 @@ class TestGeometry:
             ]
         ]
 
+    @staticmethod
+    def stream(dataset, kernel, gram_cap, u, triples):
+        """The value stream train() reads at this Gram cap."""
+        X, sq = dataset.dense()
+        targets = np.array(triples).T.tolist()
+        if dataset.n <= gram_cap:
+            K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(X, sq))
+            return optimizer_mod._gram_values(list(K), u, *targets)
+        return optimizer_mod._block_values(kernel, X, sq, u, *targets)
+
     @pytest.mark.parametrize("gram_cap", [optimizer_mod._GRAM_CAP, 0])
-    def test_halves_match_dense_gram(self, small_problem, monkeypatch, gram_cap):
+    def test_halves_match_dense_gram(self, small_problem, gram_cap):
         hidden, _, _ = small_problem
         kernel = KernelSpec(1.3, 0.9)
-        monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
-        geom = optimizer_mod._Geometry(hidden, kernel)
-        assert (geom.K is None) == (gram_cap == 0)
         K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
-        n, kxx, scale = hidden.n, kernel.sigma_f**2, 0.7
+        n, kxx = hidden.n, kernel.sigma_f**2
         triples = self.triples(n)
         assert len(triples) > 2 * optimizer_mod._BLOCK_STEPS
-        geom.plan(*np.array(triples).T)
         rng = np.random.default_rng(0)
         u = np.zeros(n)
-        for i, a, b in triples:
-            want = scale * (K[[i, a, b]] @ u)
-            np.testing.assert_allclose(geom.decisions(u, scale, i, a, b), want, rtol=1e-12, atol=0)
-            k_ab, k_ia, k_ib = geom.entries(i, a, b)
+        stream = self.stream(hidden, kernel, gram_cap, u, triples)
+        for (i, a, b), values in zip(triples, stream, strict=True):
+            assert all(type(x) is float for x in values)
+            *decisions, k_ab, k_ia, k_ib = values
+            np.testing.assert_allclose(decisions, K[[i, a, b]] @ u, rtol=1e-12, atol=0)
             np.testing.assert_allclose([k_ab, k_ia, k_ib], [K[a, b], K[i, a], K[i, b]], rtol=1e-12)
             assert k_ab == kxx if a == b else k_ab < kxx
             assert k_ia == kxx if i == a else k_ia < kxx
@@ -446,18 +453,19 @@ class TestGeometry:
         """The Gram half's row-view reads give the very floats of the plain
         numpy expressions on the cached Gram, not merely close ones."""
         hidden, _, _ = small_problem
-        geom = optimizer_mod._Geometry(hidden, KernelSpec(1.3, 0.9))
-        K = geom.K
-        assert K is not None
+        kernel = KernelSpec(1.3, 0.9)
+        K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
         rng = np.random.default_rng(1)
-        scale = 0.7
-        for i, a, b in self.triples(hidden.n):
-            u = rng.standard_normal(hidden.n)
+        u = rng.standard_normal(hidden.n)
+        triples = self.triples(hidden.n)
+        stream = self.stream(hidden, kernel, optimizer_mod._GRAM_CAP, u, triples)
+        for (i, a, b), values in zip(triples, stream, strict=True):
             assert np.all(u != 0.0)
-            assert geom.decisions(u, scale, i, a, b) == [
-                scale * float(u @ K[i]), scale * float(u @ K[a]), scale * float(u @ K[b])
-            ]
-            assert geom.entries(i, a, b) == [float(K[a, b]), float(K[i, a]), float(K[i, b])]
+            assert values == (
+                float(u @ K[i]), float(u @ K[a]), float(u @ K[b]),
+                float(K[a, b]), float(K[i, a]), float(K[i, b]),
+            )
+            u[:] = rng.standard_normal(hidden.n)  # each pull reads u as it is then
 
 
 class TestNormTracking:
@@ -793,6 +801,27 @@ class TestModelFile:
         save_model(m1, f1)
         save_model(m2, f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_reader_holds_little_beyond_the_model(self, tmp_path):
+        """The header, then each support line straight into the model's flat
+        arrays: the peak is near what the model keeps, not every line's
+        tokens at once."""
+        rng = np.random.default_rng(4)
+        n = 10_000
+        points = Points.from_dense(rng.standard_normal((n, 50)))
+        model = ModelState(KERNEL, points, rng.uniform(0.5, 1.5, n), hinge_cfg(T=1), 1.0,
+                           labels=np.ones(n, dtype=np.int8))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            back = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.beta.size == n
+        kept = [back.beta, back.labels, back.points.indptr, back.points.indices, back.points.values]
+        assert peak <= 1.5 * sum(a.nbytes for a in kept)
 
     def test_decision_consistency_after_load(self, small_problem, tmp_path):
         hidden, truth, graph = small_problem
