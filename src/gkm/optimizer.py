@@ -515,6 +515,8 @@ def load_model(path) -> ModelState:
                     yield parse_point(tok[2:], at)
 
             points = Points.from_rows(support())
+        except UnicodeDecodeError:
+            raise  # text that does not decode fails as reading the header does
         except (ValueError, IndexError, KeyError, OverflowError) as exc:
             raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at) from None
         at, tok = next(lines, (at + 1, None))

@@ -38,6 +38,19 @@ from gkm.optimizer import (
 KERNEL = KernelSpec(1.0, 1.0)
 
 
+def count_halves(monkeypatch):
+    """Count the value streams train() starts, one per sampling chunk, by half."""
+    calls = {"_gram_values": 0, "_block_values": 0}
+    for name, stream in [(name, getattr(optimizer_mod, name)) for name in calls]:
+
+        def counted(*args, name=name, stream=stream):
+            calls[name] += 1
+            return stream(*args)
+
+        monkeypatch.setattr(optimizer_mod, name, counted)
+    return calls
+
+
 def hinge_cfg(T, seed=0, C=1.0, C_prime=0.05, p=2.0, **kw):
     return TrainConfig(
         C=C,
@@ -137,12 +150,15 @@ class TestTrainBasics:
             T=5000,
             seed=1,
         )
-        messages = []  # both halves of the geometry fail at the same step
-        for gram_cap in (optimizer_mod._GRAM_CAP, 0):
+        messages = []  # both halves of the value stream fail at the same step
+        calls = count_halves(monkeypatch)
+        for gram_cap, half in [(optimizer_mod._GRAM_CAP, "_gram_values"), (0, "_block_values")]:
             monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
             with pytest.raises(NonFiniteStateError, match="at step") as err:
                 train(hidden, graph, cfg, KERNEL)
             messages.append(str(err.value))
+            assert calls[half] > 0 and sum(calls.values()) == calls[half]
+            calls.update(dict.fromkeys(calls, 0))
         assert messages[0] == messages[1]
 
     def test_default_iterations_rule(self):
@@ -248,12 +264,17 @@ class TestDeterminismAndPaths:
         # the long run ends mid-block in its second sampling chunk
         long_T = optimizer_mod._SAMPLE_CHUNK + optimizer_mod._BLOCK_STEPS + 13
         gram_cap = optimizer_mod._GRAM_CAP
+        calls = count_halves(monkeypatch)
         for T in (400, long_T):
+            chunks = -(-T // optimizer_mod._SAMPLE_CHUNK)
             cfg = hinge_cfg(T=T, seed=5, diagnostics_every=1)
             monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
             m_gram, d_gram = train(hidden, graph, cfg, KERNEL)
+            assert calls == {"_gram_values": chunks, "_block_values": 0}
             monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", 0)
             m_str, d_str = train(hidden, graph, cfg, KERNEL)
+            assert calls == {"_gram_values": chunks, "_block_values": chunks}
+            calls.update(dict.fromkeys(calls, 0))
             assert np.allclose(m_gram.beta, m_str.beta, rtol=1e-10, atol=1e-14)
             assert np.allclose(d_gram.trace_norm_w, d_str.trace_norm_w, rtol=1e-9, atol=1e-12)
             for d in (d_gram, d_str):  # traced at every step: the maxima are the trace's
@@ -263,9 +284,11 @@ class TestDeterminismAndPaths:
     def test_streaming_repeat_is_bit_identical(self, small_problem, monkeypatch):
         hidden, _, graph = small_problem
         monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", 0)
+        calls = count_halves(monkeypatch)
         cfg = hinge_cfg(T=optimizer_mod._SAMPLE_CHUNK + 100, seed=9, diagnostics_every=500)
         m1, d1 = train(hidden, graph, cfg, KERNEL)
         m2, d2 = train(hidden, graph, cfg, KERNEL)
+        assert calls == {"_gram_values": 0, "_block_values": 4}  # two chunks per run
         assert np.array_equal(m1.beta, m2.beta)
         for field in fields(Diagnostics):
             assert np.array_equal(getattr(d1, field.name), getattr(d2, field.name)), field.name
@@ -822,6 +845,23 @@ class TestModelFile:
         assert back.beta.size == n
         kept = [back.beta, back.labels, back.points.indptr, back.points.indices, back.points.values]
         assert peak <= 1.5 * sum(a.nbytes for a in kept)
+
+    @pytest.mark.parametrize("line", [1, -3])  # a header line, a late support line
+    def test_undecodable_byte_raises_as_reading_does(self, tmp_path, line):
+        """A byte that is not text fails the same way wherever it is, not
+        as a bad value of some earlier line."""
+        rng = np.random.default_rng(5)
+        n = 400  # the late support line lies past the first block the file reader decodes
+        model = ModelState(KERNEL, Points.from_dense(rng.standard_normal((n, 5))),
+                           rng.uniform(0.5, 1.5, n), hinge_cfg(T=1), 1.0,
+                           labels=np.ones(n, dtype=np.int8))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_bytes().splitlines()
+        lines[line] += b" \xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_model(path)
 
     def test_decision_consistency_after_load(self, small_problem, tmp_path):
         hidden, truth, graph = small_problem
