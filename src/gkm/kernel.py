@@ -132,9 +132,9 @@ def kernel_matrix_from_sq_dists(spec: KernelSpec, d2, out=None):
     return np.multiply(k, scale, out=out)
 
 
-# Bytes of one support x targets slab in block_decisions. Slabs that stay in
-# a core's L2 cache ran fastest: 1-4 MB timed alike on a Xeon with 2 MB of
-# L2 per core.
+# Bytes of one kernel slab in block_decisions and support_decisions. Slabs
+# that stay in a core's L2 cache ran fastest: 1-4 MB timed alike on a Xeon
+# with 2 MB of L2 per core.
 SLAB_BYTES = 2 << 20
 
 # Bytes of the rows that sq_dist_block carries through its elementwise passes
@@ -262,4 +262,26 @@ def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
         block = buf[: k * (stop - start)].reshape(k, stop - start)
         sq_dist_block(XS, sqS, XT[start:stop], sqT[start:stop], out=block, spec=spec)
         out[start:stop] = coefs @ block
+    return out
+
+
+def support_decisions(spec: KernelSpec, coefs, XS, sqS) -> np.ndarray:
+    """coefs @ K(S, S) for support rows XS, from the upper triangle of the
+    symmetric K(S, S): about half its entries. Row slabs [start, stop) of at
+    most SLAB_BYTES (one row where a row is larger) are built against the
+    columns [start, k) in one reused buffer; a slab's rows add to
+    out[start:], and its columns past the slab add to out[start:stop]. The
+    diagonal is sigma_f^2 exactly, as gram_sq_dists' exact-zero distance
+    diagonal gives. Memory and reproducibility are as for block_decisions."""
+    k = XS.shape[0]
+    rows = max(1, SLAB_BYTES // (8 * max(k, 1)))
+    buf = np.empty(min(rows, k) * k)
+    out = np.zeros(k)
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        block = buf[: (stop - start) * (k - start)].reshape(stop - start, k - start)
+        sq_dist_block(XS[start:stop], sqS[start:stop], XS[start:], sqS[start:], out=block, spec=spec)
+        block.reshape(-1)[:: k - start + 1] = spec.sigma_f**2  # entries (r, r)
+        out[start:] += coefs[start:stop] @ block
+        out[start:stop] += block[:, stop - start :] @ coefs[stop:]
     return out

@@ -38,6 +38,7 @@ from .kernel import (
     dense_rows,
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
+    support_decisions,
 )
 from .labelprop import threshold_labels
 from .losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
@@ -329,9 +330,10 @@ def _objective_core(
     kernel: KernelSpec,
     rng: np.random.Generator | None,
 ) -> float:
-    """J from one decision evaluation: at every point when the edge term is
-    exact, otherwise at the support, the labeled points and the sampled edge
-    endpoints. The regularizer is c . dec[support]."""
+    """J from one decision evaluation: at the support from the upper triangle
+    of K(S, S) (support_decisions), then at every other point when the edge
+    term is exact, otherwise at the labeled points and the sampled edge
+    endpoints outside the support. The regularizer is c . dec[support]."""
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
@@ -346,8 +348,13 @@ def _objective_core(
     dec = np.zeros(dataset.n)
     if sup.size:
         X, sq = dataset.dense()
-        at = slice(None) if exact else np.unique(np.concatenate([sup, np.arange(l), us, vs]))
-        dec[at] = block_decisions(kernel, coefs[sup], X[sup], sq[sup], X[at], sq[at])
+        c, XS, sqS = coefs[sup], X[sup], sq[sup]
+        dec[sup] = support_decisions(kernel, c, XS, sqS)
+        outside = np.full(dataset.n, exact)
+        outside[:l] = outside[us] = outside[vs] = True
+        outside[sup] = False
+        at = np.flatnonzero(outside)
+        dec[at] = block_decisions(kernel, c, XS, sqS, X[at], sq[at])
 
     reg = 0.5 * max(float(coefs[sup] @ dec[sup]), 0.0)
     lab = 0.0
@@ -406,12 +413,12 @@ def predict_batch(state: ModelState, points: Points) -> np.ndarray:
 
 def hilbert_norm(state: ModelState) -> float:
     """RKHS norm of the model (the averaged iterate it predicts with) via the
-    kernel quadratic form."""
+    kernel quadratic form beta^T K(S, S) beta over its support S, computed
+    as the objective's regularizer is."""
     sup = np.flatnonzero(state.beta)
-    # a second gather of the support, not a shared one: one array as support
-    # and targets takes numpy's symmetric product, whose last bits differ
-    dec = decision_values(state, state.points[sup])
-    return math.sqrt(max(float(state.beta[sup] @ dec), 0.0))
+    c = state.beta[sup]
+    dec = support_decisions(state.kernel, c, *dense_rows(state.points[sup]))
+    return math.sqrt(max(float(c @ dec), 0.0))
 
 
 MODEL_FORMAT_TAG = "gkm-model 1"
@@ -449,12 +456,13 @@ def load_model(path) -> ModelState:
 
     A missing or malformed line raises ParseError naming it; every float
     must be finite, every bandwidth positive, and support lines follow the
-    data-file point rules.
+    data-file point rules. A header key given twice, or any record after
+    ``end``, is a ParseError too; comments and blank lines are not records.
     Unknown header lines (such as the ``t`` line of older files) are
     ignored. Files whose kernel line carries ``offset 0.0`` still load; a
     nonzero kernel offset is rejected.
     """
-    # one pass: the header, the support section, end
+    # one pass: the header, the support section, end, nothing after it
     with contextlib.closing(records(path)) as lines:
         first = next(lines, None)
         if first is None or first[1] != MODEL_FORMAT_TAG.split():
@@ -463,6 +471,8 @@ def load_model(path) -> ModelState:
         for record in lines:
             if record[1][0] == "support":
                 break
+            if record[1][0] in header:
+                raise ParseError(f"repeated '{record[1][0]}' line", record[0])
             header[record[1][0]] = record
         else:
             raise ParseError("missing support section")
@@ -522,6 +532,9 @@ def load_model(path) -> ModelState:
         at, tok = next(lines, (at + 1, None))
         if tok != ["end"]:
             raise ParseError("missing 'end' terminator", at)
+        at, tok = next(lines, (at, None))
+        if tok is not None:
+            raise ParseError("text after 'end'", at)
 
     return ModelState(
         kernel=kernel,

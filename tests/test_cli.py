@@ -324,6 +324,10 @@ def malformed_models():
     def replace(prefix, line):
         return lambda lines: [line if ln.startswith(prefix) else ln for ln in lines]
 
+    def repeat(prefix, line):
+        """Add line after the line starting with prefix."""
+        return lambda lines: [x for ln in lines for x in ([ln, line] if ln.startswith(prefix) else [ln])]
+
     def support_section(edit):
         """edit(first support point line) -> lines that replace the section."""
 
@@ -367,6 +371,8 @@ def malformed_models():
         ("sigma_s-nan", replace("sigma_s ", "sigma_s nan")),
         ("sigma_s-negative", replace("sigma_s ", "sigma_s -1.0")),
         ("sigma_s-zero", replace("sigma_s ", "sigma_s 0.0")),
+        ("kernel-repeated", repeat("kernel ", "kernel sigma_f 2.0 sigma_l 1.0 offset 0.0")),
+        ("text-after-end", lambda lines: lines + ["junk"]),
     ]
     return [pytest.param(edit, id=case) for case, edit in cases]
 

@@ -17,6 +17,7 @@ from gkm.kernel import (
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
     sq_dist_block,
+    support_decisions,
 )
 
 
@@ -503,7 +504,8 @@ class TestKernelSpec:
 
 
 class TestBlockPrimitives:
-    """sq_dist_block / block_decisions against the literal one-shot formula."""
+    """sq_dist_block / block_decisions / support_decisions against the
+    literal one-shot formula."""
 
     SPEC = KernelSpec(sigma_f=1.3, sigma_l=0.9)
 
@@ -636,6 +638,57 @@ class TestBlockPrimitives:
         tracemalloc.start()
         try:
             out = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= SLAB_BYTES + kernel_mod._PASS_BYTES + out.nbytes + (64 << 10)
+
+    def literal_support_decisions(self, spec, c, XS, sqS):
+        """c @ K(S, S) from the dense Gram with its exact-zero distance diagonal."""
+        d2 = self.old_block(XS, sqS, XS, sqS)
+        np.fill_diagonal(d2, 0.0)
+        return c @ self.literal_kernel(spec, d2)
+
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    def test_support_decisions_match_the_dense_gram(self, sigma_f):
+        spec = KernelSpec(sigma_f=sigma_f, sigma_l=0.9)
+        rng = np.random.default_rng(7)
+        k = 1100
+        XS, sqS = self.rows(rng, k, dim=20)
+        XS[k // 2 :: 97] = XS[k // 3]  # repeated points off the diagonal
+        sqS = np.einsum("ij,ij->i", XS, XS)
+        c = rng.standard_normal(k)
+        assert math.ceil(k / (SLAB_BYTES // (8 * k))) >= 3  # several row slabs
+        got = support_decisions(spec, c, XS, sqS)
+        assert np.allclose(got, self.literal_support_decisions(spec, c, XS, sqS), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 50])
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    def test_support_decisions_diagonal_is_exact(self, k, sigma_f):
+        """Far-apart points and a tiny length-scale make K(S, S) sigma_f^2 I up
+        to underflow, so a self-distance rounded above 0 would show."""
+        spec = KernelSpec(sigma_f=sigma_f, sigma_l=1e-6)
+        rng = np.random.default_rng(8)
+        X = 30.0 * rng.standard_normal((k, 7))
+        c = rng.standard_normal(k)
+        got = support_decisions(spec, c, X, np.einsum("ij,ij->i", X, X))
+        assert np.array_equal(got, c * sigma_f**2)
+
+    def test_support_decisions_over_one_row_slabs(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        XS, sqS = self.rows(rng, 60)
+        c = rng.standard_normal(60)
+        monkeypatch.setattr(kernel_mod, "SLAB_BYTES", 8 * 60 - 1)  # below one row
+        got = support_decisions(self.SPEC, c, XS, sqS)
+        assert np.allclose(got, self.literal_support_decisions(self.SPEC, c, XS, sqS), rtol=1e-12, atol=0.0)
+
+    def test_support_decisions_hold_one_slab_and_one_pass_chunk(self):
+        rng = np.random.default_rng(10)
+        XS, sqS = self.rows(rng, 3000, dim=9)
+        c = rng.standard_normal(3000)
+        tracemalloc.start()
+        try:
+            out = support_decisions(self.SPEC, c, XS, sqS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -650,6 +650,37 @@ class TestSingleEvaluationObjective:
         ref = old_objective(coefs, hidden, graph, cfg, kernel, np.random.default_rng(5))
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mode, support", [
+        ("exact", "every point"), ("sampled", "every point"), ("sampled", "off the endpoints"),
+    ])
+    def test_matches_reference_at_the_split_edges(self, mode, support, monkeypatch):
+        """Every point in the support leaves exact mode no other target; a
+        support off the sampled endpoints leaves them all to block_decisions,
+        which sees no support point."""
+        full = synth_two_gaussians(300, 5, 3.0, seed=13)
+        hidden, _ = hide_labels(full, 0.7, seed=13)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.5))
+        cfg = hinge_cfg(T=1, objective_mode=mode, objective_samples=25)
+        coefs = np.random.default_rng(3).normal(size=hidden.n)
+        us, vs, _ = graph.sample_batch(np.random.default_rng(7), cfg.objective_samples)
+        if support == "off the endpoints":
+            coefs[us] = coefs[vs] = 0.0
+        wanted = np.union1d(np.arange(hidden.labeled_count), np.concatenate([us, vs]))
+        if mode == "exact":
+            wanted = np.arange(hidden.n)
+        targets = []
+
+        def block_decisions(spec, c, XS, sqS, XT, sqT):
+            targets.append(XT.shape[0])
+            return kernel_mod.block_decisions(spec, c, XS, sqS, XT, sqT)
+
+        monkeypatch.setattr(optimizer_mod, "block_decisions", block_decisions)
+        kernel = KernelSpec(1.3, 1.7)
+        got = objective(coefs, hidden, graph, cfg, kernel, rng=np.random.default_rng(7))
+        ref = old_objective(coefs, hidden, graph, cfg, kernel, np.random.default_rng(7))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert targets == [np.count_nonzero(coefs[wanted] == 0)]  # the targets outside the support
+
     def test_matches_reference_for_trained_model(self, small_problem):
         hidden, _, graph = small_problem
         model, _ = train(hidden, graph, hinge_cfg(T=300, seed=2), KERNEL)
@@ -768,6 +799,17 @@ class TestHilbertNorm:
         )
         assert hilbert_norm(state) == pytest.approx(0.0, abs=1e-8)
 
+    def test_matches_the_dense_gram(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(400, 6))
+        beta = rng.normal(size=400)
+        beta[rng.random(400) < 0.3] = 0.0
+        kernel = KernelSpec(1.3, 2.2)
+        state = ModelState(kernel, Points.from_dense(X), beta, hinge_cfg(T=1), 1.0)
+        sq = np.einsum("ij,ij->i", X, X)
+        gram = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(X, sq))
+        assert hilbert_norm(state) == pytest.approx(math.sqrt(beta @ gram @ beta), rel=1e-12, abs=0.0)
+
 
 class TestModelFile:
     def test_round_trip_predictions(self, small_problem, tmp_path):
@@ -862,6 +904,15 @@ class TestModelFile:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(UnicodeDecodeError):
             load_model(path)
+
+    def test_comments_and_blank_lines_after_end_load(self, tmp_path):
+        model = ModelState(KERNEL, Points.from_dense([[1.0, 2.0]]), np.array([0.5]),
+                           hinge_cfg(T=1), 1.0, labels=np.ones(1, dtype=np.int8))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        with open(path, "a") as fh:
+            fh.write("\n# a note\n   \n")
+        assert np.array_equal(load_model(path).beta, model.beta)
 
     def test_decision_consistency_after_load(self, small_problem, tmp_path):
         hidden, truth, graph = small_problem
