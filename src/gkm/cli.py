@@ -97,6 +97,7 @@ def _cmd_train(args) -> int:
         harness.write_trace(diag, args.trace_out)
         print(f"trace written to {args.trace_out}")
     print(f"trained {T} iterations on n={dataset.n} (l={dataset.labeled_count}), "
+          f"support {np.count_nonzero(model.beta)} of {dataset.n}, "
           f"final J={float(diag.trace_j_avg[-1])!r}")
     if report.condition_holds:
         print(f"max||w_t||/M={diag.max_norm_w / report.M!r} "

@@ -132,7 +132,8 @@ def kernel_matrix_from_sq_dists(spec: KernelSpec, d2, out=None):
     return np.multiply(k, scale, out=out)
 
 
-# Bytes of one kernel slab in block_decisions and support_decisions. Slabs
+# Bytes of one kernel slab in block_decisions and support_decisions, and
+# the rule that skips row matching in optimizer.decision_values. Slabs
 # that stay in a core's L2 cache ran fastest: 1-4 MB timed alike on a Xeon
 # with 2 MB of L2 per core.
 SLAB_BYTES = 2 << 20
@@ -246,13 +247,30 @@ def gram_sq_dists(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return d2
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """The rows ``index`` of the 2-d array ``X``, gathered only when sliced:
+    ``rows[a:b]`` is the array ``X[index[a:b]]``."""
+
+    X: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.index.size, self.X.shape[1]
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        return self.X[self.index[key]]
+
+
 def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
-    """coefs @ K(S, T) for support rows XS and target rows XT, over slabs of
-    T of at most SLAB_BYTES built in one reused buffer: memory is O(slab)
-    beyond the inputs. It runs in the calling thread; BLAS threads, as the
-    environment sets them, serve the slab's product. The product's last bits
-    can depend on that thread count, so the decisions are reproducible for
-    a fixed BLAS library and thread count only."""
+    """coefs @ K(S, T) for support rows XS and target rows XT, an array or
+    a Rows, over slabs of T of at most SLAB_BYTES built in one reused
+    buffer: memory is O(slab) beyond the inputs, plus one slab's rows of a
+    Rows (dim / len(XS) of a slab). It runs in the calling thread; BLAS
+    threads, as the environment sets them, serve the slab's product. The
+    product's last bits can depend on that thread count, so the decisions
+    are reproducible for a fixed BLAS library and thread count only."""
     k, m = XS.shape[0], XT.shape[0]
     width = max(1, SLAB_BYTES // (8 * max(k, 1)))
     buf = np.empty(k * min(width, m))
@@ -284,4 +302,42 @@ def support_decisions(spec: KernelSpec, coefs, XS, sqS) -> np.ndarray:
         block.reshape(-1)[:: k - start + 1] = spec.sigma_f**2  # entries (r, r)
         out[start:] += coefs[start:stop] @ block
         out[start:stop] += block[:, stop - start :] @ coefs[stop:]
+    return out
+
+
+def equal_rows(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
+    """For each row of XB, the index of a row of XA with the same bits, or
+    -1. Rows are hashed to 64 bits _PASS_BYTES of rows at a time, and a row
+    of XB is checked bit for bit against the first row of XA with its hash
+    only: rows equal but for a signed zero, and the rare rows whose hash
+    another row shares, get -1. Memory beyond the inputs is
+    O(len(XA) + len(XB)) and one chunk of rows."""
+    hA, hB = _row_hashes(XA), _row_hashes(XB)
+    order = np.argsort(hA, kind="stable")  # among equal hashes, the first row first
+    hA = hA[order]
+    pos = np.minimum(np.searchsorted(hA, hB), max(hA.size - 1, 0))
+    own = np.full(hB.size, -1)
+    cand = np.flatnonzero(hA[pos] == hB) if hA.size else own[:0]
+    step = max(1, _PASS_BYTES // (8 * max(XA.shape[1], 1)))
+    for start in range(0, cand.size, step):
+        b = cand[start : start + step]
+        a = order[pos[b]]
+        same = (XA[a].view(np.uint64) == XB[b].view(np.uint64)).all(axis=1)
+        own[b[same]] = a[same]
+    return own
+
+
+def _row_hashes(X: np.ndarray) -> np.ndarray:
+    """64-bit hashes of the rows of the float64 array X: each value's bits,
+    their high half folded onto the low, times one fixed odd word per
+    column, summed modulo 2^64. Rows with equal bits hash equal."""
+    n, d = X.shape
+    weights = np.random.SeedSequence(d).generate_state(d, np.uint64) | np.uint64(1)
+    out = np.empty(n, dtype=np.uint64)
+    step = max(1, _PASS_BYTES // (8 * max(d, 1)))
+    for start in range(0, n, step):
+        bits = np.ascontiguousarray(X[start : start + step]).view(np.uint64)
+        folded = bits >> np.uint64(32)
+        folded ^= bits
+        out[start : start + step] = folded @ weights
     return out

@@ -48,6 +48,15 @@ class TestTrainPredictEval:
         captured = capsys.readouterr()
         assert "accuracy" in captured.out
 
+    def test_summary_names_the_support_size(self, tmp_path, data_file, capsys):
+        """The summary's support k of n is the model file's support count."""
+        model = tmp_path / "model.txt"
+        assert run(["train", data_file, "--T", "200", "--model-out", model]) == 0
+        summary = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("trained"))
+        k = int(next(line for line in model.read_text().splitlines() if line.startswith("support ")).split()[1])
+        assert 0 < k <= 30
+        assert f", support {k} of 30, final J=" in summary
+
     def test_reports_norm_maxima_against_the_bounds(self, data_file, capsys):
         """A certified config prints max||w_t||/M and max||g_t||/G, both <= 1;
         a violated one prints neither."""

@@ -12,8 +12,10 @@ from gkm.kernel import (
     SLAB_BYTES,
     KernelSpec,
     Points,
+    Rows,
     block_decisions,
     dense_rows,
+    equal_rows,
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
     sq_dist_block,
@@ -693,3 +695,75 @@ class TestBlockPrimitives:
         finally:
             tracemalloc.stop()
         assert peak <= SLAB_BYTES + kernel_mod._PASS_BYTES + out.nbytes + (64 << 10)
+
+
+class TestRowMatching:
+    """Rows, and equal_rows: the exact row matcher behind prediction at the
+    model's own points."""
+
+    def test_rows_gather_on_slicing(self):
+        X = np.arange(12.0).reshape(6, 2)
+        rows = Rows(X, np.array([4, 0, 4]))
+        assert rows.shape == (3, 2)
+        assert np.array_equal(rows[1:], X[[0, 4]])
+        assert rows[3:].shape == (0, 2)
+
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    def test_decisions_at_rows_equal_decisions_at_their_copy(self, sigma_f):
+        spec = KernelSpec(sigma_f=sigma_f, sigma_l=0.9)
+        rng = np.random.default_rng(11)
+        XS, sqS = TestBlockPrimitives.rows(rng, 600, dim=9)
+        X, sq = TestBlockPrimitives.rows(rng, 2500, dim=9)
+        c = rng.standard_normal(600)
+        index = rng.permutation(2500)[:2000]
+        assert math.ceil(2000 / (SLAB_BYTES // (8 * 600))) >= 3  # several slabs
+        got = block_decisions(spec, c, XS, sqS, Rows(X, index), sq[index])
+        assert np.array_equal(got, block_decisions(spec, c, XS, sqS, X[index], sq[index]))
+
+    def test_shuffled_and_repeated_rows_match(self):
+        rng = np.random.default_rng(12)
+        XA = rng.standard_normal((300, 6))
+        picks = rng.integers(0, 300, size=900)  # each row of XA several times
+        XB = np.vstack([XA[picks], rng.standard_normal((100, 6))])
+        got = equal_rows(XA, XB)
+        assert np.array_equal(got, np.concatenate([picks, np.full(100, -1)]))
+
+    def test_duplicate_rows_match_the_first(self):
+        XA = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
+        got = equal_rows(XA, np.array([[3.0, 4.0], [1.0, 2.0], [1.0, 2.5]]))
+        assert got.tolist() == [1, 0, -1]
+
+    def test_a_signed_zero_is_not_a_match(self):
+        XA = np.array([[0.0, 1.0], [-0.0, 2.0]])
+        got = equal_rows(XA, np.array([[-0.0, 1.0], [0.0, 2.0], [0.0, 1.0]]))
+        assert got.tolist() == [-1, -1, 0]
+
+    def test_empty_sides_and_empty_rows(self):
+        X = np.ones((3, 4))
+        assert equal_rows(X[:0], X).tolist() == [-1, -1, -1]
+        assert equal_rows(X, X[:0]).shape == (0,)
+        assert equal_rows(np.ones((2, 0)), np.ones((3, 0))).tolist() == [0, 0, 0]
+
+    def test_a_shared_hash_checks_one_candidate(self, monkeypatch):
+        """With every hash equal, each row is checked against the first row
+        of XA only: equal rows elsewhere in XA are missed, never mismatched,
+        and the check is on bits, so a signed zero is a mismatch."""
+        monkeypatch.setattr(kernel_mod, "_row_hashes", lambda X: np.zeros(X.shape[0], np.uint64))
+        XA = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        XB = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, -0.0]])
+        assert equal_rows(XA, XB).tolist() == [-1, 0, -1, -1]
+
+    def test_matching_holds_index_arrays_and_one_chunk(self):
+        rng = np.random.default_rng(13)
+        XA = rng.standard_normal((3000, 50))
+        XB = np.vstack([XA[rng.permutation(3000)], rng.standard_normal((2000, 50))])
+        tracemalloc.start()
+        try:
+            got = equal_rows(XA, XB)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(got >= 0) == 3000
+        # two gathered chunks of rows with their comparison, and at most six
+        # 8-byte arrays of len(XA) + len(XB) entries
+        assert peak <= 3 * kernel_mod._PASS_BYTES + 6 * 8 * (3000 + 5000)

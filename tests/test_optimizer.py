@@ -18,7 +18,7 @@ from gkm.exceptions import (
 )
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
 from gkm.harness import solve_reference_optimum
-from gkm.kernel import KernelSpec, Points, gram_sq_dists, kernel_matrix_from_sq_dists
+from gkm.kernel import KernelSpec, Points, dense_rows, gram_sq_dists, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
 from gkm.optimizer import (
@@ -690,6 +690,35 @@ class TestSingleEvaluationObjective:
             ref = old_objective(model.beta, hidden, graph, cfg, KERNEL, np.random.default_rng(8))
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
+    def test_sampled_objective_holds_the_support_rows_and_one_slab(self):
+        """The targets outside the support are gathered one slab at a time,
+        never copied whole: beyond its inputs a sampled objective() holds
+        the gathered support rows, one SLAB_BYTES slab with its pass chunk and
+        gathered target rows, and index and decision arrays of n and of
+        objective_samples entries."""
+        rng = np.random.default_rng(21)
+        n, d, l, k, samples = 6000, 50, 600, 3000, 10_000
+        labels = np.zeros(n, dtype=np.int8)
+        labels[:l] = rng.choice([-1, 1], size=l)
+        dataset = Dataset(Points.from_dense(rng.normal(size=(n, d))), labels)
+        a = rng.integers(0, n, size=20_000)
+        b = (a + rng.integers(1, n, size=a.size)) % n
+        graph = ExplicitEdges(np.minimum(a, b), np.maximum(a, b), rng.uniform(0.1, 1.0, a.size), n)
+        coefs = np.zeros(n)
+        coefs[rng.permutation(n)[:k]] = rng.normal(size=k)
+        cfg = hinge_cfg(T=1, objective_mode="sampled", objective_samples=samples)
+        want = objective(coefs, dataset, graph, cfg, KERNEL, rng=np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            got = objective(coefs, dataset, graph, cfg, KERNEL, rng=np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        slab = kernel_mod.SLAB_BYTES + kernel_mod._PASS_BYTES + 8 * d * (kernel_mod.SLAB_BYTES // (8 * k))
+        arrays = 8 * (12 * n + 4 * samples)
+        assert peak <= 8 * k * d + slab + arrays
+
 
 class TestPredict:
     def test_zero_model_predicts_positive(self, small_problem):
@@ -759,6 +788,160 @@ class TestPredict:
         assert np.array_equal(got, want)
         support_rows = 8 * k * d
         assert peak <= 2 * support_rows + kernel_mod.SLAB_BYTES + (8 << 10)
+
+    def test_matched_decisions_hold_the_support_rows_and_one_slab(self):
+        """A query holding every support row, shuffled, among other points:
+        the bound above plus the matcher's and the split's index arrays, at
+        most eight 8-byte arrays of k + m entries."""
+        rng = np.random.default_rng(1)
+        k, m, d = 3000, 5000, 50
+        X = rng.normal(size=(k, d))
+        support = Points.from_dense(X)
+        query = Points.from_dense(np.vstack([X, rng.normal(size=(m - k, d))])[rng.permutation(m)])
+        state = ModelState(KERNEL, support, rng.normal(size=k), hinge_cfg(T=1), 1.0)
+        want = decision_values(state, query)
+        tracemalloc.start()
+        try:
+            got = decision_values(state, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        support_rows = 8 * k * d
+        index_arrays = 8 * 8 * (k + m)
+        assert peak <= 2 * support_rows + kernel_mod.SLAB_BYTES + (8 << 10) + index_arrays
+
+
+class TestMatchedDecisions:
+    """decision_values where query rows are support rows, against c @ the
+    dense kernel block whose distance is exactly 0 where two rows are equal."""
+
+    K, N = 700, 1400  # support and points: min(K, queries)^2 entries exceed one slab
+
+    @staticmethod
+    def reference(state, query):
+        sup = np.flatnonzero(state.beta)
+        XS, sqS, XT, sqT = dense_rows(state.points[sup], query)
+        d2 = np.maximum(sqS[:, None] + sqT[None, :] - 2.0 * (XS @ XT.T), 0.0)
+        d2[(XS[:, None, :] == XT[None, :, :]).all(axis=2)] = 0.0
+        K = state.kernel.sigma_f**2 * np.exp(-d2 / (2.0 * state.kernel.sigma_l**2))
+        return state.beta[sup] @ K
+
+    def model(self, sigma_f, X=None, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(self.N, 5)) if X is None else X
+        beta = np.zeros(len(X))
+        # positive coefficients keep the decision sums free of cancellation
+        beta[rng.permutation(len(X))[: self.K]] = rng.uniform(0.5, 1.5, size=self.K)
+        return ModelState(KernelSpec(sigma_f, 1.7), Points.from_dense(X), beta, hinge_cfg(T=1), 1.0), X
+
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    @pytest.mark.parametrize("case", ["all points", "shuffled, repeated", "over half the support",
+                                      "under half the support", "duplicate support rows", "signed zero"])
+    def test_matches_the_dense_gram(self, case, sigma_f, monkeypatch):
+        """Matched rows read the support's triangle when there are more of
+        them than half the support, and go through block_decisions
+        otherwise; rows equal but for a signed zero are not matched."""
+        X = None
+        if case == "duplicate support rows":
+            X = np.random.default_rng(5).normal(size=(self.N, 5))
+            X[1::2] = X[::2]  # every point twice
+        elif case == "signed zero":
+            X = np.random.default_rng(5).normal(size=(self.N, 5))
+            X[:, 2] = 0.0
+        state, X = self.model(sigma_f, X)
+        sup = np.flatnonzero(state.beta)
+        rng = np.random.default_rng(6)
+        Q = {
+            "all points": X,
+            "shuffled, repeated": X[np.concatenate([rng.permutation(self.N), rng.integers(0, self.N, size=500)])],
+            "over half the support": np.vstack([X[sup[600:0:-1]], rng.normal(size=(200, 5))]),
+            "under half the support": np.vstack([X[sup[:300]], rng.normal(size=(400, 5))]),
+            "duplicate support rows": X,
+            "signed zero": np.vstack([X[sup], X[sup]]),
+        }[case]
+        if case == "signed zero":
+            Q[self.K :, 2] = -0.0  # the second copies differ in a signed zero only
+        query = Points.from_dense(Q)
+        matched, triangles = [], []
+
+        def match(XA, XB):
+            matched.append(kernel_mod.equal_rows(XA, XB))
+            return matched[-1]
+
+        def triangle(*args):
+            triangles.append(args[1].size)
+            return kernel_mod.support_decisions(*args)
+
+        monkeypatch.setattr(optimizer_mod, "equal_rows", match)
+        monkeypatch.setattr(optimizer_mod, "support_decisions", triangle)
+        got = decision_values(state, query)
+        assert np.allclose(got, self.reference(state, query), rtol=1e-12, atol=0.0)
+        hits = matched[0] >= 0
+        want_hits = {
+            "over half the support": np.arange(len(Q)) < 600,
+            "under half the support": np.arange(len(Q)) < 300,
+            "signed zero": np.arange(len(Q)) < self.K,
+        }.get(case)
+        assert hits.any() if want_hits is None else np.array_equal(hits, want_hits)
+        assert triangles == ([] if case == "under half the support" else [self.K])
+
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    @pytest.mark.parametrize("k, m", [(0, 50), (50, 0), (0, 0)])
+    def test_empty_support_or_query(self, k, m, sigma_f):
+        spec = KernelSpec(sigma_f, 1.7)
+        rng = np.random.default_rng(7)
+        XS, XT = rng.normal(size=(k, 5)), rng.normal(size=(m, 5))
+        sqS, sqT = np.einsum("ij,ij->i", XS, XS), np.einsum("ij,ij->i", XT, XT)
+        own = kernel_mod.equal_rows(XS, XT)
+        got = optimizer_mod._decisions(spec, rng.normal(size=k), XS, sqS, XT, sqT, np.arange(m), own)
+        assert np.array_equal(got, np.zeros(m))
+
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    def test_a_matched_row_has_kernel_entry_sigma_f_squared(self, sigma_f):
+        """Far-apart points and a tiny length-scale make K(S, Q) 0 but for
+        matched pairs, which are sigma_f^2 exactly: a self-distance rounded
+        above 0 would show. The query holds every point, then over half of
+        the support, so that the triangle runs both times."""
+        X = 30.0 * np.random.default_rng(8).normal(size=(self.N, 7))
+        state, _ = self.model(sigma_f, X, seed=9)
+        state = replace(state, kernel=KernelSpec(sigma_f, 1e-6))
+        assert np.array_equal(decision_values(state, state.points), state.beta * sigma_f**2)
+        sup = np.flatnonzero(state.beta)
+        part = state.points[sup[:600]]
+        assert np.array_equal(decision_values(state, part), state.beta[sup[:600]] * sigma_f**2)
+
+    @pytest.mark.parametrize("k, m", [(512, 2000), (2000, 512), (300, 300)])
+    def test_skip_rule_gives_the_block_path(self, k, m, monkeypatch):
+        """min(k, m)^2 entries within one SLAB_BYTES slab: no matching, and
+        the decisions are block_decisions', bit for bit."""
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(max(k, m), 5))
+        state = ModelState(KERNEL, Points.from_dense(X[:k]), rng.normal(size=k), hinge_cfg(T=1), 1.0)
+        query = Points.from_dense(X[:m])  # every shared row is a support row
+        assert 8 * min(k, m) ** 2 <= kernel_mod.SLAB_BYTES
+
+        def no_matching(XA, XB):
+            raise AssertionError("matched under the skip rule")
+
+        monkeypatch.setattr(optimizer_mod, "equal_rows", no_matching)
+        got = decision_values(state, query)
+        want = kernel_mod.block_decisions(KERNEL, state.beta, *dense_rows(state.points, query))
+        assert np.array_equal(got, want)
+
+    def test_matching_starts_one_row_past_the_rule(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(513, 5))
+        state = ModelState(KERNEL, Points.from_dense(X), rng.normal(size=513), hinge_cfg(T=1), 1.0)
+        calls = []
+
+        def match(XA, XB):
+            calls.append(XA.shape[0])
+            return kernel_mod.equal_rows(XA, XB)
+
+        monkeypatch.setattr(optimizer_mod, "equal_rows", match)
+        decision_values(state, state.points)
+        assert calls == [513]  # 8 * 513^2 bytes exceed one slab
 
 
 class TestHilbertNorm:
