@@ -132,8 +132,7 @@ def kernel_matrix_from_sq_dists(spec: KernelSpec, d2, out=None):
     return np.multiply(k, scale, out=out)
 
 
-# Bytes of one kernel slab in block_decisions and support_decisions, and
-# the rule that skips row matching in optimizer.decision_values. Slabs
+# Bytes of one kernel slab in block_decisions and support_decisions. Slabs
 # that stay in a core's L2 cache ran fastest: 1-4 MB timed alike on a Xeon
 # with 2 MB of L2 per core.
 SLAB_BYTES = 2 << 20
@@ -303,6 +302,15 @@ def support_decisions(spec: KernelSpec, coefs, XS, sqS) -> np.ndarray:
         out[start:] += coefs[start:stop] @ block
         out[start:stop] += block[:, stop - start :] @ coefs[stop:]
     return out
+
+
+def support_entries(k: int) -> int:
+    """The kernel entries support_decisions computes for k support rows:
+    about k (k + w) / 2 for its row slabs of w rows, and k^2 when one slab
+    holds every row."""
+    rows = max(1, SLAB_BYTES // (8 * max(k, 1)))
+    starts = np.arange(0, k, rows)
+    return int(((np.minimum(starts + rows, k) - starts) * (k - starts)).sum())
 
 
 def equal_rows(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from .data import records, write_lines
 from .exceptions import EmptyEdgeSetError, NoLabeledDataError, NonFiniteStateError, ParseError
 from .graph import EdgeSet, ExplicitEdges, check_vertices
 from .kernel import (
-    SLAB_BYTES,
     KernelSpec,
     Points,
     Rows,
@@ -42,6 +41,7 @@ from .kernel import (
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
     support_decisions,
+    support_entries,
 )
 from .labelprop import threshold_labels
 from .losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
@@ -333,10 +333,11 @@ def _objective_core(
     kernel: KernelSpec,
     rng: np.random.Generator | None,
 ) -> float:
-    """J from one decision evaluation (_decisions): at the support, then at
-    every other point when the edge term is exact, otherwise at the labeled
-    points and the sampled edge endpoints. The regularizer is
-    c . dec[support]."""
+    """J from one decision evaluation: at the support from the upper triangle
+    of K(S, S) (support_decisions), then at every other point when the edge
+    term is exact, otherwise at the labeled points and the sampled edge
+    endpoints outside the support, their rows gathered one slab at a time
+    (Rows). The regularizer is c . dec[support]."""
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
@@ -351,12 +352,13 @@ def _objective_core(
     dec = np.zeros(dataset.n)
     if sup.size:
         X, sq = dataset.dense()
-        wanted = np.full(dataset.n, exact)
-        wanted[:l] = wanted[us] = wanted[vs] = wanted[sup] = True
-        at = np.flatnonzero(wanted)
-        own = np.full(dataset.n, -1)
-        own[sup] = np.arange(sup.size)
-        dec[at] = _decisions(kernel, coefs[sup], X[sup], sq[sup], X, sq, at, own[at])
+        c, XS, sqS = coefs[sup], X[sup], sq[sup]
+        dec[sup] = support_decisions(kernel, c, XS, sqS)
+        outside = np.full(dataset.n, exact)
+        outside[:l] = outside[us] = outside[vs] = True
+        outside[sup] = False
+        at = np.flatnonzero(outside)
+        dec[at] = block_decisions(kernel, c, XS, sqS, Rows(X, at), sq[at])
 
     reg = 0.5 * max(float(coefs[sup] @ dec[sup]), 0.0)
     lab = 0.0
@@ -402,36 +404,28 @@ def objective(
     return _objective_core(coefs, dataset, graph, config, kernel, rng)
 
 
-def _decisions(kernel: KernelSpec, c, XS, sqS, X, sq, rows, own) -> np.ndarray:
-    """c @ K(S, t) at the targets t = X[rows] for support rows XS. Where
-    own[j] >= 0, target j is support row own[j], bit for bit. When there
-    are more such targets than half the k support rows, they read
-    c @ K(S, S) from its upper triangle (support_decisions), whose k^2/2
-    kernel entries then cost less than their k-row block. The other targets
-    go through block_decisions, their rows gathered one slab at a time."""
-    hit = own >= 0
-    out = np.empty(rows.size)
-    if 2 * np.count_nonzero(hit) > c.size:
-        out[hit] = support_decisions(kernel, c, XS, sqS)[own[hit]]
-    else:
-        hit[:] = False
-    miss = rows[~hit]
-    out[~hit] = block_decisions(kernel, c, XS, sqS, Rows(X, miss), sq[miss])
-    return out
-
-
 def decision_values(state: ModelState, points: Points) -> np.ndarray:
     """Decision function of the model on arbitrary points. Query rows equal
-    to support rows, bit for bit (kernel.equal_rows), can take their
-    decisions from the support's upper triangle (_decisions). Matching is
-    skipped when min(support, queries)^2 kernel entries fit in one
-    SLAB_BYTES slab: then the triangle is one slab too, and saves nothing."""
+    to support rows, bit for bit (kernel.equal_rows), read c @ K(S, S) from
+    its upper triangle (support_decisions) when that takes fewer kernel
+    entries than their rows of the block; all other rows go through
+    block_decisions. Matching is skipped when even a query of support rows
+    only would not pay for the triangle. A support row's decision thus
+    depends, in its last bits, on whether the rest of the query takes the
+    triangle: only a decision that close to 0 can change its label."""
     sup = np.flatnonzero(state.beta)
     c, (XS, sqS, XT, sqT) = state.beta[sup], dense_rows(state.points[sup], points)
-    m = len(points)
-    if 8 * min(sup.size, m) ** 2 <= SLAB_BYTES:
-        return block_decisions(state.kernel, c, XS, sqS, XT, sqT)
-    return _decisions(state.kernel, c, XS, sqS, XT, sqT, np.arange(m), equal_rows(XS, XT))
+    triangle = support_entries(sup.size)
+    if len(points) * sup.size > triangle:
+        own = equal_rows(XS, XT)
+        hit = own >= 0
+        if np.count_nonzero(hit) * sup.size > triangle:
+            out = np.empty(len(points))
+            out[hit] = support_decisions(state.kernel, c, XS, sqS)[own[hit]]
+            miss = np.flatnonzero(~hit)
+            out[miss] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, miss), sqT[miss])
+            return out
+    return block_decisions(state.kernel, c, XS, sqS, XT, sqT)
 
 
 def predict_batch(state: ModelState, points: Points) -> np.ndarray:
@@ -444,8 +438,8 @@ def hilbert_norm(state: ModelState) -> float:
     kernel quadratic form beta^T K(S, S) beta over its support S, computed
     as the objective's regularizer is."""
     sup = np.flatnonzero(state.beta)
-    c, (XS, sqS), each = state.beta[sup], dense_rows(state.points[sup]), np.arange(sup.size)
-    dec = _decisions(state.kernel, c, XS, sqS, XS, sqS, each, each)
+    c = state.beta[sup]
+    dec = support_decisions(state.kernel, c, *dense_rows(state.points[sup]))
     return math.sqrt(max(float(c @ dec), 0.0))
 
 

@@ -720,6 +720,23 @@ class TestRowMatching:
         got = block_decisions(spec, c, XS, sqS, Rows(X, index), sq[index])
         assert np.array_equal(got, block_decisions(spec, c, XS, sqS, X[index], sq[index]))
 
+    @pytest.mark.parametrize("k, slab", [(0, None), (1, None), (700, None), (1500, None), (60, 8 * 60 - 1)])
+    def test_support_entries_counts_the_triangle(self, k, slab, monkeypatch):
+        """support_entries(k) is the number of kernel entries
+        support_decisions computes, counted at sq_dist_block."""
+        if slab is not None:
+            monkeypatch.setattr(kernel_mod, "SLAB_BYTES", slab)  # one row per slab
+        entries = []
+
+        def counted(XA, sqA, XB, sqB, out, spec):
+            entries.append(out.size)
+            return sq_dist_block(XA, sqA, XB, sqB, out=out, spec=spec)
+
+        monkeypatch.setattr(kernel_mod, "sq_dist_block", counted)
+        XS, sqS = TestBlockPrimitives.rows(np.random.default_rng(14), k, dim=3)
+        support_decisions(KernelSpec(1.0, 1.0), np.ones(k), XS, sqS)
+        assert kernel_mod.support_entries(k) == sum(entries)
+
     def test_shuffled_and_repeated_rows_match(self):
         rng = np.random.default_rng(12)
         XA = rng.standard_normal((300, 6))

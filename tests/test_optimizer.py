@@ -792,9 +792,10 @@ class TestPredict:
     def test_matched_decisions_hold_the_support_rows_and_one_slab(self):
         """A query holding every support row, shuffled, among other points:
         the bound above plus the matcher's and the split's index arrays, at
-        most eight 8-byte arrays of k + m entries."""
+        most eight 8-byte arrays of k + m entries. The m - k other rows
+        (2 MB) are more than the bound leaves over, so copying them fails."""
         rng = np.random.default_rng(1)
-        k, m, d = 3000, 5000, 50
+        k, m, d = 3000, 8000, 50
         X = rng.normal(size=(k, d))
         support = Points.from_dense(X)
         query = Points.from_dense(np.vstack([X, rng.normal(size=(m - k, d))])[rng.permutation(m)])
@@ -816,7 +817,7 @@ class TestMatchedDecisions:
     """decision_values where query rows are support rows, against c @ the
     dense kernel block whose distance is exactly 0 where two rows are equal."""
 
-    K, N = 700, 1400  # support and points: min(K, queries)^2 entries exceed one slab
+    K, N = 700, 1400  # support and points: K^2 entries span several slabs
 
     @staticmethod
     def reference(state, query):
@@ -836,12 +837,13 @@ class TestMatchedDecisions:
         return ModelState(KernelSpec(sigma_f, 1.7), Points.from_dense(X), beta, hinge_cfg(T=1), 1.0), X
 
     @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
-    @pytest.mark.parametrize("case", ["all points", "shuffled, repeated", "over half the support",
-                                      "under half the support", "duplicate support rows", "signed zero"])
+    @pytest.mark.parametrize("case", ["all points", "shuffled, repeated", "most of the support",
+                                      "part of the support", "duplicate support rows", "signed zero"])
     def test_matches_the_dense_gram(self, case, sigma_f, monkeypatch):
-        """Matched rows read the support's triangle when there are more of
-        them than half the support, and go through block_decisions
-        otherwise; rows equal but for a signed zero are not matched."""
+        """Matched rows read the support's triangle when it computes fewer
+        kernel entries than their rows of the block, and go through
+        block_decisions otherwise; rows equal but for a signed zero are not
+        matched."""
         X = None
         if case == "duplicate support rows":
             X = np.random.default_rng(5).normal(size=(self.N, 5))
@@ -855,8 +857,8 @@ class TestMatchedDecisions:
         Q = {
             "all points": X,
             "shuffled, repeated": X[np.concatenate([rng.permutation(self.N), rng.integers(0, self.N, size=500)])],
-            "over half the support": np.vstack([X[sup[600:0:-1]], rng.normal(size=(200, 5))]),
-            "under half the support": np.vstack([X[sup[:300]], rng.normal(size=(400, 5))]),
+            "most of the support": np.vstack([X[sup[600:0:-1]], rng.normal(size=(200, 5))]),
+            "part of the support": np.vstack([X[sup[:300]], rng.normal(size=(400, 5))]),
             "duplicate support rows": X,
             "signed zero": np.vstack([X[sup], X[sup]]),
         }[case]
@@ -879,30 +881,30 @@ class TestMatchedDecisions:
         assert np.allclose(got, self.reference(state, query), rtol=1e-12, atol=0.0)
         hits = matched[0] >= 0
         want_hits = {
-            "over half the support": np.arange(len(Q)) < 600,
-            "under half the support": np.arange(len(Q)) < 300,
+            "most of the support": np.arange(len(Q)) < 600,
+            "part of the support": np.arange(len(Q)) < 300,
             "signed zero": np.arange(len(Q)) < self.K,
         }.get(case)
         assert hits.any() if want_hits is None else np.array_equal(hits, want_hits)
-        assert triangles == ([] if case == "under half the support" else [self.K])
+        assert triangles == ([] if case == "part of the support" else [self.K])
 
     @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
     @pytest.mark.parametrize("k, m", [(0, 50), (50, 0), (0, 0)])
     def test_empty_support_or_query(self, k, m, sigma_f):
-        spec = KernelSpec(sigma_f, 1.7)
         rng = np.random.default_rng(7)
-        XS, XT = rng.normal(size=(k, 5)), rng.normal(size=(m, 5))
-        sqS, sqT = np.einsum("ij,ij->i", XS, XS), np.einsum("ij,ij->i", XT, XT)
-        own = kernel_mod.equal_rows(XS, XT)
-        got = optimizer_mod._decisions(spec, rng.normal(size=k), XS, sqS, XT, sqT, np.arange(m), own)
+        X = rng.normal(size=(50, 5))
+        beta = np.zeros(50)
+        beta[:k] = rng.normal(size=k)
+        state = ModelState(KernelSpec(sigma_f, 1.7), Points.from_dense(X), beta, hinge_cfg(T=1), 1.0)
+        got = decision_values(state, Points.from_dense(X[:m]))
         assert np.array_equal(got, np.zeros(m))
 
     @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
     def test_a_matched_row_has_kernel_entry_sigma_f_squared(self, sigma_f):
         """Far-apart points and a tiny length-scale make K(S, Q) 0 but for
         matched pairs, which are sigma_f^2 exactly: a self-distance rounded
-        above 0 would show. The query holds every point, then over half of
-        the support, so that the triangle runs both times."""
+        above 0 would show. The query holds every point, then 600 of the
+        700 support rows, so that the triangle runs both times."""
         X = 30.0 * np.random.default_rng(8).normal(size=(self.N, 7))
         state, _ = self.model(sigma_f, X, seed=9)
         state = replace(state, kernel=KernelSpec(sigma_f, 1e-6))
@@ -911,37 +913,39 @@ class TestMatchedDecisions:
         part = state.points[sup[:600]]
         assert np.array_equal(decision_values(state, part), state.beta[sup[:600]] * sigma_f**2)
 
-    @pytest.mark.parametrize("k, m", [(512, 2000), (2000, 512), (300, 300)])
-    def test_skip_rule_gives_the_block_path(self, k, m, monkeypatch):
-        """min(k, m)^2 entries within one SLAB_BYTES slab: no matching, and
-        the decisions are block_decisions', bit for bit."""
+    @pytest.mark.parametrize("matched", [0, 525, 526])
+    def test_the_triangle_runs_where_it_computes_fewer_entries(self, matched, monkeypatch):
+        """support_decisions computes between 525 and 526 rows' worth of the
+        block at k = 700. A query of 300 other points and up to 525 support
+        rows gets block_decisions' decisions over the whole query, bit for
+        bit, and with no support rows among 300 points matching is skipped;
+        one more support row and the matched rows read the triangle."""
+        assert 525 * self.K <= kernel_mod.support_entries(self.K) < 526 * self.K
+        state, X = self.model(1.0)
+        sup = np.flatnonzero(state.beta)
         rng = np.random.default_rng(10)
-        X = rng.normal(size=(max(k, m), 5))
-        state = ModelState(KERNEL, Points.from_dense(X[:k]), rng.normal(size=k), hinge_cfg(T=1), 1.0)
-        query = Points.from_dense(X[:m])  # every shared row is a support row
-        assert 8 * min(k, m) ** 2 <= kernel_mod.SLAB_BYTES
-
-        def no_matching(XA, XB):
-            raise AssertionError("matched under the skip rule")
-
-        monkeypatch.setattr(optimizer_mod, "equal_rows", no_matching)
-        got = decision_values(state, query)
-        want = kernel_mod.block_decisions(KERNEL, state.beta, *dense_rows(state.points, query))
-        assert np.array_equal(got, want)
-
-    def test_matching_starts_one_row_past_the_rule(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(513, 5))
-        state = ModelState(KERNEL, Points.from_dense(X), rng.normal(size=513), hinge_cfg(T=1), 1.0)
-        calls = []
+        query = Points.from_dense(np.vstack([rng.normal(size=(300, 5)), X[sup[:matched]]]))
+        matches, triangles = [], []
 
         def match(XA, XB):
-            calls.append(XA.shape[0])
+            matches.append(XB.shape[0])
             return kernel_mod.equal_rows(XA, XB)
 
+        def triangle(*args):
+            triangles.append(args[1].size)
+            return kernel_mod.support_decisions(*args)
+
         monkeypatch.setattr(optimizer_mod, "equal_rows", match)
-        decision_values(state, state.points)
-        assert calls == [513]  # 8 * 513^2 bytes exceed one slab
+        monkeypatch.setattr(optimizer_mod, "support_decisions", triangle)
+        got = decision_values(state, query)
+        want = kernel_mod.block_decisions(state.kernel, state.beta[sup], *dense_rows(state.points[sup], query))
+        assert matches == ([] if matched == 0 else [300 + matched])
+        if matched <= 525:
+            assert triangles == []
+            assert np.array_equal(got, want)
+        else:
+            assert triangles == [self.K]
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestHilbertNorm:
