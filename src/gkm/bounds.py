@@ -22,7 +22,9 @@ REASON_P_EQ_2 = "p_eq_2_a_lt_1"
 REASON_P_GT_2 = "p_gt_2_product"
 REASON_VIOLATED = "violated"
 
-_EXP_OVERFLOW = 709.0  # log of the largest finite float64
+# past this log, exp is beyond the float range (ln of the largest float64 is
+# 709.78), and long double's exp would overflow somewhat later
+_EXP_OVERFLOW = 710.0
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,21 @@ def bound_residual(M: float, a: float, b: float, p: float) -> float:
     return _power((a, 1.0), (M, p - 1.0)) - M + b
 
 
-def _power(*factors: tuple[float, float], log_c: float = 0.0) -> float:
-    """exp(log_c) prod(base^exponent) over (base, exponent) factors, bases >= 0,
-    as one exp of a sum of logs: saturates to inf, never raises; 0 at a 0 base."""
+def _power(*factors: tuple[float, float], log_c: float = 0.0, root: float = 1.0) -> float:
+    """(exp(log_c) prod(base^exponent))^(1/root) over (base, exponent)
+    factors, bases >= 0, root > 0, as one exp of a sum of logs divided by
+    root: saturates to inf, never raises; 0 at a 0 base. The sum and exp run
+    in numpy's long double and round once to a float, so where long double
+    has a 64-bit significand (x86-64) a result is within about an ulp even
+    where its log is near 700; where long double is double, the sum's
+    rounding error grows with the size of the logs."""
     if any(base == 0.0 for base, _ in factors):
         return 0.0
-    t = log_c + sum(exponent * math.log(base) for base, exponent in factors)
-    return math.inf if t > _EXP_OVERFLOW else math.exp(t)
+    t = np.longdouble(log_c)
+    for base, exponent in factors:
+        t += np.longdouble(exponent) * np.log(np.longdouble(base))
+    t /= np.longdouble(root)
+    return math.inf if t > _EXP_OVERFLOW else float(np.exp(t))
 
 
 def product_threshold(p: float) -> float:
@@ -81,16 +91,17 @@ def _certified_M(a: float, b: float, p: float) -> float | None:
 
     p < 2 always certifies with M = max(1, (a+b)^(1/(2-p))); p = 2 needs
     a < 1 and gives M = b/(1-a); p > 2 needs a b^(p-2) <= product_threshold(p)
-    and gives M = (1/((p-1)a))^(1/(p-2)). Powers saturate to inf.
+    and gives M = (1/((p-1)a))^(1/(p-2)), one power of p - 1 and a, so a
+    product (p-1)a past the float range still gives its M. Powers saturate
+    to inf.
     """
     if p < 2.0:
-        return max(1.0, _power((a + b, 1.0 / (2.0 - p))))
+        return max(1.0, _power((a + b, 1.0), root=2.0 - p))
     if p == 2.0:
         return b / (1.0 - a) if a < 1.0 else None
     if not a * _power((b, p - 2.0)) <= product_threshold(p):
         return None
-    d = (p - 1.0) * a
-    return _power((1.0 / d, 1.0 / (p - 2.0))) if d > 0.0 else math.inf
+    return _power((p - 1.0, -1.0), (a, -1.0), root=p - 2.0) if a > 0.0 else math.inf
 
 
 def _require_positive(**values: float) -> None:
@@ -102,8 +113,9 @@ def _require_positive(**values: float) -> None:
 
 def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> BoundsReport:
     """Evaluate the iterate bound M (see ``_certified_M``) and the gradient
-    bound G = M + b + a M^(p-1). A violated condition is reported, never
-    raised.
+    bound G = M + b + a M^(p-1), its last term one power of a and M, so it
+    is finite wherever it is in the float range, even where M^(p-1) alone
+    is not. A violated condition is reported, never raised.
     """
     _require_positive(C=C, C_prime=C_prime, R=R, A=A)
     if not 1.0 <= p < math.inf:
@@ -117,7 +129,7 @@ def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> Bo
     if M is None:
         return BoundsReport(R, A, a, b, p, None, None, False, REASON_VIOLATED)
     reason = REASON_P_LT_2 if p < 2.0 else REASON_P_EQ_2 if p == 2.0 else REASON_P_GT_2
-    G = M + b + a * _power((M, p - 1.0)) if math.isfinite(M) else math.inf
+    G = M + b + _power((a, 1.0), (M, p - 1.0)) if math.isfinite(M) else math.inf
     return BoundsReport(R, A, a, b, p, M, G, True, reason)
 
 

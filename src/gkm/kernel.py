@@ -46,10 +46,11 @@ class Points:
 
     @classmethod
     def from_dense(cls, X) -> "Points":
-        """The rows of a 2-d array (1-d: one row), storing every index 1..d."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        """The rows of a 2-d array (1-d: one row), storing every index 1..d.
+        The arrays are built once; only the caller's values are copied."""
+        X = np.array(X, dtype=np.float64, order="C", ndmin=2)
         n, d = X.shape
-        return cls(np.arange(n + 1) * d, np.tile(np.arange(1, d + 1), n), X.reshape(-1))
+        return _checked(np.arange(n + 1) * d, np.tile(np.arange(1, d + 1), n), X.reshape(-1))
 
     def __len__(self) -> int:
         return self.indptr.size - 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -110,11 +110,13 @@ class Diagnostics:
     iterates: list[np.ndarray] | None = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelState:
     """The model: coefficients ``beta`` of the averaged iterate over
     ``points``, which it predicts with, and everything needed to evaluate
-    decisions."""
+    decisions. It is immutable, ``beta`` a read-only copy, so it computes
+    its decisions at its own support once (decisions_at_support);
+    ``dataclasses.replace`` makes a new model, which computes its own."""
 
     kernel: KernelSpec
     points: Points
@@ -122,6 +124,23 @@ class ModelState:
     config: TrainConfig
     sigma_s: float
     labels: np.ndarray | None = None
+    _at_support: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        beta = np.array(self.beta, dtype=np.float64)
+        beta.flags.writeable = False
+        object.__setattr__(self, "beta", beta)
+
+    def decisions_at_support(self) -> np.ndarray:
+        """f(S) = beta[S] @ K(S, S) at the support S (beta's nonzeros, in
+        order), from the upper triangle (support_decisions) over the dense
+        rows of the support alone; computed on the first call, read-only."""
+        if self._at_support is None:
+            sup = np.flatnonzero(self.beta)
+            dec = support_decisions(self.kernel, self.beta[sup], *dense_rows(self.points[sup]))
+            dec.flags.writeable = False
+            object.__setattr__(self, "_at_support", dec)
+        return self._at_support
 
 
 def _gram_values(K_rows: list[np.ndarray], u: np.ndarray, lab_idx, eu, ev):
@@ -293,20 +312,24 @@ def train(
                 if iterates is not None:
                     iterates.append(u * s)
 
-                if every is not None and (t % every == 0 or t == T):
+                if every is not None and t % every == 0 and t < T:
                     bar = s * (Q * u - np.array(v))
                     j_avg = _objective_core(bar, dataset, trace_graph, config, kernel, diag_rng)
                     trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
-    beta = s * (Q * u - np.array(v))
-    state = ModelState(
-        kernel=kernel,
-        points=dataset.points,
-        beta=beta,
-        config=config,
-        sigma_s=float(sigma_s),
-        labels=dataset.labels,
-    )
+        state = ModelState(
+            kernel=kernel,
+            points=dataset.points,
+            beta=s * (Q * u - np.array(v)),
+            config=config,
+            sigma_s=float(sigma_s),
+            labels=dataset.labels,
+        )
+        if every is not None:  # the last trace point, t = T: its coefficients are beta
+            j_avg = _objective_core(state.beta, dataset, trace_graph, config, kernel, diag_rng,
+                                    state.decisions_at_support())
+            trace.append((T, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
+
     diag = Diagnostics(
         trace_t=np.array([r[0] for r in trace], dtype=np.int64),
         trace_j_avg=np.array([r[1] for r in trace]),
@@ -332,12 +355,14 @@ def _objective_core(
     config: TrainConfig,
     kernel: KernelSpec,
     rng: np.random.Generator | None,
+    at_support: np.ndarray | None = None,
 ) -> float:
-    """J from one decision evaluation: at the support from the upper triangle
-    of K(S, S) (support_decisions), then at every other point when the edge
-    term is exact, otherwise at the labeled points and the sampled edge
-    endpoints outside the support, their rows gathered one slab at a time
-    (Rows). The regularizer is c . dec[support]."""
+    """J from one decision evaluation: at the support ``at_support`` when
+    given, else from the upper triangle of K(S, S) (support_decisions), then
+    at every other point when the edge term is exact, otherwise at the
+    labeled points and the sampled edge endpoints outside the support, their
+    rows gathered one slab at a time (Rows). The regularizer is
+    c . dec[support]."""
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
@@ -353,7 +378,7 @@ def _objective_core(
     if sup.size:
         X, sq = dataset.dense()
         c, XS, sqS = coefs[sup], X[sup], sq[sup]
-        dec[sup] = support_decisions(kernel, c, XS, sqS)
+        dec[sup] = support_decisions(kernel, c, XS, sqS) if at_support is None else at_support
         outside = np.full(dataset.n, exact)
         outside[:l] = outside[us] = outside[vs] = True
         outside[sup] = False
@@ -386,14 +411,17 @@ def objective(
     """Full objective J: regularizer + labeled loss term + edge smoothness.
 
     Accepts a ModelState (evaluates its coefficients ``beta``) or a raw
-    coefficient array over the dataset points. Exact mode enumerates the
-    edge universe (an implicit full graph only up to graph.EXACT_EDGE_CAP
-    edges); sampled mode draws config.objective_samples edges for an
-    unbiased estimate, labeled term always exact.
+    coefficient array over the dataset points. A model whose ``points`` are
+    the dataset's own object reads its decisions at the support from
+    ``decisions_at_support`` (computed once per model); otherwise they come
+    from the dataset's dense rows. Exact mode enumerates the edge universe
+    (an implicit full graph only up to graph.EXACT_EDGE_CAP edges); sampled
+    mode draws config.objective_samples edges for an unbiased estimate,
+    labeled term always exact.
     """
-    if isinstance(model_or_coefs, ModelState):
-        coefs = model_or_coefs.beta
-        kernel = model_or_coefs.kernel
+    model = model_or_coefs if isinstance(model_or_coefs, ModelState) else None
+    if model is not None:
+        coefs, kernel = model.beta, model.kernel
     else:
         coefs = np.asarray(model_or_coefs, dtype=np.float64)
         if kernel is None:
@@ -401,18 +429,22 @@ def objective(
     if coefs.shape != (dataset.n,):
         raise ValueError("coefficient array must align with the dataset")
     check_vertices(graph, dataset)
-    return _objective_core(coefs, dataset, graph, config, kernel, rng)
+    own = model is not None and dataset.points is model.points
+    at_support = model.decisions_at_support() if own else None
+    return _objective_core(coefs, dataset, graph, config, kernel, rng, at_support)
 
 
 def decision_values(state: ModelState, points: Points) -> np.ndarray:
     """Decision function of the model on arbitrary points. Query rows equal
-    to support rows, bit for bit (kernel.equal_rows), read c @ K(S, S) from
-    its upper triangle (support_decisions) when that takes fewer kernel
-    entries than their rows of the block; all other rows go through
-    block_decisions. Matching is skipped when even a query of support rows
-    only would not pay for the triangle. A support row's decision thus
-    depends, in its last bits, on whether the rest of the query takes the
-    triangle: only a decision that close to 0 can change its label."""
+    to support rows, bit for bit (kernel.equal_rows), read the model's
+    decisions at its support (decisions_at_support: the upper triangle of
+    K(S, S), computed once per model) when that triangle takes fewer kernel
+    entries than their rows of the block, whether or not the model holds it
+    already; all other rows go through block_decisions. Matching is skipped
+    when even a query of support rows only would not pay for the triangle.
+    A support row's decision thus depends, in its last bits, on whether the
+    rest of the query takes the triangle, never on earlier calls: only a
+    decision that close to 0 can change its label."""
     sup = np.flatnonzero(state.beta)
     c, (XS, sqS, XT, sqT) = state.beta[sup], dense_rows(state.points[sup], points)
     triangle = support_entries(sup.size)
@@ -421,9 +453,10 @@ def decision_values(state: ModelState, points: Points) -> np.ndarray:
         hit = own >= 0
         if np.count_nonzero(hit) * sup.size > triangle:
             out = np.empty(len(points))
-            out[hit] = support_decisions(state.kernel, c, XS, sqS)[own[hit]]
             miss = np.flatnonzero(~hit)
             out[miss] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, miss), sqT[miss])
+            del XS  # f(S) gathers the support's rows on its own when the model lacks it
+            out[hit] = state.decisions_at_support()[own[hit]]
             return out
     return block_decisions(state.kernel, c, XS, sqS, XT, sqT)
 
@@ -434,13 +467,11 @@ def predict_batch(state: ModelState, points: Points) -> np.ndarray:
 
 
 def hilbert_norm(state: ModelState) -> float:
-    """RKHS norm of the model (the averaged iterate it predicts with) via the
-    kernel quadratic form beta^T K(S, S) beta over its support S, computed
-    as the objective's regularizer is."""
-    sup = np.flatnonzero(state.beta)
-    c = state.beta[sup]
-    dec = support_decisions(state.kernel, c, *dense_rows(state.points[sup]))
-    return math.sqrt(max(float(c @ dec), 0.0))
+    """RKHS norm of the model (the averaged iterate it predicts with):
+    sqrt(beta[S] . f(S)) over its support S, f(S) = beta[S] @ K(S, S) read
+    from decisions_at_support, as the objective's regularizer is."""
+    c = state.beta[np.flatnonzero(state.beta)]
+    return math.sqrt(max(float(c @ state.decisions_at_support()), 0.0))
 
 
 MODEL_FORMAT_TAG = "gkm-model 1"

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -277,28 +279,70 @@ class TestLargeP:
 
 
 # (C, C', p, R, A) -> (a, M, G, condition_holds), literal values of the
-# log-space powers across the three cases, both threshold regimes and a
-# saturated G
+# log-space powers across the three cases, both threshold regimes, a G past
+# the float range of M^(p-1) and a saturated G
 PINNED_REPORTS = [
     ((1.0, 0.3, 1.0, 1.0, 1.0), (0.6, 1.6, 3.2, True)),
-    ((0.5, 0.3, 1.5, 1.0, 1.0), (1.2727922061357855, 3.142792206135786, 5.899188309203678, True)),
+    ((0.5, 0.3, 1.5, 1.0, 1.0), (1.2727922061357855, 3.1427922061357854, 5.899188309203678, True)),
     ((1.0, 0.05, 2.0, 1.0, 1.0), (0.4, 1.6666666666666667, 3.333333333333334, True)),
-    ((2.0, 0.001, 2.5, 1.0, 0.7), (0.014142135623730952, 2222.222222222221, 3705.103703703701, True)),
+    ((2.0, 0.001, 2.5, 1.0, 0.7), (0.014142135623730952, 2222.2222222222217, 3705.103703703703, True)),
     ((1.0, 0.01, 3.0, 1.0, 1.0), (0.24, 2.0833333333333335, 4.125, True)),
     ((1.0, 0.1, 3.0, 1.0, 1.0), (2.4000000000000004, None, None, False)),
     ((0.3, 0.0001, 8.0, 0.9, 0.9), (0.08815968460800003, 1.0837738188015462, 1.50859865005891, True)),
-    ((1.0, 1e-120, 100.0, 0.6, 0.6), (8.281797452201424e-111, 12.674207655548216, 13.402229955099202, True)),
+    ((1.0, 1e-120, 100.0, 0.6, 0.6), (8.281797452201424e-111, 12.674207655548221, 13.402229955099212, True)),
     ((1.0, 1e-150, 150.0, 1.0, 2.5), (2.1408715390589398e-103, 4.775606499747265, 7.307657550081139, True)),
     ((1.0, 1e-200, 200.0, 1.0, 1.0), (3.21387608851798e-138, 4.8172432262316045, 5.841450478624728, True)),
-    ((1.0, 1e-300, 3.0, 1.0, 1.0), (2.4e-299, 2.0833333333333918e+298, math.inf, True)),
+    ((1.0, 1e-300, 3.0, 1.0, 1.0), (2.4e-299, 2.0833333333333332e+298, 3.1249999999999997e+298, True)),
     ((5.0, 1.0, 1.999999999999, 1.0, 1.0), (7.999999999990454, math.inf, math.inf, True)),
 ]
+
+# the rows of PINNED_REPORTS whose M or G moved when M and G became one
+# power each
+RESET_ROWS = [1, 3, 7, 10]
 
 
 @pytest.mark.parametrize("args, want", PINNED_REPORTS)
 def test_compute_bounds_pinned_bits(args, want):
     r = compute_bounds(*args)
     assert (r.a, r.M, r.G, r.condition_holds) == want
+
+
+def decimal_M_G(a: float, b: float, p: float) -> tuple[Decimal, Decimal]:
+    """M and G = M + b + a M^(p-1) of the case table at the floats a, b and
+    p, in 60-digit decimal arithmetic: the oracle of compute_bounds'
+    powers."""
+    ctx = decimal.Context(prec=60)
+    a, b, p = Decimal(a), Decimal(b), Decimal(p)
+    if p < 2:
+        M = max(Decimal(1), ctx.power(a + b, ctx.divide(1, 2 - p)))
+    elif p == 2:
+        M = ctx.divide(b, 1 - a)
+    else:
+        M = ctx.power(ctx.multiply(p - 1, a), ctx.divide(-1, p - 2))
+    return M, ctx.add(ctx.add(M, b), ctx.multiply(a, ctx.power(M, p - 1)))
+
+
+def ulps_from(x: float, exact: Decimal) -> float:
+    """|x - exact| in units of the last place of the float nearest exact."""
+    return float(abs(Decimal(x) - exact) / Decimal(math.ulp(float(exact))))
+
+
+@pytest.mark.parametrize("row", RESET_ROWS)
+def test_pinned_rows_that_moved_are_within_an_ulp_of_decimal(row):
+    r = compute_bounds(*PINNED_REPORTS[row][0])
+    want_M, want_G = decimal_M_G(r.a, r.b, r.p)
+    assert ulps_from(r.M, want_M) <= 1.0 and ulps_from(r.G, want_G) <= 1.0
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 10.0])
+def test_M_beyond_the_float_range_of_p_minus_one_times_a(p):
+    """With a near the largest float, (p-1)a overflows while M and G are
+    floats: M is one power of p - 1 and a, not 0, and G their sum."""
+    r = compute_bounds(1e-300, 1.2e308 / (2.0**p * p), p, 1.0, 1e-10)
+    assert (p - 1.0) * r.a == math.inf and r.condition_holds
+    want_M, want_G = decimal_M_G(r.a, r.b, p)
+    assert r.M > 0.0 and ulps_from(r.M, want_M) <= 2.0 and ulps_from(r.G, want_G) <= 2.0
+    assert float(case_M(r.a, r.b, p)) == r.M
 
 
 def test_product_threshold_limit_near_two():

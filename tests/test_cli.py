@@ -5,6 +5,8 @@ from gkm.cli import main
 from gkm.data import load_libsvm, save_libsvm, synth_two_gaussians, hide_labels
 from gkm.optimizer import decision_values, load_model
 
+from test_bounds import decimal_M_G, ulps_from
+
 
 @pytest.fixture()
 def data_file(tmp_path):
@@ -196,6 +198,20 @@ class TestBounds:
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         assert "a 0.0" in out and "M inf" in out and "condition_holds true" in out
+
+    @pytest.mark.parametrize("argv", [
+        # (p-1)a overflows: M = 1/(2a) ~ 4.2e-309, once printed as 0.0
+        ["--p", "3", "--C", "1e-300", "--A", "1e-10", "--C-prime", "1", "--sigma-f", "1.71e102"],
+        # M^(p-1) overflows: G = 1.5 M + b ~ 3.1e298, once printed as inf
+        ["--p", "3", "--C", "1", "--C-prime", "1e-300"],
+    ])
+    def test_M_and_G_near_the_float_range_match_decimal(self, argv, capsys):
+        assert run(["bounds", *argv]) == 0
+        out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        want_M, want_G = decimal_M_G(float(out["a"]), float(out["b"]), float(out["p"]))
+        assert out["condition_holds"] == "true"
+        assert ulps_from(float(out["M"]), want_M) <= 2.0
+        assert ulps_from(float(out["G"]), want_G) <= 2.0
 
     def test_infinite_G_has_no_T0_exit_two(self, capsys):
         code = run(["bounds", "--p", "2.0000000001", "--C", "1", "--C-prime", "0.01",

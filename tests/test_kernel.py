@@ -165,6 +165,29 @@ class TestPoints:
         with pytest.raises(AttributeError):
             p.values = values
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_from_dense_builds_its_arrays_once(self, layout):
+        """from_dense holds, at its peak, the three arrays it keeps and the
+        validation's two one-byte masks: the caller's values are copied
+        once and nothing is copied again. The arrays equal those of the
+        constructor, which copies all three."""
+        n, d = 10_000, 50
+        X = np.random.default_rng(3).normal(size=(n, 2 * d if layout == "strided" else d))
+        X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
+        Points.from_dense(X[:2])
+        tracemalloc.start()
+        try:
+            p = Points.from_dense(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = p.indptr.nbytes + p.indices.nbytes + p.values.nbytes
+        assert peak <= kept + 2 * X.size + (64 << 10)
+        want = Points(np.arange(n + 1) * d, np.tile(np.arange(1, d + 1), n), X.reshape(-1))
+        for name in ("indptr", "indices", "values"):
+            assert np.array_equal(getattr(p, name), getattr(want, name))
+        assert not np.shares_memory(p.values, X) and not p.values.flags.writeable
+
     def test_dense_view_cannot_write_the_stored_values(self):
         labels = np.array([1, -1], dtype=np.int8)
         full = Points.from_dense([[1.0, 2.0], [3.0, 4.0]])

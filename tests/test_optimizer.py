@@ -1,15 +1,16 @@
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from gkm import graph as graph_mod
 from gkm import kernel as kernel_mod
+from gkm import cli as cli_mod
 from gkm import optimizer as optimizer_mod
 from gkm.bounds import compute_bounds
-from gkm.data import Dataset, hide_labels, synth_two_gaussians
+from gkm.data import Dataset, hide_labels, load_libsvm, synth_two_gaussians
 from gkm.exceptions import (
     EdgeEnumerationTooLargeError,
     EmptyEdgeSetError,
@@ -17,7 +18,7 @@ from gkm.exceptions import (
     NonFiniteStateError,
 )
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
-from gkm.harness import solve_reference_optimum
+from gkm.harness import evaluate, solve_reference_optimum
 from gkm.kernel import KernelSpec, Points, dense_rows, gram_sq_dists, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
@@ -792,7 +793,8 @@ class TestPredict:
     def test_matched_decisions_hold_the_support_rows_and_one_slab(self):
         """A query holding every support row, shuffled, among other points:
         the bound above plus the matcher's and the split's index arrays, at
-        most eight 8-byte arrays of k + m entries. The m - k other rows
+        most eight 8-byte arrays of k + m entries, whether or not the model
+        holds its decisions at the support already. The m - k other rows
         (2 MB) are more than the bound leaves over, so copying them fails."""
         rng = np.random.default_rng(1)
         k, m, d = 3000, 8000, 50
@@ -801,16 +803,17 @@ class TestPredict:
         query = Points.from_dense(np.vstack([X, rng.normal(size=(m - k, d))])[rng.permutation(m)])
         state = ModelState(KERNEL, support, rng.normal(size=k), hinge_cfg(T=1), 1.0)
         want = decision_values(state, query)
-        tracemalloc.start()
-        try:
-            got = decision_values(state, query)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, want)
         support_rows = 8 * k * d
         index_arrays = 8 * 8 * (k + m)
-        assert peak <= 2 * support_rows + kernel_mod.SLAB_BYTES + (8 << 10) + index_arrays
+        for model in (replace(state), state):  # without, then with, the decisions at the support
+            tracemalloc.start()
+            try:
+                got = decision_values(model, query)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            assert peak <= 2 * support_rows + kernel_mod.SLAB_BYTES + (8 << 10) + index_arrays
 
 
 class TestMatchedDecisions:
@@ -946,6 +949,128 @@ class TestMatchedDecisions:
         else:
             assert triangles == [self.K]
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def count_triangles(monkeypatch) -> list[int]:
+    """The support sizes of the support_decisions calls made from now on."""
+    calls = []
+
+    def triangle(*args):
+        calls.append(args[1].size)
+        return kernel_mod.support_decisions(*args)
+
+    monkeypatch.setattr(optimizer_mod, "support_decisions", triangle)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def past_the_cap(tmp_path_factory):
+    """The CI file just past the Gram cap (gkm synth --n 2100 --dim 5
+    --bayes-accuracy 0.9) and gkm train's problem and traced config on it
+    (--hide-fraction 0.8, defaults otherwise)."""
+    path = tmp_path_factory.mktemp("past-the-cap") / "data.txt"
+    assert cli_mod.main(["synth", "--n", "2100", "--dim", "5", "--bayes-accuracy", "0.9",
+                         "--out", str(path)]) == 0
+    args = cli_mod.build_parser().parse_args(["train", str(path), "--hide-fraction", "0.8"])
+    dataset, kernel, graph = cli_mod._training_problem(args)
+    T = default_iterations(dataset.n)
+    config = cli_mod._train_config(args, args.loss, args.p, T=T, diagnostics_every=T,
+                                   objective_mode=args.objective_mode)
+    return path, dataset, graph, config, kernel
+
+
+class TestModelMemo:
+    """A model is immutable and computes its decisions at its own support,
+    f(S) = beta[S] @ K(S, S), at most once."""
+
+    @staticmethod
+    def model(n=1000, k=700, seed=0):  # k = 700: a query of the support pays for the triangle
+        rng = np.random.default_rng(seed)
+        beta = np.zeros(n)
+        beta[rng.permutation(n)[:k]] = rng.uniform(0.5, 1.5, size=k)
+        points = Points.from_dense(rng.normal(size=(n, 4)))
+        return ModelState(KernelSpec(1.3, 1.7), points, beta, hinge_cfg(T=1), 1.0), beta
+
+    def test_beta_is_a_read_only_copy(self):
+        state, beta = self.model()
+        beta[:] = 7.0
+        assert not np.any(state.beta == 7.0) and state.beta.dtype == np.float64
+        with pytest.raises(ValueError):
+            state.beta[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            state.beta = beta
+        with pytest.raises(TypeError):
+            ModelState(KERNEL, state.points, state.beta, hinge_cfg(T=1), 1.0, None, np.zeros(3))
+
+    def test_the_memo_is_computed_once_and_replace_drops_it(self, monkeypatch):
+        state, _ = self.model()
+        calls = count_triangles(monkeypatch)
+        norm = hilbert_norm(state)
+        assert hilbert_norm(state) == norm and calls == [700]
+        dec = decision_values(state, state.points)  # the triangle pays: it reads the memo
+        assert calls == [700]
+        other = replace(state, kernel=KernelSpec(1.0, 1.7))
+        other_norm = hilbert_norm(other)
+        assert calls == [700, 700]
+        fresh = ModelState(KernelSpec(1.0, 1.7), state.points, state.beta, hinge_cfg(T=1), 1.0)
+        assert other_norm == hilbert_norm(fresh) != norm
+        again = replace(state)
+        assert np.array_equal(decision_values(again, state.points), dec)  # no history in the bits
+        assert calls == [700, 700, 700, 700]
+
+    def test_objective_reads_the_memo_of_its_own_points_only(self, small_problem, monkeypatch):
+        hidden, _, graph = small_problem
+        cfg = hinge_cfg(T=500, seed=2)
+        model, _ = train(hidden, graph, cfg, KERNEL)
+        k = np.count_nonzero(model.beta)
+        calls = count_triangles(monkeypatch)
+        j = objective(model, hidden, graph, cfg)
+        assert objective(model, hidden, graph, cfg) == j and calls == [k]
+        copy = Dataset(hidden.points[:], hidden.labels)  # equal points, another object
+        assert objective(model, copy, graph, cfg) == j and calls == [k, k]
+
+    def test_a_traced_fit_leaves_evaluate_and_the_norm_no_triangle(self, past_the_cap, monkeypatch,
+                                                                   tmp_path):
+        """train() takes its last trace point's decisions at the support from
+        the model it returns, so evaluate and hilbert_norm compute none;
+        their bits are those of the model read back from its file, which
+        computes its own."""
+        path, dataset, graph, config, kernel = past_the_cap
+        calls = count_triangles(monkeypatch)
+        model, _ = train(dataset, graph, config, kernel)
+        k = np.count_nonzero(model.beta)
+        assert calls == [k]  # the sampled J at t = T
+        truth, _ = load_libsvm(path)
+        report, norm = evaluate(model, truth), hilbert_norm(model)
+        assert calls == [k]
+        save_model(model, tmp_path / "model.txt")
+        back = load_model(tmp_path / "model.txt")
+        back_report = evaluate(back, truth)
+        assert calls == [k, k]
+        assert replace(back_report, wall_time=0.0) == replace(report, wall_time=0.0)
+        assert hilbert_norm(back) == norm
+        assert np.array_equal(decision_values(back, truth.points), decision_values(model, truth.points))
+
+    def test_the_tail_query_takes_the_block_path_with_or_without_the_memo(self, past_the_cap,
+                                                                          monkeypatch, tmp_path):
+        """CI's last 700 lines hold support rows, but even a query of 700
+        support rows would not pay for the triangle, so they get
+        block_decisions' bits whether or not the model holds its decisions
+        at the support."""
+        path, dataset, graph, config, kernel = past_the_cap
+        model, _ = train(dataset, graph, replace(config, diagnostics_every=None), kernel)
+        tail_path = tmp_path / "tail.txt"
+        tail_path.write_text("\n".join(path.read_text().splitlines()[-700:]) + "\n")
+        tail = load_libsvm(tail_path)[0].points
+        sup = np.flatnonzero(model.beta)
+        XS, sqS, XT, sqT = dense_rows(model.points[sup], tail)
+        matched = np.count_nonzero(kernel_mod.equal_rows(XS, XT) >= 0)
+        assert matched > 0 and len(tail) * sup.size <= kernel_mod.support_entries(sup.size)
+        want = kernel_mod.block_decisions(kernel, model.beta[sup], XS, sqS, XT, sqT)
+        calls = count_triangles(monkeypatch)
+        assert np.array_equal(decision_values(model, tail), want) and calls == []
+        model.decisions_at_support()
+        assert np.array_equal(decision_values(model, tail), want) and len(calls) == 1
 
 
 class TestHilbertNorm:
