@@ -89,14 +89,15 @@ def _certified_M(a: float, b: float, p: float) -> float | None:
     """The case table: the iterate bound M of case p at (a, b), or None
     where the rate condition fails.
 
-    p < 2 always certifies with M = max(1, (a+b)^(1/(2-p))); p = 2 needs
+    p < 2 always certifies with M = max(1, (a+b)^(1/(2-p))), a + b summed in
+    long double (a float sum would err by up to 0.5/(2-p) ulp in M); p = 2 needs
     a < 1 and gives M = b/(1-a); p > 2 needs a b^(p-2) <= product_threshold(p)
     and gives M = (1/((p-1)a))^(1/(p-2)), one power of p - 1 and a, so a
     product (p-1)a past the float range still gives its M. Powers saturate
     to inf.
     """
     if p < 2.0:
-        return max(1.0, _power((a + b, 1.0), root=2.0 - p))
+        return max(1.0, _power((np.longdouble(a) + b, 1.0), root=2.0 - p))
     if p == 2.0:
         return b / (1.0 - a) if a < 1.0 else None
     if not a * _power((b, p - 2.0)) <= product_threshold(p):

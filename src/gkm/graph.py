@@ -186,6 +186,24 @@ def build_fully_connected(dataset: Dataset, spec: GraphSpec) -> FullyConnectedEd
     return edges
 
 
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """The columns of the k smallest entries of each row of d2, increasing:
+    the entries below the row's k-th smallest value tau (np.partition),
+    then its entries equal to tau from the lowest column on, until there
+    are k. As a set that is the first k of a stable argsort, in O(n) per
+    row; the cumulative tie count runs on the rows that tie past k only."""
+    tau = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+    pick = d2 < tau
+    tie = d2 == tau
+    need = k - np.count_nonzero(pick, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tie, axis=1) > need)
+    if over.size:
+        t = tie[over]
+        tie[over] = t & (np.cumsum(t, axis=1) <= need[over, None])
+    pick |= tie
+    return np.nonzero(pick)[1].reshape(-1, k)
+
+
 def build_knn(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     """Union-symmetrized k-NN graph: (i, j) present when either endpoint
     nominates the other; ties broken toward the lower index."""
@@ -199,7 +217,7 @@ def build_knn(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     for start, d2 in _row_slabs(X, sq):
         rows = np.arange(d2.shape[0])
         d2[rows, start + rows] = np.inf
-        nn[start : start + rows.size] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nn[start : start + rows.size] = _nearest(d2, k)
     rows, cols = np.repeat(np.arange(n), k), nn.ravel()
     # canonical pairs u < v, deduplicated, in (u, v) order
     code = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))

@@ -149,6 +149,24 @@ _PASS_BYTES = 256 << 10
 _SCATTER_ROWS = 1024
 
 
+def columns(*parts: Points) -> np.ndarray:
+    """The feature indices that occur in any of the parts, increasing: the
+    columns of dense_rows(*parts), one per index."""
+    top = max((int(p.indices.max(initial=0)) for p in parts), default=0)
+    # a row's indices rise from 1, so it has at most top of them, and
+    # n * top of them means each row is 1..top
+    if all(p.indices.size == len(p) * top for p in parts):
+        return np.arange(1, top + 1)
+    if top <= sum(p.indices.size for p in parts):
+        # compact indices: an occupancy table no larger than the input, much
+        # faster than np.unique
+        occupied = np.zeros(top + 1, dtype=bool)
+        for p in parts:
+            occupied[p.indices] = True
+        return np.flatnonzero(occupied)
+    return np.unique(np.concatenate([p.indices for p in parts]))
+
+
 def dense_rows(*parts: Points) -> tuple[np.ndarray, ...]:
     """Dense X and squared row norms of each part in turn, flat: X0, sq0,
     X1, sq1, ... The parts share one column per feature index that occurs
@@ -158,21 +176,11 @@ def dense_rows(*parts: Points) -> tuple[np.ndarray, ...]:
     reshape of the values. Otherwise a scatter fills X, holding beyond it
     the scan of all indices for the columns, freed before X is allocated,
     and the temporaries of one _SCATTER_ROWS chunk of rows."""
-    top = max((int(p.indices.max(initial=0)) for p in parts), default=0)
-    # a row's indices rise from 1, so it has at most top of them, and
-    # n * top of them means each row is 1..top
-    if all(p.indices.size == len(p) * top for p in parts):
+    cols = columns(*parts)
+    top = int(cols[-1]) if cols.size else 0
+    if all(p.indices.size == len(p) * top for p in parts):  # each row is 1..top
         Xs = [p.values.reshape(len(p), top) for p in parts]
         return tuple(a for X in Xs for a in (X, np.einsum("ij,ij->i", X, X)))
-    if top <= sum(p.indices.size for p in parts):
-        # compact indices: an occupancy table no larger than the input, much
-        # faster than np.unique
-        occupied = np.zeros(top + 1, dtype=bool)
-        for p in parts:
-            occupied[p.indices] = True
-        cols = np.flatnonzero(occupied)
-    else:
-        cols = np.unique(np.concatenate([p.indices for p in parts]))
     out, width = [], cols.size
     for p in parts:
         X = np.zeros((len(p), width))
@@ -263,23 +271,35 @@ class Rows:
         return self.X[self.index[key]]
 
 
+def slab_width(k: int) -> int:
+    """Targets per slab of block_decisions for k support rows: a multiple of
+    8 from 8 to 64, the most whose k x width slab fits SLAB_BYTES, so a slab
+    holds at most max(SLAB_BYTES, 64 k) bytes."""
+    return min(64, max(8, 8 * (SLAB_BYTES // (64 * max(k, 1)))))
+
+
 def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
     """coefs @ K(S, T) for support rows XS and target rows XT, an array or
-    a Rows, over slabs of T of at most SLAB_BYTES built in one reused
-    buffer: memory is O(slab) beyond the inputs, plus one slab's rows of a
-    Rows (dim / len(XS) of a slab). It runs in the calling thread; BLAS
-    threads, as the environment sets them, serve the slab's product. The
-    product's last bits can depend on that thread count, so the decisions
-    are reproducible for a fixed BLAS library and thread count only."""
+    a Rows, over slabs of slab_width(len(XS)) targets built in one reused
+    buffer; the last slab is padded with zero rows to that width. Memory is
+    one slab beyond the inputs, plus one slab's rows of a Rows. Every slab
+    has one shape, so under one BLAS thread a target's decision depends on
+    coefs, the support rows and its own row alone, never on the rest of T:
+    decisions at any subset of T, in any order, have the same bits. It runs
+    in the calling thread; BLAS threads, as the environment sets them,
+    serve the slab's product, whose last bits can depend on that count."""
     k, m = XS.shape[0], XT.shape[0]
-    width = max(1, SLAB_BYTES // (8 * max(k, 1)))
-    buf = np.empty(k * min(width, m))
+    width = slab_width(k)
+    block = np.empty((k, width))
     out = np.empty(m)
     for start in range(0, m, width):
         stop = min(start + width, m)
-        block = buf[: k * (stop - start)].reshape(k, stop - start)
-        sq_dist_block(XS, sqS, XT[start:stop], sqT[start:stop], out=block, spec=spec)
-        out[start:stop] = coefs @ block
+        rows, sq = XT[start:stop], sqT[start:stop]
+        if stop - start < width:  # the last slab: its targets, then zero rows
+            rows = np.concatenate([rows, np.zeros((width - rows.shape[0], rows.shape[1]))])
+            sq = np.concatenate([sq, np.zeros(width - sq.size)])
+        sq_dist_block(XS, sqS, rows, sq, out=block, spec=spec)
+        out[start:stop] = (coefs @ block)[: stop - start]
     return out
 
 

@@ -36,6 +36,7 @@ from .kernel import (
     Points,
     Rows,
     block_decisions,
+    columns,
     dense_rows,
     equal_rows,
     gram_sq_dists,
@@ -114,9 +115,12 @@ class Diagnostics:
 class ModelState:
     """The model: coefficients ``beta`` of the averaged iterate over
     ``points``, which it predicts with, and everything needed to evaluate
-    decisions. It is immutable, ``beta`` a read-only copy, so it computes
-    its decisions at its own support once (decisions_at_support);
-    ``dataclasses.replace`` makes a new model, which computes its own."""
+    decisions. It is immutable, ``beta`` a read-only copy, so it keeps the
+    decisions at its own points that it has computed: f(S) at its support
+    (decisions_at_support), and those at its other points that the
+    objective computes on the model's own dataset. Nothing else reads or
+    writes that memo; ``dataclasses.replace`` makes a new model, which
+    starts without one."""
 
     kernel: KernelSpec
     points: Points
@@ -124,23 +128,31 @@ class ModelState:
     config: TrainConfig
     sigma_s: float
     labels: np.ndarray | None = None
-    _at_support: np.ndarray | None = field(default=None, init=False, repr=False)
+    _memo: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=np.float64)
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
 
+    def _decisions(self) -> np.ndarray:
+        """The memo: the decision at each of the model's points, NaN where
+        none is computed yet (a NaN decision is computed again)."""
+        if self._memo is None:
+            object.__setattr__(self, "_memo", np.full(len(self.points), np.nan))
+        return self._memo
+
     def decisions_at_support(self) -> np.ndarray:
         """f(S) = beta[S] @ K(S, S) at the support S (beta's nonzeros, in
         order), from the upper triangle (support_decisions) over the dense
-        rows of the support alone; computed on the first call, read-only."""
-        if self._at_support is None:
-            sup = np.flatnonzero(self.beta)
+        rows of the support alone; computed on the first call, a copy."""
+        sup = np.flatnonzero(self.beta)
+        memo = self._decisions()
+        dec = memo[sup]
+        if np.isnan(dec).any():
             dec = support_decisions(self.kernel, self.beta[sup], *dense_rows(self.points[sup]))
-            dec.flags.writeable = False
-            object.__setattr__(self, "_at_support", dec)
-        return self._at_support
+            memo[sup] = dec
+        return dec
 
 
 def _gram_values(K_rows: list[np.ndarray], u: np.ndarray, lab_idx, eu, ev):
@@ -326,8 +338,7 @@ def train(
             labels=dataset.labels,
         )
         if every is not None:  # the last trace point, t = T: its coefficients are beta
-            j_avg = _objective_core(state.beta, dataset, trace_graph, config, kernel, diag_rng,
-                                    state.decisions_at_support())
+            j_avg = _objective_core(state.beta, dataset, trace_graph, config, kernel, diag_rng, state)
             trace.append((T, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
     diag = Diagnostics(
@@ -355,14 +366,15 @@ def _objective_core(
     config: TrainConfig,
     kernel: KernelSpec,
     rng: np.random.Generator | None,
-    at_support: np.ndarray | None = None,
+    model: ModelState | None = None,
 ) -> float:
-    """J from one decision evaluation: at the support ``at_support`` when
-    given, else from the upper triangle of K(S, S) (support_decisions), then
-    at every other point when the edge term is exact, otherwise at the
-    labeled points and the sampled edge endpoints outside the support, their
-    rows gathered one slab at a time (Rows). The regularizer is
-    c . dec[support]."""
+    """J from one decision evaluation: at the support from the upper
+    triangle of K(S, S) (support_decisions), then at every other point when
+    the edge term is exact, otherwise at the labeled points and the sampled
+    edge endpoints outside the support, their rows gathered one slab at a
+    time (Rows). The regularizer is c . dec[support]. ``model``, a model
+    over the dataset's own points whose ``beta`` is ``coefs``, gives the
+    decisions it holds and keeps those computed here (ModelState)."""
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
@@ -378,12 +390,20 @@ def _objective_core(
     if sup.size:
         X, sq = dataset.dense()
         c, XS, sqS = coefs[sup], X[sup], sq[sup]
-        dec[sup] = support_decisions(kernel, c, XS, sqS) if at_support is None else at_support
         outside = np.full(dataset.n, exact)
         outside[:l] = outside[us] = outside[vs] = True
         outside[sup] = False
         at = np.flatnonzero(outside)
+        if model is None:
+            dec[sup] = support_decisions(kernel, c, XS, sqS)
+        else:
+            dec[sup] = model.decisions_at_support()
+            memo = model._decisions()
+            dec[at] = memo[at]
+            at = at[np.isnan(dec[at])]
         dec[at] = block_decisions(kernel, c, XS, sqS, Rows(X, at), sq[at])
+        if model is not None:
+            memo[at] = dec[at]
 
     reg = 0.5 * max(float(coefs[sup] @ dec[sup]), 0.0)
     lab = 0.0
@@ -412,9 +432,11 @@ def objective(
 
     Accepts a ModelState (evaluates its coefficients ``beta``) or a raw
     coefficient array over the dataset points. A model whose ``points`` are
-    the dataset's own object reads its decisions at the support from
-    ``decisions_at_support`` (computed once per model); otherwise they come
-    from the dataset's dense rows. Exact mode enumerates the edge universe
+    the dataset's own object reads the decisions it holds (its f(S) from
+    ``decisions_at_support``, computed once per model, and those outside
+    its support from earlier objectives) and keeps those computed here;
+    the bits are the same either way (block_decisions). Exact mode
+    enumerates the edge universe
     (an implicit full graph only up to graph.EXACT_EDGE_CAP edges); sampled
     mode draws config.objective_samples edges for an unbiased estimate,
     labeled term always exact.
@@ -430,35 +452,58 @@ def objective(
         raise ValueError("coefficient array must align with the dataset")
     check_vertices(graph, dataset)
     own = model is not None and dataset.points is model.points
-    at_support = model.decisions_at_support() if own else None
-    return _objective_core(coefs, dataset, graph, config, kernel, rng, at_support)
+    return _objective_core(coefs, dataset, graph, config, kernel, rng, model if own else None)
 
 
 def decision_values(state: ModelState, points: Points) -> np.ndarray:
-    """Decision function of the model on arbitrary points. Query rows equal
-    to support rows, bit for bit (kernel.equal_rows), read the model's
-    decisions at its support (decisions_at_support: the upper triangle of
-    K(S, S), computed once per model) when that triangle takes fewer kernel
-    entries than their rows of the block, whether or not the model holds it
-    already; all other rows go through block_decisions. Matching is skipped
-    when even a query of support rows only would not pay for the triangle.
-    A support row's decision thus depends, in its last bits, on whether the
-    rest of the query takes the triangle, never on earlier calls: only a
-    decision that close to 0 can change its label."""
-    sup = np.flatnonzero(state.beta)
-    c, (XS, sqS, XT, sqT) = state.beta[sup], dense_rows(state.points[sup], points)
-    triangle = support_entries(sup.size)
-    if len(points) * sup.size > triangle:
+    """Decision function of the model on arbitrary points, over the dense
+    rows of its support and the query. Query rows equal to support rows,
+    bit for bit (kernel.equal_rows), read the model's decisions at its
+    support (decisions_at_support: the upper triangle of K(S, S), computed
+    once per model) when that triangle takes fewer kernel entries than
+    their rows of the block, whether or not the model holds it already.
+    Every other row gets block_decisions' decision, which depends on that
+    row alone: where the query has the columns of the model's points, a row
+    equal to one of them whose decision the model holds (ModelState) reads
+    it, and the rest go through block_decisions. So a decision never
+    depends on earlier calls, and only a support row's can depend, in its
+    last bits, on the rest of the query (on whether it takes the triangle):
+    only a decision that close to 0 can change its label."""
+    sup, m, memo = np.flatnonzero(state.beta), len(points), state._memo
+    at_sup = state.points[sup]
+    held = None  # the model's points outside its support whose decisions it holds
+    if memo is not None:
+        held = ~np.isnan(memo)
+        held[sup] = False
+        if not (held.any() and np.array_equal(columns(at_sup, points), columns(state.points))):
+            held = None
+    c, (XS, sqS, XT, sqT) = state.beta[sup], dense_rows(at_sup, points)
+    del at_sup  # XS holds the support's rows alone, for del XS below
+    block = np.ones(m, dtype=bool)  # the rows left to block_decisions
+    triangle, hit = support_entries(sup.size), None
+    if m * sup.size > triangle:
         own = equal_rows(XS, XT)
-        hit = own >= 0
-        if np.count_nonzero(hit) * sup.size > triangle:
-            out = np.empty(len(points))
-            miss = np.flatnonzero(~hit)
-            out[miss] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, miss), sqT[miss])
-            del XS  # f(S) gathers the support's rows on its own when the model lacks it
-            out[hit] = state.decisions_at_support()[own[hit]]
-            return out
-    return block_decisions(state.kernel, c, XS, sqS, XT, sqT)
+        if np.count_nonzero(own >= 0) * sup.size > triangle:
+            hit = own >= 0
+            block = ~hit
+    if held is not None:
+        mine = equal_rows(dense_rows(state.points)[0], XT)
+        read = block & (mine >= 0)
+        read[read] = held[mine[read]]
+        block &= ~read
+    rest = np.flatnonzero(block)
+    if rest.size == m:
+        out = block_decisions(state.kernel, c, XS, sqS, XT, sqT)
+    else:
+        out = np.empty(m)
+        if rest.size:
+            out[rest] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, rest), sqT[rest])
+        if held is not None:
+            out[read] = memo[mine[read]]
+    del XS  # f(S) gathers the support's rows on its own when the model lacks it
+    if hit is not None:
+        out[hit] = state.decisions_at_support()[own[hit]]
+    return out
 
 
 def predict_batch(state: ModelState, points: Points) -> np.ndarray:

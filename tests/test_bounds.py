@@ -345,6 +345,16 @@ def test_M_beyond_the_float_range_of_p_minus_one_times_a(p):
     assert float(case_M(r.a, r.b, p)) == r.M
 
 
+def test_M_below_p_two_sums_a_and_b_beyond_a_float():
+    """A draw whose float a + b, raised to 1/(2 - p) = 376, put M and G 63
+    ulp from the oracle: a + b is rounded once, in long double."""
+    r = compute_bounds(4.031807706099927e-15, 3.2652392435296885e-26, 1.9973424618043296,
+                       232004441.02073663, 361631230033890.2)
+    want_M, want_G = decimal_M_G(r.a, r.b, r.p)
+    assert ulps_from(r.M, want_M) <= 2.0 and ulps_from(r.G, want_G) <= 2.0
+    assert float(case_M(r.a, r.b, r.p)) == r.M
+
+
 def test_product_threshold_limit_near_two():
     # (p-2)^(p-2) -> 1 as p -> 2+, so the threshold tends to 1/(p-1)^(p-1) = 1
     assert product_threshold(2.0 + 1e-12) == pytest.approx(1.0, rel=1e-9)

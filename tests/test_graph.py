@@ -275,6 +275,50 @@ class TestSlabBuildsMatchFullMatrix:
         assert np.array_equal(eps.us, us) and np.array_equal(eps.vs, vs)
 
 
+class TestKnnTies:
+    """build_knn takes each row's k nearest by partition; at the k-th
+    distance the lower indices win, so its pairs are the stable sort's."""
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 8, 9, 12])
+    def test_grid(self, k):
+        """Interior points have 4 neighbors at 1, 4 at sqrt 2 and 4 at 2: k
+        cuts inside a tie, at its end (4, 8, 12) and just past it."""
+        ds = grid_dataset()
+        edges = build_knn(ds, GraphSpec("knn", 1.0, k=k))
+        us, vs, d2 = knn_reference(ds, k)
+        assert np.array_equal(edges.us, us) and np.array_equal(edges.vs, vs)
+        assert_weights_pinned(ds, edges, d2, 1.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_duplicated_points(self, k):
+        """Each point three times: distance-0 ties, then ties among copies."""
+        rng = np.random.default_rng(k)
+        X = np.repeat(rng.integers(0, 3, size=(40, 2)).astype(float), 3, axis=0)
+        ds = Dataset(Points.from_dense(X[rng.permutation(X.shape[0])]), np.zeros(120, dtype=np.int8))
+        edges = build_knn(ds, GraphSpec("knn", 1.0, k=k))
+        us, vs, d2 = knn_reference(ds, k)
+        assert np.array_equal(edges.us, us) and np.array_equal(edges.vs, vs)
+        assert_weights_pinned(ds, edges, d2, 1.0)
+
+    def test_k_is_n_minus_one(self):
+        ds = line_dataset([0, 1, 1, 2, 4, 4, 4, 9], [1, -1, 0, 0, 0, 0, 0, 0])
+        edges = build_knn(ds, GraphSpec("knn", 1.0, k=7))
+        us, vs, _ = knn_reference(ds, 7)
+        assert np.array_equal(edges.us, us) and np.array_equal(edges.vs, vs)
+        assert edges.n_edges == 8 * 7 // 2 - 1  # every pair but the labeled one
+
+    def test_selection_is_the_stable_sort_on_tied_rows(self):
+        """Rows of a few distinct values, some infinite, at every k."""
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            r, n = rng.integers(1, 20), rng.integers(2, 40)
+            d2 = rng.integers(0, rng.integers(1, 5), size=(r, n)).astype(float)
+            d2[rng.random((r, n)) < 0.1] = np.inf
+            k = int(rng.integers(1, n + 1))
+            want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+            assert np.array_equal(graph_mod._nearest(d2.copy(), k), want)
+
+
 @pytest.mark.parametrize(
     "build,spec",
     [(build_knn, GraphSpec("knn", 2.0, k=10)), (build_eps, GraphSpec("eps", 2.0, epsilon=7.7))],

@@ -588,12 +588,21 @@ class TestBlockPrimitives:
             assert kernel_matrix_from_sq_dists(spec, buf, out=buf) is buf
             assert np.array_equal(buf, want)
 
+    @staticmethod
+    def padded(XT, sqT, width):
+        """The target rows and norms with zero rows after them, up to a
+        multiple of ``width`` rows."""
+        pad = -XT.shape[0] % width
+        return np.vstack([XT, np.zeros((pad, XT.shape[1]))]), np.concatenate([sqT, np.zeros(pad)])
+
     def test_one_slab_decisions_equal_one_shot_block(self):
         rng = np.random.default_rng(2)
         XS, sqS = self.rows(rng, 40)
-        XT, sqT = self.rows(rng, 90)
+        XT, sqT = self.rows(rng, 50)
         c = rng.standard_normal(40)
-        one_shot = c @ kernel_matrix_from_sq_dists(self.SPEC, self.old_block(XS, sqS, XT, sqT))
+        assert kernel_mod.slab_width(40) == 64  # one slab, padded with 14 zero rows
+        block = self.old_block(XS, sqS, *self.padded(XT, sqT, 64))
+        one_shot = (c @ kernel_matrix_from_sq_dists(self.SPEC, block))[:50]
         assert np.array_equal(block_decisions(self.SPEC, c, XS, sqS, XT, sqT), one_shot)
 
     def test_chunked_decisions_match_one_shot_block(self):
@@ -630,8 +639,8 @@ class TestBlockPrimitives:
         d2 = sq_dist_block(XA, sqA, XB, sqB)
         assert np.array_equal(kernel_matrix_from_sq_dists(spec, d2), want)
 
-    K = 300
-    WIDTH = SLAB_BYTES // (8 * K)  # targets per slab of block_decisions
+    K = 1600  # several pass chunks a slab
+    WIDTH = min(64, max(8, 8 * (SLAB_BYTES // (64 * K))))  # targets per slab of block_decisions
 
     def slab_problem(self, m, seed=0):
         rng = np.random.default_rng(seed)
@@ -640,13 +649,15 @@ class TestBlockPrimitives:
         return rng.standard_normal(self.K), XS, sqS, XT, sqT
 
     def literal_decisions(self, spec, c, XS, sqS, XT, sqT):
-        """block_decisions as a plain loop over slabs of the same width."""
-        width = SLAB_BYTES // (8 * XS.shape[0])
+        """block_decisions as a plain loop over slabs of the same width, the
+        targets padded with zero rows to a whole number of slabs."""
+        width, m = self.WIDTH, XT.shape[0]
+        XT, sqT = self.padded(XT, sqT, width)
         out = np.empty(XT.shape[0])
         for s in range(0, XT.shape[0], width):
             d2 = self.old_block(XS, sqS, XT[s : s + width], sqT[s : s + width])
             out[s : s + width] = c @ self.literal_kernel(spec, d2)
-        return out
+        return out[:m]
 
     @pytest.mark.parametrize(
         "m", [7 * WIDTH + 5, WIDTH + 1, WIDTH - 17, 23 * WIDTH], ids=["tail", "width+1", "one", "many"]
@@ -657,6 +668,32 @@ class TestBlockPrimitives:
         args = self.slab_problem(m)
         assert self.K // (kernel_mod._PASS_BYTES // (8 * self.WIDTH)) >= 3  # several passes a slab
         assert np.array_equal(block_decisions(spec, *args), self.literal_decisions(spec, *args))
+
+    @pytest.mark.parametrize("dim", [5, 50])
+    @pytest.mark.parametrize("k", [1, 5, 63, 550, 1894, 4203])
+    def test_a_decision_does_not_depend_on_the_other_targets(self, k, dim):
+        """Every slab has one shape, so a target's decision has the same bits
+        in any query that holds it: one row, and random subsets in random
+        order one short of, at and one past a slab, and of any size."""
+        rng = np.random.default_rng(k + dim)
+        XS, sqS = self.rows(rng, k, dim)
+        c = rng.standard_normal(k)
+        width = kernel_mod.slab_width(k)
+        m = 3 * width + 5
+        XT, sqT = self.rows(rng, m, dim)
+        everything = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
+        for size in [1, width - 1, width, width + 1, int(rng.integers(2, m))]:
+            sel = rng.permutation(m)[:size]
+            got = block_decisions(self.SPEC, c, XS, sqS, XT[sel], sqT[sel])
+            assert np.array_equal(got, everything[sel]), size
+
+    @pytest.mark.parametrize("k, width", [(0, 64), (1, 64), (4096, 64), (4097, 56), (8191, 32),
+                                          (32767, 8), (32768, 8), (10**6, 8)])
+    def test_slab_width_is_fixed_by_the_support_size(self, k, width):
+        """A multiple of 8 from 8 to 64, so a slab holds at most
+        max(SLAB_BYTES, 64 k) bytes."""
+        assert kernel_mod.slab_width(k) == width
+        assert 8 * k * width <= max(SLAB_BYTES, 64 * k)
 
     def test_decisions_hold_one_slab_and_one_pass_chunk(self):
         c, XS, sqS, XT, sqT = self.slab_problem(23 * self.WIDTH, seed=1)

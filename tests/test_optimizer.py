@@ -307,15 +307,19 @@ class TestStreamingKernelBlocks:
         calls = []
 
         def literal(spec, coefs, XS, sqS, XT, sqT):
-            calls.append(XT.shape[0])
-            width = max(1, kernel_mod.SLAB_BYTES // (8 * max(XS.shape[0], 1)))
-            out = np.empty(XT.shape[0])
-            for s in range(0, XT.shape[0], width):
+            m = XT.shape[0]
+            calls.append(m)
+            width = min(64, max(8, 8 * (kernel_mod.SLAB_BYTES // (64 * max(XS.shape[0], 1)))))
+            pad = -m % width  # zero rows up to a whole number of slabs
+            XT = np.vstack([XT[:m], np.zeros((pad, XT.shape[1]))])
+            sqT = np.concatenate([sqT, np.zeros(pad)])
+            out = np.empty(m + pad)
+            for s in range(0, m + pad, width):
                 d2 = sqS[:, None] + sqT[None, s : s + width] - 2.0 * (XS @ XT[s : s + width].T)
                 np.maximum(d2, 0.0, out=d2)
                 K = spec.sigma_f**2 * np.exp(-d2 / (2.0 * spec.sigma_l**2))
                 out[s : s + width] = coefs @ K
-            return out
+            return out[:m]
 
         m1, d1 = train(hidden, graph, cfg, KERNEL)
         monkeypatch.setattr(optimizer_mod, "block_decisions", literal)
@@ -1071,6 +1075,103 @@ class TestModelMemo:
         assert np.array_equal(decision_values(model, tail), want) and calls == []
         model.decisions_at_support()
         assert np.array_equal(decision_values(model, tail), want) and len(calls) == 1
+
+
+def count_block_targets(monkeypatch) -> list[int]:
+    """The target counts of the block_decisions calls made from now on."""
+    calls = []
+
+    def block(spec, c, XS, sqS, XT, sqT):
+        calls.append(XT.shape[0])
+        return kernel_mod.block_decisions(spec, c, XS, sqS, XT, sqT)
+
+    monkeypatch.setattr(optimizer_mod, "block_decisions", block)
+    return calls
+
+
+class TestOwnDecisions:
+    """A model keeps the decisions its objective computes at its own points
+    outside the support, and a query reads those it can: each decision has
+    the bits a model without them computes, since block_decisions gives a
+    target the same decision in any query."""
+
+    @pytest.mark.parametrize("n", [600, optimizer_mod._GRAM_CAP + 52])
+    def test_a_traced_fit_changes_no_decision(self, n, monkeypatch):
+        full = synth_two_gaussians(n, 5, 3.0, seed=n)
+        hidden, truth = hide_labels(full, 0.8, seed=n)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        T = n // 5
+        model, _ = train(hidden, graph, hinge_cfg(T=T, seed=3, diagnostics_every=T), KERNEL)
+        rng = np.random.default_rng(n)
+        queries = {
+            "all points": truth.points,
+            "a shuffled part": truth.points[rng.permutation(n)[: n // 3]],
+            "fresh points": synth_two_gaussians(300, 5, 3.0, seed=n + 1).points,
+        }
+        for name, query in queries.items():
+            without = count_block_targets(monkeypatch)
+            want = decision_values(replace(model), query)
+            held = count_block_targets(monkeypatch)
+            assert np.array_equal(decision_values(model, query), want), name
+            # the final J's decisions cover the points outside the support
+            assert sum(held) < sum(without) if name != "fresh points" else held == without, name
+
+    def test_objective_reads_and_fills_the_memo(self, monkeypatch):
+        """objective(model, its own dataset) computes only the decisions the
+        model lacks, and J keeps its bits."""
+        full = synth_two_gaussians(400, 5, 3.0, seed=4)
+        hidden, _ = hide_labels(full, 0.8, seed=4)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        model, _ = train(hidden, graph, hinge_cfg(T=80, seed=2), KERNEL)
+        cfg = hinge_cfg(T=1, objective_mode="sampled", objective_samples=60)
+        want = [objective(replace(model), hidden, graph, cfg, rng=np.random.default_rng(s))
+                for s in (0, 1)]
+        targets = count_block_targets(monkeypatch)
+        first = objective(model, hidden, graph, cfg, rng=np.random.default_rng(0))
+        again = objective(model, hidden, graph, cfg, rng=np.random.default_rng(0))
+        other = objective(model, hidden, graph, cfg, rng=np.random.default_rng(1))
+        assert [first, other] == want and again == first
+        assert targets[1] == 0 and 0 < targets[2] < targets[0]
+
+    def test_a_query_over_other_columns_does_not_read_the_memo(self, monkeypatch):
+        """On sparse rows the objective's decisions come from dense rows over
+        every column of the model's points. A query whose support and rows
+        span other columns, here as many, computes all its decisions, bit
+        for bit as a model without the memo, even for a fresh row whose
+        dense row equals that of one of the model's points; a query over
+        every column reads them."""
+        rng = np.random.default_rng(17)
+        n, common = 900, [*range(1, 11), *range(30, 41)]
+        rows = []
+        for i in range(n):
+            idx = np.sort(rng.choice(common, size=rng.integers(2, 8), replace=False))
+            rows.append([(int(j), float(rng.normal(1.0 if i % 2 else -1.0, 1.0))) for j in idx])
+        rare = [n - 3, n - 2, n - 1]  # unlabeled points with index 20, which no other has
+        for i in rare:
+            rows[i] = sorted({**dict(rows[i]), 20: 0.5, 40: 0.7}.items())
+        labels = np.zeros(n, dtype=np.int8)
+        labels[:90] = np.where(np.arange(90) % 2, 1, -1)
+        dataset = Dataset(Points.from_rows(rows), labels)
+        graph = build_fully_connected(dataset, GraphSpec("full", 1.0))
+        model, _ = train(dataset, graph, hinge_cfg(T=150, seed=1, diagnostics_every=150,
+                                                   objective_mode="exact"), KERNEL)
+        assert not model.beta[rare].any()  # the support lacks index 20
+        # a fresh row over index 50 whose dense row, over the query's columns
+        # 1..10, 30..40, 50, is that of rare[0] over the model's 1..10, 20, 30..40
+        shift = {20: 30, **{j: j + 1 for j in range(30, 40)}, 40: 50}
+        fresh = [(shift.get(j, j), v) for j, v in rows[rare[0]]]
+        other = Points.from_rows([rows[i] for i in rng.permutation(n - 3)] + [fresh])
+        sup = np.flatnonzero(model.beta)
+        mine, theirs = kernel_mod.columns(dataset.points), kernel_mod.columns(model.points[sup], other)
+        assert mine.size == theirs.size and not np.array_equal(mine, theirs)
+        XA, _ = dense_rows(dataset.points)
+        assert np.array_equal(dense_rows(model.points[sup], other)[2][-1], XA[rare[0]])
+        for query, reads in ((other, False), (dataset.points, True)):
+            without = count_block_targets(monkeypatch)
+            want = decision_values(replace(model), query)
+            held = count_block_targets(monkeypatch)
+            assert np.array_equal(decision_values(model, query), want)
+            assert (sum(held) < sum(without)) == reads
 
 
 class TestHilbertNorm:
