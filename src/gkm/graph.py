@@ -206,12 +206,16 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 def build_knn(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     """Union-symmetrized k-NN graph: (i, j) present when either endpoint
-    nominates the other; ties broken toward the lower index."""
+    nominates the other; ties broken toward the lower index. Labeled-labeled
+    pairs are dropped, so a fully labeled dataset raises EmptyEdgeSetError,
+    as build_fully_connected does."""
     if spec.kind != "knn":
         raise ValueError("spec kind must be 'knn'")
     n, k, l = dataset.n, spec.k, dataset.labeled_count
     if k >= n:
         raise InvalidKError(f"k = {k} must be below n = {n}")
+    if l == n:  # an unlabeled point's nominations would be kept
+        raise EmptyEdgeSetError("every pair of vertices is labeled-labeled")
     X, sq = dataset.dense()
     nn = np.empty((n, k), dtype=np.int64)
     for start, d2 in _row_slabs(X, sq):

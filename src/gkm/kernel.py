@@ -149,51 +149,64 @@ _PASS_BYTES = 256 << 10
 _SCATTER_ROWS = 1024
 
 
-def columns(*parts: Points) -> np.ndarray:
-    """The feature indices that occur in any of the parts, increasing: the
-    columns of dense_rows(*parts), one per index."""
-    top = max((int(p.indices.max(initial=0)) for p in parts), default=0)
+def columns(points: Points) -> np.ndarray:
+    """The feature indices that occur in the points, increasing: the
+    columns of dense_rows(points), one per index."""
+    top = int(points.indices.max(initial=0))
     # a row's indices rise from 1, so it has at most top of them, and
     # n * top of them means each row is 1..top
-    if all(p.indices.size == len(p) * top for p in parts):
+    if points.indices.size == len(points) * top:
         return np.arange(1, top + 1)
-    if top <= sum(p.indices.size for p in parts):
+    if top <= points.indices.size:
         # compact indices: an occupancy table no larger than the input, much
         # faster than np.unique
         occupied = np.zeros(top + 1, dtype=bool)
-        for p in parts:
-            occupied[p.indices] = True
+        occupied[points.indices] = True
         return np.flatnonzero(occupied)
-    return np.unique(np.concatenate([p.indices for p in parts]))
+    return np.unique(points.indices)
 
 
-def dense_rows(*parts: Points) -> tuple[np.ndarray, ...]:
-    """Dense X and squared row norms of each part in turn, flat: X0, sq0,
-    X1, sq1, ... The parts share one column per feature index that occurs
-    in any of them, in increasing order, so memory follows the distinct
-    indices, not the largest one; a column no point uses adds only zeros.
-    Full rows (each row 1..top: every dense input) make X a read-only
-    reshape of the values. Otherwise a scatter fills X, holding beyond it
-    the scan of all indices for the columns, freed before X is allocated,
-    and the temporaries of one _SCATTER_ROWS chunk of rows."""
-    cols = columns(*parts)
-    top = int(cols[-1]) if cols.size else 0
-    if all(p.indices.size == len(p) * top for p in parts):  # each row is 1..top
-        Xs = [p.values.reshape(len(p), top) for p in parts]
-        return tuple(a for X in Xs for a in (X, np.einsum("ij,ij->i", X, X)))
-    out, width = [], cols.size
-    for p in parts:
-        X = np.zeros((len(p), width))
-        flat = X.reshape(-1)  # a view: X is C-contiguous
-        for start in range(0, len(p), _SCATTER_ROWS):
-            stop = min(start + _SCATTER_ROWS, len(p))
-            a, b = p.indptr[start], p.indptr[stop]
-            # where every index 1..top occurs, an index's column is index - 1
-            pos = p.indices[a:b] - 1 if width == top else np.searchsorted(cols, p.indices[a:b])
-            pos += np.repeat(np.arange(start, stop) * width, np.diff(p.indptr[start : stop + 1]))
-            flat[pos] = p.values[a:b]
-        out += [X, np.einsum("ij,ij->i", X, X)]
-    return tuple(out)
+def dense_rows(points: Points, cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense X of the points over the increasing feature indices ``cols``
+    (by default columns(points): memory follows the distinct indices, not
+    the largest one), and their squared norms from all their stored values:
+    a row's sum over X (einsum), plus the squares of its values at indices
+    outside ``cols``, which X drops, added in order. Both depend on the row
+    and ``cols`` alone, never on the other rows. Full rows (each 1..top)
+    over cols 1..top make X a read-only reshape of the values. Otherwise a
+    scatter fills X, holding beyond it the scan of all indices for the
+    default columns, freed before X is allocated, and the temporaries of one
+    _SCATTER_ROWS chunk of rows."""
+    own = cols is None
+    if own:
+        cols = columns(points)
+    n, width = len(points), cols.size
+    top = int(cols[-1]) if width else 0
+    if (width == top and points.indices.size == n * top
+            and (own or points.indices.max(initial=0) <= top)):  # each row is 1..top
+        X = points.values.reshape(n, top)
+        return X, np.einsum("ij,ij->i", X, X)
+    X, extra = np.zeros((n, width)), np.zeros(0 if own else n)
+    flat = X.reshape(-1)  # a view: X is C-contiguous
+    for start in range(0, n, _SCATTER_ROWS):
+        stop = min(start + _SCATTER_ROWS, n)
+        a, b = points.indptr[start], points.indptr[stop]
+        idx, val = points.indices[a:b], points.values[a:b]
+        counts = np.diff(points.indptr[start : stop + 1])
+        # where every index 1..top is a column, an index's column is index - 1
+        pos = idx - 1 if width == top else np.searchsorted(cols, idx)
+        if not own:  # the values at indices that are not columns
+            out = idx > top if width == top else cols.take(pos, mode="clip") != idx
+        pos += np.repeat(np.arange(start, stop) * width, counts)
+        if not own and out.any():
+            row = np.repeat(np.arange(stop - start), counts)[out]
+            extra[start:stop] += np.bincount(row, np.square(val[out]), stop - start)
+            pos, val = pos[~out], val[~out]
+        flat[pos] = val
+    sq = np.einsum("ij,ij->i", X, X)
+    if not own:
+        sq += extra  # + 0.0 where a row has no value outside cols: no bit changes
+    return X, sq
 
 
 def sq_dist_block(
@@ -272,7 +285,8 @@ class Rows:
 
 
 def slab_width(k: int) -> int:
-    """Targets per slab of block_decisions for k support rows: a multiple of
+    """Targets per slab of block_decisions, and rows per slab of
+    support_decisions, for k support rows: a multiple of
     8 from 8 to 64, the most whose k x width slab fits SLAB_BYTES, so a slab
     holds at most max(SLAB_BYTES, 64 k) bytes."""
     return min(64, max(8, 8 * (SLAB_BYTES // (64 * max(k, 1)))))
@@ -305,14 +319,15 @@ def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
 
 def support_decisions(spec: KernelSpec, coefs, XS, sqS) -> np.ndarray:
     """coefs @ K(S, S) for support rows XS, from the upper triangle of the
-    symmetric K(S, S): about half its entries. Row slabs [start, stop) of at
-    most SLAB_BYTES (one row where a row is larger) are built against the
-    columns [start, k) in one reused buffer; a slab's rows add to
-    out[start:], and its columns past the slab add to out[start:stop]. The
-    diagonal is sigma_f^2 exactly, as gram_sq_dists' exact-zero distance
-    diagonal gives. Memory and reproducibility are as for block_decisions."""
+    symmetric K(S, S): about k (k + w) / 2 of its entries. Row slabs
+    [start, stop) of w = slab_width(k) rows, the width of block_decisions'
+    target slabs, are built against the columns [start, k) in one reused
+    buffer; a slab's rows add to out[start:], and its columns past the slab
+    add to out[start:stop]. The diagonal is sigma_f^2 exactly, as
+    gram_sq_dists' exact-zero distance diagonal gives. Memory and
+    reproducibility are as for block_decisions."""
     k = XS.shape[0]
-    rows = max(1, SLAB_BYTES // (8 * max(k, 1)))
+    rows = slab_width(k)
     buf = np.empty(min(rows, k) * k)
     out = np.zeros(k)
     for start in range(0, k, rows):
@@ -323,15 +338,6 @@ def support_decisions(spec: KernelSpec, coefs, XS, sqS) -> np.ndarray:
         out[start:] += coefs[start:stop] @ block
         out[start:stop] += block[:, stop - start :] @ coefs[stop:]
     return out
-
-
-def support_entries(k: int) -> int:
-    """The kernel entries support_decisions computes for k support rows:
-    about k (k + w) / 2 for its row slabs of w rows, and k^2 when one slab
-    holds every row."""
-    rows = max(1, SLAB_BYTES // (8 * max(k, 1)))
-    starts = np.arange(0, k, rows)
-    return int(((np.minimum(starts + rows, k) - starts) * (k - starts)).sum())
 
 
 def equal_rows(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ from .kernel import (
     gram_sq_dists,
     kernel_matrix_from_sq_dists,
     support_decisions,
-    support_entries,
 )
 from .labelprop import threshold_labels
 from .losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
@@ -118,9 +117,11 @@ class ModelState:
     decisions. It is immutable, ``beta`` a read-only copy, so it keeps the
     decisions at its own points that it has computed: f(S) at its support
     (decisions_at_support), and those at its other points that the
-    objective computes on the model's own dataset. Nothing else reads or
-    writes that memo; ``dataclasses.replace`` makes a new model, which
-    starts without one."""
+    objective computes on the model's own dataset. decision_values reads
+    that memo and writes only f(S). Every decision is taken over the
+    support's columns by one rule, so a held decision has the bits of a
+    fresh one; ``dataclasses.replace`` makes a new model, which starts
+    without a memo."""
 
     kernel: KernelSpec
     points: Points
@@ -368,13 +369,16 @@ def _objective_core(
     rng: np.random.Generator | None,
     model: ModelState | None = None,
 ) -> float:
-    """J from one decision evaluation: at the support from the upper
-    triangle of K(S, S) (support_decisions), then at every other point when
-    the edge term is exact, otherwise at the labeled points and the sampled
-    edge endpoints outside the support, their rows gathered one slab at a
-    time (Rows). The regularizer is c . dec[support]. ``model``, a model
-    over the dataset's own points whose ``beta`` is ``coefs``, gives the
-    decisions it holds and keeps those computed here (ModelState)."""
+    """J from one decision evaluation over the dense rows of every point on
+    the support's columns (kernel.dense_rows), as decision_values takes
+    them: at the support from the upper triangle of K(S, S)
+    (support_decisions), then at every other point when the edge term is
+    exact, otherwise at the labeled points and the sampled edge endpoints
+    outside the support, their rows gathered one slab at a time (Rows). The
+    regularizer is c . dec[support]. ``model``, a model over the dataset's
+    own points whose ``beta`` is ``coefs``, gives the decisions it holds and
+    keeps those computed here (ModelState), each the one decision_values
+    would compute."""
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
@@ -388,7 +392,7 @@ def _objective_core(
     sup = np.flatnonzero(coefs)
     dec = np.zeros(dataset.n)
     if sup.size:
-        X, sq = dataset.dense()
+        X, sq = dense_rows(dataset.points, columns(dataset.points[sup]))
         c, XS, sqS = coefs[sup], X[sup], sq[sup]
         outside = np.full(dataset.n, exact)
         outside[:l] = outside[us] = outside[vs] = True
@@ -456,53 +460,34 @@ def objective(
 
 
 def decision_values(state: ModelState, points: Points) -> np.ndarray:
-    """Decision function of the model on arbitrary points, over the dense
-    rows of its support and the query. Query rows equal to support rows,
-    bit for bit (kernel.equal_rows), read the model's decisions at its
-    support (decisions_at_support: the upper triangle of K(S, S), computed
-    once per model) when that triangle takes fewer kernel entries than
-    their rows of the block, whether or not the model holds it already.
-    Every other row gets block_decisions' decision, which depends on that
-    row alone: where the query has the columns of the model's points, a row
-    equal to one of them whose decision the model holds (ModelState) reads
-    it, and the rest go through block_decisions. So a decision never
-    depends on earlier calls, and only a support row's can depend, in its
-    last bits, on the rest of the query (on whether it takes the triangle):
-    only a decision that close to 0 can change its label."""
-    sup, m, memo = np.flatnonzero(state.beta), len(points), state._memo
-    at_sup = state.points[sup]
-    held = None  # the model's points outside its support whose decisions it holds
-    if memo is not None:
-        held = ~np.isnan(memo)
-        held[sup] = False
-        if not (held.any() and np.array_equal(columns(at_sup, points), columns(state.points))):
-            held = None
-    c, (XS, sqS, XT, sqT) = state.beta[sup], dense_rows(at_sup, points)
-    del at_sup  # XS holds the support's rows alone, for del XS below
-    block = np.ones(m, dtype=bool)  # the rows left to block_decisions
-    triangle, hit = support_entries(sup.size), None
-    if m * sup.size > triangle:
-        own = equal_rows(XS, XT)
-        if np.count_nonzero(own >= 0) * sup.size > triangle:
-            hit = own >= 0
-            block = ~hit
-    if held is not None:
-        mine = equal_rows(dense_rows(state.points)[0], XT)
-        read = block & (mine >= 0)
-        read[read] = held[mine[read]]
-        block &= ~read
-    rest = np.flatnonzero(block)
-    if rest.size == m:
-        out = block_decisions(state.kernel, c, XS, sqS, XT, sqT)
-    else:
-        out = np.empty(m)
-        if rest.size:
-            out[rest] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, rest), sqT[rest])
-        if held is not None:
-            out[read] = memo[mine[read]]
-    del XS  # f(S) gathers the support's rows on its own when the model lacks it
-    if hit is not None:
-        out[hit] = state.decisions_at_support()[own[hit]]
+    """Decision function of the model on arbitrary points: f(x) depends on
+    the model and x alone. Rows are dense over the support's columns, with
+    squared norms from all their stored values (kernel.dense_rows), and
+    each query row is matched to the first of the model's points with the
+    same dense row, bit for bit (kernel.equal_rows), and the same norm. A
+    row matched to a support row reads f(S) (decisions_at_support, computed
+    first if the model lacks it); one matched to another point whose
+    decision the model holds (ModelState) reads it; every other row goes
+    through block_decisions, which gives a row the same bits in any query.
+    So under one BLAS thread a decision never depends on the rest of the
+    query or on earlier calls. A first query of a few support rows on a
+    fresh model pays for all of f(S)."""
+    sup = np.flatnonzero(state.beta)
+    cols = columns(state.points[sup])
+    XM, sqM = dense_rows(state.points, cols)
+    XT, sqT = dense_rows(points, cols)
+    mine = equal_rows(XM, XT)
+    hit = np.flatnonzero(mine >= 0)
+    hit = hit[sqM[mine[hit]] == sqT[hit]]
+    if state.beta[mine[hit]].any():
+        state.decisions_at_support()
+    out = np.full(len(points), np.nan)
+    if state._memo is not None:
+        out[hit] = state._memo[mine[hit]]
+    rest = np.flatnonzero(np.isnan(out))
+    if rest.size:
+        c, XS, sqS = state.beta[sup], XM[sup], sqM[sup]
+        out[rest] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, rest), sqT[rest])
     return out
 
 

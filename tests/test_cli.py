@@ -294,6 +294,15 @@ class TestGraphExport:
         code = run(["graph", "export", data_file, "--graph", "full", "--out", out])
         assert code == 0
 
+    @pytest.mark.parametrize("graph", ["full", "knn"])
+    def test_fully_labeled_file_exits_two(self, tmp_path, graph, capsys):
+        """A fully labeled file has no edges: both graphs fail alike and
+        write no edge file."""
+        data, out = tmp_path / "labeled.txt", tmp_path / "edges.txt"
+        save_libsvm(synth_two_gaussians(30, 2, 4.0, seed=0), data)
+        assert run(["graph", "export", data, "--graph", graph, "--k", "3", "--out", out]) == 2
+        assert "labeled-labeled" in capsys.readouterr().err and not out.exists()
+
 
 class TestSynth:
     def test_writes_expected_count(self, tmp_path):

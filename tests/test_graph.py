@@ -45,10 +45,15 @@ def random_dataset(n, l, dim, seed):
 # edge weight goes through) are pinned to them.
 
 
+def dense_pair(x_i: Points, x_j: Points):
+    """The dense view of the two one-row points as one Points."""
+    return dense_rows(Points.from_rows(zip(p.indices.tolist(), p.values.tolist()) for p in (x_i, x_j)))
+
+
 def edge_weight(x_i: Points, x_j: Points, sigma_s: float) -> float:
     """Gaussian edge weight in (0, 1]; equals 1 iff x_i = x_j."""
-    Xi, _, Xj, _ = dense_rows(x_i, x_j)
-    return math.exp(-float(np.sum((Xi[0] - Xj[0]) ** 2)) / (2.0 * sigma_s**2))
+    X, _ = dense_pair(x_i, x_j)
+    return math.exp(-float(np.sum((X[0] - X[1]) ** 2)) / (2.0 * sigma_s**2))
 
 
 def gaussian_weights(d2, sigma_s):
@@ -56,8 +61,7 @@ def gaussian_weights(d2, sigma_s):
 
 
 def pair_weight(x_i: Points, x_j: Points, sigma_s: float) -> float:
-    Xi, sqi, Xj, sqj = dense_rows(x_i, x_j)
-    d2 = sq_dist_pairs(np.vstack([Xi, Xj]), np.concatenate([sqi, sqj]), [0], [1])
+    d2 = sq_dist_pairs(*dense_pair(x_i, x_j), [0], [1])
     return float(gaussian_weights(d2, sigma_s)[0])
 
 
@@ -180,6 +184,14 @@ class TestKnn:
         ds = line_dataset([0, 1, 2], [0, 0, 0])
         with pytest.raises(InvalidKError):
             build_knn(ds, GraphSpec("knn", 1.0, k=3))
+
+    def test_fully_labeled_raises_as_the_full_graph_does(self):
+        """Every nominated pair is labeled-labeled, so no edge is left."""
+        ds = line_dataset([0, 1, 2, 3], [1, -1, 1, -1])
+        for build, spec in ((build_knn, GraphSpec("knn", 1.0, k=2)),
+                            (build_fully_connected, GraphSpec("full", 1.0))):
+            with pytest.raises(EmptyEdgeSetError, match="every pair of vertices is labeled-labeled"):
+                build(ds, spec)
 
     def test_tie_break_toward_lower_index(self):
         # vertex 0 is equidistant to 1 and 2, and nobody else nominates 0,

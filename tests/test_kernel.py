@@ -14,6 +14,7 @@ from gkm.kernel import (
     Points,
     Rows,
     block_decisions,
+    columns,
     dense_rows,
     equal_rows,
     gram_sq_dists,
@@ -35,6 +36,13 @@ def row(indices, values):
 def stack(*points):
     """One Points of the rows of one-row Points."""
     return Points.from_rows(zip(p.indices.tolist(), p.values.tolist()) for p in points)
+
+
+def shared(*parts):
+    """dense_rows of each part over the columns of all of them, flat: X0,
+    sq0, X1, sq1, ..."""
+    cols = columns(stack(*[r for p in parts for r in p]))
+    return tuple(a for p in parts for a in dense_rows(p, cols))
 
 
 # Literal scalar references, one pair or point at a time. Each test below
@@ -67,7 +75,7 @@ def decision_value(spec: KernelSpec, coefficients, x: Points) -> float:
 
 
 def block_sq_dist(x: Points, y: Points) -> float:
-    return float(sq_dist_block(*dense_rows(x, y))[0, 0])
+    return float(sq_dist_block(*shared(x, y))[0, 0])
 
 
 def block_gram(spec: KernelSpec, *points: Points) -> np.ndarray:
@@ -85,7 +93,7 @@ def block_feature_norms(spec: KernelSpec, *points: Points) -> np.ndarray:
 def block_decision(spec: KernelSpec, coefficients, x: Points) -> float:
     support = stack(*[xi for xi, _ in coefficients])
     coefs = np.array([alpha for _, alpha in coefficients])
-    return float(block_decisions(spec, coefs, *dense_rows(support, x))[0])
+    return float(block_decisions(spec, coefs, *shared(support, x))[0])
 
 
 class TestSparseVector:
@@ -355,14 +363,36 @@ class TestDenseRows:
          ("sparse", "empty-rows"), ("no-points", "full")],
     )
     def test_parts_share_columns(self, a, b):
-        """dense_rows(a, b) gives each part its rows of the dense view of both
-        stacked, bit for bit: the parts share one column set."""
+        """dense_rows of each part over the columns of both gives it its rows
+        of the dense view of both stacked, bit for bit."""
         inputs = self.inputs()
-        XA, sqA, XB, sqB = dense_rows(inputs[a], inputs[b])
+        cols = columns(stack(*inputs[a], *inputs[b]))
+        (XA, sqA), (XB, sqB) = dense_rows(inputs[a], cols), dense_rows(inputs[b], cols)
         X, sq = dense_rows(stack(*inputs[a], *inputs[b]))
         k = len(inputs[a])
         assert np.array_equal(XA, X[:k]) and np.array_equal(XB, X[k:])
         assert np.array_equal(sqA, sq[:k]) and np.array_equal(sqB, sq[k:])
+
+    @pytest.mark.parametrize("name", ["full", "index-gap", "sparse", "huge-index", "empty-rows",
+                                      "single-point-with-gap", "no-points"])
+    def test_rows_over_given_columns(self, name):
+        """Over given columns X keeps the values at those indices, and a
+        norm adds the squares of the row's other values, in order, to its
+        sum over X: each row's X and norm are those of the row alone."""
+        points = self.inputs()[name]
+        own = columns(points)
+        for cols in (own, own[::2], own[1:], np.union1d(own, [1, 3, 10**6]), own[:0]):
+            X, sq = dense_rows(points, cols)
+            assert X.shape == (len(points), cols.size) and sq.shape == (len(points),)
+            for r in range(0, len(points), 97):
+                p = points[r]
+                inside = np.isin(p.indices, cols)
+                want = np.zeros((1, cols.size))
+                want[0, np.searchsorted(cols, p.indices[inside])] = p.values[inside]
+                rest = sum(v * v for v in p.values[~inside].tolist())
+                assert np.array_equal(X[r], want[0])
+                assert sq[r] == np.einsum("ij,ij->i", want, want)[0] + rest
+                assert np.array_equal(dense_rows(p, cols)[1], sq[r : r + 1])
 
     def test_stream_workload_data_equals_the_reference(self):
         points = synth_two_gaussians(10_000, 50, separation_for_bayes_accuracy(0.95), seed=81).points
@@ -720,7 +750,7 @@ class TestBlockPrimitives:
         XS[k // 2 :: 97] = XS[k // 3]  # repeated points off the diagonal
         sqS = np.einsum("ij,ij->i", XS, XS)
         c = rng.standard_normal(k)
-        assert math.ceil(k / (SLAB_BYTES // (8 * k))) >= 3  # several row slabs
+        assert math.ceil(k / kernel_mod.slab_width(k)) >= 3  # several row slabs
         got = support_decisions(spec, c, XS, sqS)
         assert np.allclose(got, self.literal_support_decisions(spec, c, XS, sqS), rtol=1e-12, atol=0.0)
 
@@ -736,11 +766,12 @@ class TestBlockPrimitives:
         got = support_decisions(spec, c, X, np.einsum("ij,ij->i", X, X))
         assert np.array_equal(got, c * sigma_f**2)
 
-    def test_support_decisions_over_one_row_slabs(self, monkeypatch):
+    def test_support_decisions_over_the_narrowest_slabs(self, monkeypatch):
         rng = np.random.default_rng(9)
         XS, sqS = self.rows(rng, 60)
         c = rng.standard_normal(60)
         monkeypatch.setattr(kernel_mod, "SLAB_BYTES", 8 * 60 - 1)  # below one row
+        assert kernel_mod.slab_width(60) == 8  # eight row slabs, the last of 4 rows
         got = support_decisions(self.SPEC, c, XS, sqS)
         assert np.allclose(got, self.literal_support_decisions(self.SPEC, c, XS, sqS), rtol=1e-12, atol=0.0)
 
@@ -779,23 +810,6 @@ class TestRowMatching:
         assert math.ceil(2000 / (SLAB_BYTES // (8 * 600))) >= 3  # several slabs
         got = block_decisions(spec, c, XS, sqS, Rows(X, index), sq[index])
         assert np.array_equal(got, block_decisions(spec, c, XS, sqS, X[index], sq[index]))
-
-    @pytest.mark.parametrize("k, slab", [(0, None), (1, None), (700, None), (1500, None), (60, 8 * 60 - 1)])
-    def test_support_entries_counts_the_triangle(self, k, slab, monkeypatch):
-        """support_entries(k) is the number of kernel entries
-        support_decisions computes, counted at sq_dist_block."""
-        if slab is not None:
-            monkeypatch.setattr(kernel_mod, "SLAB_BYTES", slab)  # one row per slab
-        entries = []
-
-        def counted(XA, sqA, XB, sqB, out, spec):
-            entries.append(out.size)
-            return sq_dist_block(XA, sqA, XB, sqB, out=out, spec=spec)
-
-        monkeypatch.setattr(kernel_mod, "sq_dist_block", counted)
-        XS, sqS = TestBlockPrimitives.rows(np.random.default_rng(14), k, dim=3)
-        support_decisions(KernelSpec(1.0, 1.0), np.ones(k), XS, sqS)
-        assert kernel_mod.support_entries(k) == sum(entries)
 
     def test_shuffled_and_repeated_rows_match(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,7 +724,7 @@ class TestSingleEvaluationObjective:
         finally:
             tracemalloc.stop()
         assert got == want
-        slab = kernel_mod.SLAB_BYTES + kernel_mod._PASS_BYTES + 8 * d * (kernel_mod.SLAB_BYTES // (8 * k))
+        slab = kernel_mod.SLAB_BYTES + kernel_mod._PASS_BYTES + 8 * d * kernel_mod.slab_width(k)
         arrays = 8 * (12 * n + 4 * samples)
         assert peak <= 8 * k * d + slab + arrays
 
@@ -829,7 +833,8 @@ class TestMatchedDecisions:
     @staticmethod
     def reference(state, query):
         sup = np.flatnonzero(state.beta)
-        XS, sqS, XT, sqT = dense_rows(state.points[sup], query)
+        XS, sqS = dense_rows(state.points[sup])
+        XT, sqT = dense_rows(query, kernel_mod.columns(state.points[sup]))
         d2 = np.maximum(sqS[:, None] + sqT[None, :] - 2.0 * (XS @ XT.T), 0.0)
         d2[(XS[:, None, :] == XT[None, :, :]).all(axis=2)] = 0.0
         K = state.kernel.sigma_f**2 * np.exp(-d2 / (2.0 * state.kernel.sigma_l**2))
@@ -847,10 +852,9 @@ class TestMatchedDecisions:
     @pytest.mark.parametrize("case", ["all points", "shuffled, repeated", "most of the support",
                                       "part of the support", "duplicate support rows", "signed zero"])
     def test_matches_the_dense_gram(self, case, sigma_f, monkeypatch):
-        """Matched rows read the support's triangle when it computes fewer
-        kernel entries than their rows of the block, and go through
-        block_decisions otherwise; rows equal but for a signed zero are not
-        matched."""
+        """Rows matched to support rows read the support's triangle, and the
+        rest go through block_decisions; rows equal but for a signed zero
+        are not matched."""
         X = None
         if case == "duplicate support rows":
             X = np.random.default_rng(5).normal(size=(self.N, 5))
@@ -893,7 +897,7 @@ class TestMatchedDecisions:
             "signed zero": np.arange(len(Q)) < self.K,
         }.get(case)
         assert hits.any() if want_hits is None else np.array_equal(hits, want_hits)
-        assert triangles == ([] if case == "part of the support" else [self.K])
+        assert len(matched) == 1 and triangles == [self.K]  # one row match, one f(S)
 
     @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
     @pytest.mark.parametrize("k, m", [(0, 50), (50, 0), (0, 0)])
@@ -920,39 +924,23 @@ class TestMatchedDecisions:
         part = state.points[sup[:600]]
         assert np.array_equal(decision_values(state, part), state.beta[sup[:600]] * sigma_f**2)
 
-    @pytest.mark.parametrize("matched", [0, 525, 526])
-    def test_the_triangle_runs_where_it_computes_fewer_entries(self, matched, monkeypatch):
-        """support_decisions computes between 525 and 526 rows' worth of the
-        block at k = 700. A query of 300 other points and up to 525 support
-        rows gets block_decisions' decisions over the whole query, bit for
-        bit, and with no support rows among 300 points matching is skipped;
-        one more support row and the matched rows read the triangle."""
-        assert 525 * self.K <= kernel_mod.support_entries(self.K) < 526 * self.K
+    @pytest.mark.parametrize("matched", [0, 1, 700])
+    def test_matched_support_rows_read_the_triangle(self, matched, monkeypatch):
+        """A query of 300 other points and ``matched`` support rows: however
+        few the support rows, they read f(S), computed once, and the other
+        rows get block_decisions' decisions over those rows alone, bit for
+        bit."""
         state, X = self.model(1.0)
         sup = np.flatnonzero(state.beta)
         rng = np.random.default_rng(10)
         query = Points.from_dense(np.vstack([rng.normal(size=(300, 5)), X[sup[:matched]]]))
-        matches, triangles = [], []
-
-        def match(XA, XB):
-            matches.append(XB.shape[0])
-            return kernel_mod.equal_rows(XA, XB)
-
-        def triangle(*args):
-            triangles.append(args[1].size)
-            return kernel_mod.support_decisions(*args)
-
-        monkeypatch.setattr(optimizer_mod, "equal_rows", match)
-        monkeypatch.setattr(optimizer_mod, "support_decisions", triangle)
+        triangles = count_triangles(monkeypatch)
         got = decision_values(state, query)
-        want = kernel_mod.block_decisions(state.kernel, state.beta[sup], *dense_rows(state.points[sup], query))
-        assert matches == ([] if matched == 0 else [300 + matched])
-        if matched <= 525:
-            assert triangles == []
-            assert np.array_equal(got, want)
-        else:
-            assert triangles == [self.K]
-            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert triangles == ([] if matched == 0 else [self.K])
+        XT, sqT = dense_rows(query[:300])
+        want = kernel_mod.block_decisions(state.kernel, state.beta[sup], *dense_rows(state.points[sup]), XT, sqT)
+        assert np.array_equal(got[:300], want)
+        assert np.array_equal(got[300:], state.decisions_at_support()[:matched])
 
 
 def count_triangles(monkeypatch) -> list[int]:
@@ -988,7 +976,7 @@ class TestModelMemo:
     f(S) = beta[S] @ K(S, S), at most once."""
 
     @staticmethod
-    def model(n=1000, k=700, seed=0):  # k = 700: a query of the support pays for the triangle
+    def model(n=1000, k=700, seed=0):
         rng = np.random.default_rng(seed)
         beta = np.zeros(n)
         beta[rng.permutation(n)[:k]] = rng.uniform(0.5, 1.5, size=k)
@@ -1011,7 +999,7 @@ class TestModelMemo:
         calls = count_triangles(monkeypatch)
         norm = hilbert_norm(state)
         assert hilbert_norm(state) == norm and calls == [700]
-        dec = decision_values(state, state.points)  # the triangle pays: it reads the memo
+        dec = decision_values(state, state.points)  # its support rows read the memo
         assert calls == [700]
         other = replace(state, kernel=KernelSpec(1.0, 1.7))
         other_norm = hilbert_norm(other)
@@ -1055,26 +1043,22 @@ class TestModelMemo:
         assert hilbert_norm(back) == norm
         assert np.array_equal(decision_values(back, truth.points), decision_values(model, truth.points))
 
-    def test_the_tail_query_takes_the_block_path_with_or_without_the_memo(self, past_the_cap,
-                                                                          monkeypatch, tmp_path):
-        """CI's last 700 lines hold support rows, but even a query of 700
-        support rows would not pay for the triangle, so they get
-        block_decisions' bits whether or not the model holds its decisions
-        at the support."""
+    def test_the_tail_query_reads_the_full_files_decisions(self, past_the_cap, monkeypatch, tmp_path):
+        """CI's last 700 lines hold support rows and other points. Each gets
+        the decision the whole file's query gives it, bit for bit, whether
+        or not the model holds f(S) yet: the tail computes f(S) once, and a
+        model without it reads the file's decisions too."""
         path, dataset, graph, config, kernel = past_the_cap
         model, _ = train(dataset, graph, replace(config, diagnostics_every=None), kernel)
         tail_path = tmp_path / "tail.txt"
         tail_path.write_text("\n".join(path.read_text().splitlines()[-700:]) + "\n")
-        tail = load_libsvm(tail_path)[0].points
-        sup = np.flatnonzero(model.beta)
-        XS, sqS, XT, sqT = dense_rows(model.points[sup], tail)
-        matched = np.count_nonzero(kernel_mod.equal_rows(XS, XT) >= 0)
-        assert matched > 0 and len(tail) * sup.size <= kernel_mod.support_entries(sup.size)
-        want = kernel_mod.block_decisions(kernel, model.beta[sup], XS, sqS, XT, sqT)
+        tail, tail_perm = load_libsvm(tail_path)
+        full, perm = load_libsvm(path)
+        want = decision_values(replace(model), full.points)[perm.argsort()][-700:]
         calls = count_triangles(monkeypatch)
-        assert np.array_equal(decision_values(model, tail), want) and calls == []
-        model.decisions_at_support()
-        assert np.array_equal(decision_values(model, tail), want) and len(calls) == 1
+        for _ in range(2):  # without, then with, f(S)
+            assert np.array_equal(decision_values(model, tail.points)[tail_perm.argsort()], want)
+        assert calls == [np.count_nonzero(model.beta)]
 
 
 def count_block_targets(monkeypatch) -> list[int]:
@@ -1133,13 +1117,13 @@ class TestOwnDecisions:
         assert [first, other] == want and again == first
         assert targets[1] == 0 and 0 < targets[2] < targets[0]
 
-    def test_a_query_over_other_columns_does_not_read_the_memo(self, monkeypatch):
-        """On sparse rows the objective's decisions come from dense rows over
-        every column of the model's points. A query whose support and rows
-        span other columns, here as many, computes all its decisions, bit
-        for bit as a model without the memo, even for a fresh row whose
-        dense row equals that of one of the model's points; a query over
-        every column reads them."""
+    def test_a_query_over_other_columns_reads_the_memo(self, monkeypatch):
+        """On sparse rows every decision comes from dense rows over the
+        support's columns, with norms from all stored values. A query over
+        other columns than the model's points reads the decisions the model
+        holds, and a fresh row that differs from one of the model's points
+        only at an index the support lacks reads that point's decision: the
+        bits a model without the memo computes."""
         rng = np.random.default_rng(17)
         n, common = 900, [*range(1, 11), *range(30, 41)]
         rows = []
@@ -1156,22 +1140,82 @@ class TestOwnDecisions:
         model, _ = train(dataset, graph, hinge_cfg(T=150, seed=1, diagnostics_every=150,
                                                    objective_mode="exact"), KERNEL)
         assert not model.beta[rare].any()  # the support lacks index 20
-        # a fresh row over index 50 whose dense row, over the query's columns
-        # 1..10, 30..40, 50, is that of rare[0] over the model's 1..10, 20, 30..40
-        shift = {20: 30, **{j: j + 1 for j in range(30, 40)}, 40: 50}
-        fresh = [(shift.get(j, j), v) for j, v in rows[rare[0]]]
+        # rare[0] with its index 20 moved to 50, which no point has
+        fresh = sorted((50 if j == 20 else j, v) for j, v in rows[rare[0]])
         other = Points.from_rows([rows[i] for i in rng.permutation(n - 3)] + [fresh])
-        sup = np.flatnonzero(model.beta)
-        mine, theirs = kernel_mod.columns(dataset.points), kernel_mod.columns(model.points[sup], other)
-        assert mine.size == theirs.size and not np.array_equal(mine, theirs)
-        XA, _ = dense_rows(dataset.points)
-        assert np.array_equal(dense_rows(model.points[sup], other)[2][-1], XA[rare[0]])
-        for query, reads in ((other, False), (dataset.points, True)):
+        assert kernel_mod.columns(other).size == kernel_mod.columns(dataset.points).size
+        for query in (other, dataset.points):
             without = count_block_targets(monkeypatch)
             want = decision_values(replace(model), query)
             held = count_block_targets(monkeypatch)
-            assert np.array_equal(decision_values(model, query), want)
-            assert (sum(held) < sum(without)) == reads
+            got = decision_values(model, query)
+            assert np.array_equal(got, want) and sum(held) < sum(without)
+        assert got[rare[0]] == decision_values(model, other[-1:])[0] == model._memo[rare[0]]
+        # one more value, at index 50: each squared distance grows by 0.3^2, and
+        # the norm tells the row from rare[0], whose dense row it shares
+        more = Points.from_rows([rows[rare[0]] + [(50, 0.3)]])
+        want = model._memo[rare[0]] * math.exp(-0.3**2 / (2.0 * KERNEL.sigma_l**2))
+        assert decision_values(model, more)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def sparse_points(rng, n, dim, extra=()):
+    """n rows of 2 to 6 of the indices 1..dim and ``extra``, values around
+    -1 on even rows and +1 on odd ones."""
+    pool = np.r_[1 : dim + 1, list(extra)].astype(np.int64)
+    rows = []
+    for i in range(n):
+        idx = np.sort(rng.choice(pool, size=rng.integers(2, 7), replace=False))
+        rows.append(zip(idx.tolist(), rng.normal(1.0 if i % 2 else -1.0, 1.0, idx.size).tolist()))
+    return Points.from_rows(rows)
+
+
+def check_a_decision_depends_on_the_model_and_the_point_alone(seed=0):
+    """decision_values(m, Q)[i] has the bits of decision_values(m, Q[[i]])
+    and of decision_values(replace(m), Q)[i], for random queries Q and rows
+    i, on dense and on sparse rows (omitted indices, and indices the
+    support lacks or no point has), for models below and above _GRAM_CAP,
+    fresh and traced. Bits are pinned under one BLAS thread."""
+    rng = np.random.default_rng(seed)
+    bits = lambda a: np.asarray(a, dtype=np.float64).view(np.uint64)
+    for n in (300, optimizer_mod._GRAM_CAP + 52):
+        for sparse in (False, True):
+            if sparse:
+                points = sparse_points(rng, n, 12)
+                full = Dataset(points, np.where(np.arange(n) % 2, 1, -1).astype(np.int8))
+                fresh = sparse_points(rng, 200, 12, extra=(13, 40))
+            else:
+                full = synth_two_gaussians(n, 5, 3.0, seed=n)
+                fresh = synth_two_gaussians(200, 5, 3.0, seed=n + 1).points
+            hidden, truth = hide_labels(full, 0.8, seed=seed)
+            graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+            T = n // 5
+            for every in (None, T):
+                model, _ = train(hidden, graph, hinge_cfg(T=T, seed=seed, diagnostics_every=every), KERNEL)
+                picks = [truth.points[rng.permutation(n)[: rng.integers(n // 2, n)]], fresh,
+                         truth.points[rng.integers(0, n, size=50)]]
+                Q = Points.from_rows(zip(p.indices.tolist(), p.values.tolist())
+                                     for part in picks for p in part)
+                Q = Q[rng.permutation(len(Q))]
+                dec, dec_new = decision_values(model, Q), decision_values(replace(model), Q)
+                for i in rng.integers(0, len(Q), size=8).tolist():
+                    one = Q[[i]]
+                    where = f"n={n} sparse={sparse} traced={every is not None} row {i}"
+                    assert bits(dec[i]) == bits(decision_values(model, one)[0]), where
+                    assert bits(dec[i]) == bits(dec_new[i]), where
+                    assert bits(dec[i]) == bits(decision_values(replace(model), one)[0]), where
+
+
+def test_a_decision_depends_on_the_model_and_the_point_alone():
+    """The check above in a child process with one BLAS thread."""
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), str(Path(optimizer_mod.__file__).parents[1])]),
+    }
+    code = "import test_optimizer as t; t.check_a_decision_depends_on_the_model_and_the_point_alone()"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestHilbertNorm:
