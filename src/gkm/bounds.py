@@ -85,24 +85,24 @@ def product_threshold(p: float) -> float:
     return _power((p - 1.0, -1.0), log_c=log_c)
 
 
-def _certified_M(a: float, b: float, p: float) -> float | None:
+def _certified_M(a: float, b: float, p: float, a_factors=None) -> float | None:
     """The case table: the iterate bound M of case p at (a, b), or None
     where the rate condition fails.
 
     p < 2 always certifies with M = max(1, (a+b)^(1/(2-p))), a + b summed in
     long double (a float sum would err by up to 0.5/(2-p) ulp in M); p = 2 needs
     a < 1 and gives M = b/(1-a); p > 2 needs a b^(p-2) <= product_threshold(p)
-    and gives M = (1/((p-1)a))^(1/(p-2)), one power of p - 1 and a, so a
-    product (p-1)a past the float range still gives its M. Powers saturate
-    to inf.
+    and gives M = (1/((p-1)a))^(1/(p-2)), each one power over ``a_factors``
+    (by default [(a, 1)]): a or (p-1)a may leave the float range. Powers saturate to inf.
     """
     if p < 2.0:
         return max(1.0, _power((np.longdouble(a) + b, 1.0), root=2.0 - p))
     if p == 2.0:
         return b / (1.0 - a) if a < 1.0 else None
-    if not a * _power((b, p - 2.0)) <= product_threshold(p):
+    fa = a_factors or [(a, 1.0)]
+    if not _power(*fa, (b, p - 2.0)) <= product_threshold(p):
         return None
-    return _power((p - 1.0, -1.0), (a, -1.0), root=p - 2.0) if a > 0.0 else math.inf
+    return _power((p - 1.0, -1.0), *((f, -e) for f, e in fa), root=p - 2.0) if a > 0.0 else math.inf
 
 
 def _require_positive(**values: float) -> None:
@@ -114,9 +114,9 @@ def _require_positive(**values: float) -> None:
 
 def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> BoundsReport:
     """Evaluate the iterate bound M (see ``_certified_M``) and the gradient
-    bound G = M + b + a M^(p-1), its last term one power of a and M, so it
-    is finite wherever it is in the float range, even where M^(p-1) alone
-    is not. A violated condition is reported, never raised.
+    bound G = M + b + a M^(p-1), its last term one power of a's factors and
+    M: finite wherever it is in the float range, even where a (shown as inf)
+    or M^(p-1) is not. A violated condition is reported, never raised.
     """
     _require_positive(C=C, C_prime=C_prime, R=R, A=A)
     if not 1.0 <= p < math.inf:
@@ -126,11 +126,12 @@ def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> Bo
     except OverflowError:
         a = math.inf
     b = C * A
-    M = _certified_M(a, b, p)
+    a_factors = [(a, 1.0)] if a < math.inf else [(C_prime, 1.0), (2.0 * R, p), (p, 1.0)]
+    M = _certified_M(a, b, p, a_factors)
     if M is None:
         return BoundsReport(R, A, a, b, p, None, None, False, REASON_VIOLATED)
     reason = REASON_P_LT_2 if p < 2.0 else REASON_P_EQ_2 if p == 2.0 else REASON_P_GT_2
-    G = M + b + _power((a, 1.0), (M, p - 1.0)) if math.isfinite(M) else math.inf
+    G = M + b + _power(*a_factors, (M, p - 1.0)) if math.isfinite(M) else math.inf
     return BoundsReport(R, A, a, b, p, M, G, True, reason)
 
 
@@ -213,5 +214,4 @@ def sample_certified_region(p: float, rng: np.random.Generator, size: int):
         kept.append(ab[:, ~np.isnan(case_M(ab[0], ab[1], p))])
         filled += kept[-1].shape[1]
     a, b = np.concatenate(kept, axis=1)[:, :size]
-    # open intervals: nudge exact zeros away
     return np.maximum(a, 1e-12), np.maximum(b, 1e-12)

@@ -242,7 +242,61 @@ def separation_for_bayes_accuracy(accuracy: float) -> float:
     """Mean separation giving the requested Bayes accuracy along one axis."""
     if not (0.5 < accuracy < 1.0):
         raise ValueError("accuracy must lie in (0.5, 1)")
-    from scipy.special import ndtri  # here: scipy.special slows every `import gkm`
+    return 2.0 * ndtri(accuracy)
 
-    return 2.0 * float(ndtri(accuracy))
+
+# Cephes ndtri's coefficients (S. L. Moshier): the ratio P0/Q0 for
+# |y - 1/2| <= 1/2 - exp(-2), in y - 1/2; the tails' P1/Q1 for
+# z = sqrt(-2 log y) in [2, 8) and P2/Q2 for z in [8, 64), in 1/z. The Q
+# lists omit their leading coefficient, 1.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _ratio(x: float, p: tuple, q: tuple) -> float:
+    """x p(x) / q(x), q with a leading 1, each by Horner's rule (Cephes'
+    polevl and p1evl) and rounded in Cephes' order, (x p(x)) / q(x)."""
+    num, den = p[0], x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def ndtri(y: float) -> float:
+    """The standard normal quantile at y in [0, 1] (nan outside): Cephes'
+    ndtri, which scipy.special.ndtri also runs, in its operation order, so
+    the two agree bit for bit."""
+    if y == 0.0 or y == 1.0:
+        return math.copysign(math.inf, y - 0.5)
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_M2
+    t = 1.0 - y if upper else y
+    if t > _EXP_M2:
+        t -= 0.5
+        t2 = t * t
+        return (t + t * _ratio(t2, _P0, _Q0)) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(t))
+    z = 1.0 / x
+    x = x - math.log(x) / x - _ratio(z, *((_P1, _Q1) if x < 8.0 else (_P2, _Q2)))
+    return x if upper else -x
 

@@ -140,6 +140,20 @@ def loss_grad_scalar(spec: LossSpec, o, y):
     return _elementwise(loss_slope(spec), o, y)
 
 
+def expit(x: float) -> float:
+    """1 / (1 + exp(-x)), 0 where exp(-x) overflows: scipy.special.expit's
+    formula, bit for bit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def xlogx(a: float) -> float:
+    """a log a, 0 at a = 0: scipy.special.xlogy(a, a), bit for bit."""
+    return a * math.log(a) if a else 0.0
+
+
 def _increasing_root(g, dg, lo, hi):
     """Root of increasing g, g(lo) <= 0 <= g(hi): Newton from hi, bisecting as rtsafe does."""
     x, dx = hi, hi - lo
@@ -158,11 +172,9 @@ def _increasing_root(g, dg, lo, hi):
 def loss_prox_slope(spec: LossSpec, v: float, y: float, gamma: float) -> float:
     """Scalar s in d loss(u, y) at u = prox_{gamma loss(., y)}(v) = v - gamma * s."""
     if spec.kind == "logistic":
-        from scipy.special import expit  # here: scipy.special slows every `import gkm`
-
         m = _increasing_root(lambda m: m - y * v - gamma * expit(-m),
                              lambda m: 1.0 + gamma * expit(m) * expit(-m), y * v, y * v + gamma)
-        return -y * float(expit(-m))
+        return -y * expit(-m)
     if spec.is_classification:  # hinge is smooth-hinge with a zero-width corner
         width = gamma + (spec.tau if spec.kind == "smooth-hinge" else 0.0)
         return -y * min(max((1.0 - y * v) / width, 0.0), 1.0)
@@ -175,10 +187,7 @@ def loss_conjugate(spec: LossSpec, s, y):
     s, r = np.asarray(s, dtype=np.float64), np.multiply(y, s)
     inside = (r >= -1.0) & (r <= 0.0) if spec.is_classification else np.abs(s) <= 1.0
     if spec.kind == "logistic":  # clipped into the domain; the rest is masked below
-        from scipy.special import xlogy  # here: as expit above
-
-        r = np.clip(r, -1.0, 0.0)
-        r = xlogy(-r, -r) + xlogy(1.0 + r, 1.0 + r)
+        r = _elementwise(lambda r: xlogx(-r) + xlogx(1.0 + r), np.clip(r, -1.0, 0.0))
     r = r + (0.5 * spec.tau * r * r if spec.kind == "smooth-hinge" else 0.0)
     r = r + (spec.epsilon * np.abs(s) if spec.kind == "eps-insensitive" else 0.0)
     out = np.where(inside, r, np.inf)

@@ -358,3 +358,18 @@ def test_M_below_p_two_sums_a_and_b_beyond_a_float():
 def test_product_threshold_limit_near_two():
     # (p-2)^(p-2) -> 1 as p -> 2+, so the threshold tends to 1/(p-1)^(p-1) = 1
     assert product_threshold(2.0 + 1e-12) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_recommended_sigma_f_round_trip_where_a_leaves_the_float_range():
+    """From p = 2057, a = C' (2 sigma_f)^p p at sigma_f = recommended_sigma_f(p,
+    1, 1) overflows: the report shows a = inf, and the condition, M and G
+    come from a's factors, within 2 ulp of the decimal oracle at the exact a."""
+    ctx = decimal.Context(prec=60)
+    for p in range(2040, 2080):
+        sf = recommended_sigma_f(float(p), 1.0, 1.0)
+        r = compute_bounds(1.0, 1.0, float(p), sf, sf)
+        assert r.condition_holds and r.reason == REASON_P_GT_2, p
+        assert (r.a == math.inf) == (p >= 2057), p
+        exact_a = ctx.multiply(ctx.power(2 * Decimal(sf), p), p)
+        want_M, want_G = decimal_M_G(exact_a, r.b, r.p)
+        assert ulps_from(r.M, want_M) <= 2.0 and ulps_from(r.G, want_G) <= 2.0, p

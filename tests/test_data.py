@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from gkm.data import (
     hide_labels,
     load_libsvm,
     load_mask,
+    ndtri,
     save_libsvm,
     separation_for_bayes_accuracy,
     synth_two_gaussians,
@@ -246,6 +249,27 @@ class TestSynth:
 
         assert separation_for_bayes_accuracy(accuracy) == 2.0 * float(norm.ppf(accuracy))
 
+    def test_ndtri_matches_scipy_bit_for_bit(self):
+        """The Cephes port against scipy.special.ndtri on 212 007 draws: the
+        central rational function, the tails in their P1 (z < 8) and P2
+        (z >= 8) branches, the last floats below 1, the lower half, and the
+        ends; nan outside [0, 1]."""
+        from scipy.special import ndtri as scipy_ndtri
+
+        rng = np.random.default_rng(11)
+        y = np.concatenate([
+            rng.uniform(0.5, 1.0, 100_000),
+            1.0 - np.exp(-rng.uniform(2.0, 32.0, 50_000)),
+            1.0 - np.exp(-rng.uniform(32.0, 36.7, 50_000)),
+            np.nextafter(1.0, 0.0) - np.arange(2_000) * 2.0**-53,
+            rng.uniform(0.0, 0.5, 5_000),
+            np.exp(-rng.uniform(2.0, 740.0, 5_000)),
+            [0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - math.exp(-2.0), math.exp(-2.0)],
+        ])
+        got = np.frompyfunc(ndtri, 1, 1)(y).astype(np.float64)
+        assert np.array_equal(got.view(np.uint64), scipy_ndtri(y).view(np.uint64))
+        assert all(math.isnan(ndtri(bad)) for bad in (-0.5, 1.5, math.nan))
+
     def test_bayes_rate_empirically(self):
         sep = separation_for_bayes_accuracy(0.95)
         ds = synth_two_gaussians(20000, 1, sep, seed=3)
@@ -263,12 +287,24 @@ def test_import_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_import_leaves_scipy_special_and_linalg_unloaded():
+def test_import_leaves_scipy_special_and_linalg_unloaded(tmp_path):
     """Importing scipy.special or scipy.linalg made a cold `import gkm.cli`
-    about three times slower; the functions that need them import them."""
-    code = (
-        "import sys, gkm.cli; "
-        "sys.exit('scipy.special' in sys.modules or 'scipy.linalg' in sys.modules)"
-    )
+    about three times slower, and scipy.special keeps ~18 MB resident:
+    importing gkm, the Bayes separation, `gkm synth --bayes-accuracy` and
+    the logistic prox and conjugate load neither; only labelprop.solve_exact
+    imports scipy."""
+    code = textwrap.dedent(f"""
+        import sys, gkm.cli
+        from gkm.data import separation_for_bayes_accuracy
+        from gkm.losses import LossSpec, loss_conjugate, loss_prox_slope
+        separation_for_bayes_accuracy(0.95)
+        argv = ["synth", "--n", "20", "--dim", "2", "--bayes-accuracy", "0.95"]
+        assert gkm.cli.main([*argv, "--out", {str(tmp_path / "s.txt")!r}]) == 0
+        spec = LossSpec("logistic")
+        loss_prox_slope(spec, 0.3, 1.0, 0.5)
+        loss_conjugate(spec, [-0.5, 0.0, -1.0], [1.0, 1.0, 1.0])
+        sys.exit('scipy.special' in sys.modules or 'scipy.linalg' in sys.modules)
+    """)
     env = {**os.environ, "PYTHONPATH": str(Path(gkm.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert (tmp_path / "s.txt").read_text().count("\n") == 20

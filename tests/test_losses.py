@@ -10,6 +10,7 @@ from gkm.losses import (
     LOSS_KINDS,
     LossSpec,
     SmoothnessSpec,
+    expit,
     loss_conjugate,
     loss_grad_scalar,
     loss_prox_slope,
@@ -20,7 +21,9 @@ from gkm.losses import (
     lp_prox_slope,
     lp_slope,
     lp_value,
+    xlogx,
 )
+from gkm.losses import _increasing_root
 
 ALL_SPECS = [
     LossSpec("hinge"),
@@ -287,3 +290,53 @@ class TestProxAndConjugate:
             assert lp_conjugate(spec, s) == pytest.approx(sup, abs=1e-8)
         if p == 1.0:
             assert lp_conjugate(spec, 1.5) == math.inf
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(np.asarray(got, dtype=np.float64).view(np.uint64),
+                          np.asarray(want, dtype=np.float64).view(np.uint64))
+
+
+class TestScipyReplacements:
+    """expit and xlogx compute scipy.special's expit and xlogy(a, a) in gkm,
+    bit for bit, so the logistic prox and conjugate load no scipy."""
+
+    def test_expit_matches_scipy(self):
+        from scipy.special import expit as scipy_expit
+
+        rng = np.random.default_rng(12)
+        x = np.concatenate([
+            rng.uniform(-800.0, 800.0, 100_000),  # exp(-x) overflows below -709.78
+            rng.uniform(-40.0, 40.0, 100_000),
+            [0.0, -0.0, -709.78, -709.79, -745.2, -1e308, 1e308, -math.inf, math.inf],
+        ])
+        assert same_bits([expit(v) for v in x.tolist()], scipy_expit(x))
+
+    def test_xlogx_matches_scipy_xlogy(self):
+        from scipy.special import xlogy
+
+        rng = np.random.default_rng(13)
+        a = np.concatenate([
+            rng.uniform(0.0, 1.0, 100_000),
+            np.exp(-rng.uniform(0.0, 745.0, 50_000)),  # subnormals included
+            [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308],
+        ])
+        assert same_bits(np.frompyfunc(xlogx, 1, 1)(a), xlogy(a, a))
+
+    def test_logistic_conjugate_and_prox_match_the_scipy_formulas(self):
+        from scipy.special import expit as scipy_expit
+        from scipy.special import xlogy
+
+        spec, rng = LossSpec("logistic"), np.random.default_rng(14)
+        y = rng.choice([-1.0, 1.0], 20_000)
+        s = np.concatenate([-y[:19_990] * rng.uniform(0.0, 1.0, 19_990),
+                            [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1e-300, -1e-300]])
+        r = np.clip(y * s, -1.0, 0.0)
+        want = np.where((y * s >= -1.0) & (y * s <= 0.0),
+                        xlogy(-r, -r) + xlogy(1.0 + r, 1.0 + r), np.inf)
+        assert same_bits(loss_conjugate(spec, s, y), want)
+        for v, yv, gamma in zip(rng.uniform(-800.0, 800.0, 300), y, rng.uniform(1e-3, 1e3, 300)):
+            m = _increasing_root(lambda m: m - yv * v - gamma * scipy_expit(-m),
+                                 lambda m: 1.0 + gamma * scipy_expit(m) * scipy_expit(-m),
+                                 yv * v, yv * v + gamma)
+            assert same_bits(loss_prox_slope(spec, v, yv, gamma), -yv * float(scipy_expit(-m)))
