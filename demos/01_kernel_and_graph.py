@@ -7,7 +7,7 @@ three graph constructions, and uniform edge sampling.
 import numpy as np
 
 import gkm
-from gkm.kernel import gram_sq_dists, kernel_matrix_from_sq_dists
+from gkm.kernel import gram
 
 spec = gkm.KernelSpec(sigma_f=1.0, sigma_l=1.0)
 
@@ -16,7 +16,7 @@ spec = gkm.KernelSpec(sigma_f=1.0, sigma_l=1.0)
 points = gkm.Points.from_rows([[(1, 0.0)], [(1, 1.0)], [(1, 10.0)]])
 dataset = gkm.Dataset(points, np.array([1, 0, 0], dtype=np.int8))
 
-K = kernel_matrix_from_sq_dists(spec, gram_sq_dists(*dataset.dense()))
+K = gram(spec, *dataset.dense())
 print("K(a, a) =", K[0, 0], "(always sigma_f^2)")
 print("K(a, b) =", K[0, 1])
 print("K(a, c) =", K[0, 2], "(far apart, nearly zero)")

@@ -11,6 +11,7 @@ Shorthand used throughout: a = C' (2R)^p p and b = C A.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,9 @@ def _certified_M(a: float, b: float, p: float, a_factors=None) -> float | None:
     fa = a_factors or [(a, 1.0)]
     if not _power(*fa, (b, p - 2.0)) <= product_threshold(p):
         return None
-    return _power((p - 1.0, -1.0), *((f, -e) for f, e in fa), root=p - 2.0) if a > 0.0 else math.inf
+    if not all(f > 0.0 for f, _ in fa):
+        return math.inf
+    return _power((p - 1.0, -1.0), *((f, -e) for f, e in fa), root=p - 2.0)
 
 
 def _require_positive(**values: float) -> None:
@@ -115,18 +118,22 @@ def _require_positive(**values: float) -> None:
 def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> BoundsReport:
     """Evaluate the iterate bound M (see ``_certified_M``) and the gradient
     bound G = M + b + a M^(p-1), its last term one power of a's factors and
-    M: finite wherever it is in the float range, even where a (shown as inf)
-    or M^(p-1) is not. A violated condition is reported, never raised.
+    M: finite wherever it is in the float range, even where a (shown as inf,
+    0 or a subnormal), (2R)^p or M^(p-1) is not. A violated condition is
+    reported, never raised.
     """
     _require_positive(C=C, C_prime=C_prime, R=R, A=A)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p!r}")
     try:
-        a = C_prime * (2.0 * R) ** p * p
+        rp = (2.0 * R) ** p
     except OverflowError:
-        a = math.inf
+        rp = math.inf
+    a = C_prime * rp * p
     b = C * A
-    a_factors = [(a, 1.0)] if a < math.inf else [(C_prime, 1.0), (2.0 * R, p), (p, 1.0)]
+    # a's factors wherever a rounding on the way to a left the normal range
+    normal = all(sys.float_info.min <= x < math.inf for x in (rp, C_prime * rp, a))
+    a_factors = [(a, 1.0)] if normal else [(C_prime, 1.0), (2.0 * R, p), (p, 1.0)]
     M = _certified_M(a, b, p, a_factors)
     if M is None:
         return BoundsReport(R, A, a, b, p, None, None, False, REASON_VIOLATED)

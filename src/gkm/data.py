@@ -43,7 +43,8 @@ class Dataset:
         labels = np.asarray(self.labels)
         if labels.shape != (len(self.points),):
             raise ValueError("labels must align with points")
-        if not np.all(np.isin(labels, (-1, 0, 1))):  # before the cast, which would truncate
+        # before the cast, which would truncate; three compares: np.isin is ~5x slower
+        if not np.all((labels == 1) | (labels == 0) | (labels == -1)):
             raise InvalidLabelError("labels must be -1, 0 (unlabeled) or +1")
         labels = labels.astype(np.int8, copy=False)
         l = int(np.count_nonzero(labels))

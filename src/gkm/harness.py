@@ -11,7 +11,7 @@ import numpy as np
 from .data import Dataset, write_lines
 from .exceptions import NoLabeledDataError, NotConvergedError
 from .graph import EdgeSet, check_vertices
-from .kernel import KernelSpec, gram_sq_dists, kernel_matrix_from_sq_dists
+from .kernel import KernelSpec, gram
 from .losses import loss_conjugate, loss_prox_slope, loss_value
 from .losses import lp_conjugate, lp_prox_slope, lp_value
 from .optimizer import Diagnostics, ModelState, TrainConfig, objective, predict_batch, train
@@ -88,7 +88,7 @@ def solve_reference_optimum(
     l = dataset.labeled_count
     if l < 1:
         raise NoLabeledDataError("the objective needs at least one labeled point")
-    K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*dataset.dense()))
+    K = gram(kernel, *dataset.dense())
     K = np.pad(K, (0, 1))  # index n is a zero feature vector: label i is the pair (i, n)
     y, loss, smooth = dataset.labels[:l].astype(np.float64), config.loss, config.smoothness
     e_us, e_vs, ws = graph.enumerate_edges()

@@ -218,8 +218,7 @@ def sq_dist_block(
     spec: KernelSpec | None = None,
 ):
     """Squared distances (sqA + sqB) - 2 XA XB^T between the rows of XA and
-    XB, in that order, clamped at 0; into ``out`` when given. Passing one
-    array as both XA and XB keeps numpy's symmetric (syrk) product. With a
+    XB, in that order, clamped at 0; into ``out`` when given. With a
     KernelSpec ``spec``, the result is instead the kernel block
     kernel_matrix_from_sq_dists(spec, d2), bit for bit.
 
@@ -261,13 +260,6 @@ def sq_dist_pairs(X: np.ndarray, sq: np.ndarray, us, vs) -> np.ndarray:
     return d2
 
 
-def gram_sq_dists(X: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances of the rows of X; exact-zero diagonal."""
-    d2 = sq_dist_block(X, sq, X, sq)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 @dataclass(frozen=True, eq=False)
 class Rows:
     """The rows ``index`` of the 2-d array ``X``, gathered only when sliced:
@@ -286,7 +278,7 @@ class Rows:
 
 def slab_width(k: int) -> int:
     """Targets per slab of block_decisions, and rows per slab of
-    support_decisions, for k support rows: a multiple of
+    _triangle, for k support rows: a multiple of
     8 from 8 to 64, the most whose k x width slab fits SLAB_BYTES, so a slab
     holds at most max(SLAB_BYTES, 64 k) bytes."""
     return min(64, max(8, 8 * (SLAB_BYTES // (64 * max(k, 1)))))
@@ -317,24 +309,49 @@ def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
     return out
 
 
-def support_decisions(spec: KernelSpec, coefs, XS, sqS) -> np.ndarray:
-    """coefs @ K(S, S) for support rows XS, from the upper triangle of the
-    symmetric K(S, S): about k (k + w) / 2 of its entries. Row slabs
-    [start, stop) of w = slab_width(k) rows, the width of block_decisions'
-    target slabs, are built against the columns [start, k) in one reused
-    buffer; a slab's rows add to out[start:], and its columns past the slab
-    add to out[start:stop]. The diagonal is sigma_f^2 exactly, as
-    gram_sq_dists' exact-zero distance diagonal gives. Memory and
-    reproducibility are as for block_decisions."""
-    k = XS.shape[0]
+def _triangle(spec: KernelSpec, X, sq):
+    """The upper triangle of the symmetric K(X, X), as (start, stop, block)
+    with block = K[start:stop, start:]: row slabs [start, stop) of
+    w = slab_width(k) rows for k rows of X, the width of block_decisions'
+    target slabs, each one sq_dist_block against the columns [start, k) in
+    one reused buffer, about k (k + w) / 2 entries in all. The diagonal is
+    sigma_f^2 exactly, as an exact-zero distance gives. A block is valid
+    until the next one is built."""
+    k = X.shape[0]
     rows = slab_width(k)
     buf = np.empty(min(rows, k) * k)
-    out = np.zeros(k)
     for start in range(0, k, rows):
         stop = min(start + rows, k)
         block = buf[: (stop - start) * (k - start)].reshape(stop - start, k - start)
-        sq_dist_block(XS[start:stop], sqS[start:stop], XS[start:], sqS[start:], out=block, spec=spec)
+        sq_dist_block(X[start:stop], sq[start:stop], X[start:], sq[start:], out=block, spec=spec)
         block.reshape(-1)[:: k - start + 1] = spec.sigma_f**2  # entries (r, r)
+        yield start, stop, block
+
+
+def gram(spec: KernelSpec, X, sq) -> np.ndarray:
+    """The kernel matrix K(X, X) from _triangle's slabs: each slab is
+    written into K's upper triangle and mirrored into the lower one, its
+    square from the square's upper triangle, so K equals K.T exactly.
+    Memory is K and one slab."""
+    n = X.shape[0]
+    K = np.empty((n, n))
+    r = np.arange(slab_width(n))
+    lower = r[:, None] > r  # the strict lower triangle of a slab's square
+    for start, stop, block in _triangle(spec, X, sq):
+        w = stop - start
+        K[start:stop, start:] = block
+        K[stop:, start:stop] = block[:, w:].T
+        np.copyto(K[start:stop, start:stop], block[:, :w].T, where=lower[:w, :w])
+    return K
+
+
+def support_decisions(spec: KernelSpec, coefs, XS, sqS) -> np.ndarray:
+    """coefs @ K(S, S) for support rows XS, from _triangle's slabs of the
+    upper triangle: a slab's rows add to out[start:], and its columns past
+    the slab add to out[start:stop]. Memory and reproducibility are as for
+    block_decisions."""
+    out = np.zeros(XS.shape[0])
+    for start, stop, block in _triangle(spec, XS, sqS):
         out[start:] += coefs[start:stop] @ block
         out[start:stop] += block[:, stop - start :] @ coefs[stop:]
     return out

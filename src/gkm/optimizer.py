@@ -39,8 +39,7 @@ from .kernel import (
     columns,
     dense_rows,
     equal_rows,
-    gram_sq_dists,
-    kernel_matrix_from_sq_dists,
+    gram,
     support_decisions,
 )
 from .labelprop import threshold_labels
@@ -187,8 +186,7 @@ def _block_values(kernel: KernelSpec, X, sq, u: np.ndarray, lab_idx, eu, ev):
         outside[P] = False
         old = np.flatnonzero(outside)
         base = block_decisions(kernel, u[old], X[old], sq[old], X[P], sq[P])
-        d2 = gram_sq_dists(X[P], sq[P])
-        K = kernel_matrix_from_sq_dists(kernel, d2, out=d2)
+        K = gram(kernel, X[P], sq[P])
         for r in rows.reshape(block.shape).tolist():
             r_i, r_a, r_b = r
             yield (
@@ -238,8 +236,7 @@ def train(
     u = np.zeros(n)
     X, sq = dataset.dense()
     if n <= _GRAM_CAP:
-        d2 = gram_sq_dists(X, sq)
-        values = partial(_gram_values, list(kernel_matrix_from_sq_dists(kernel, d2, out=d2)), u)
+        values = partial(_gram_values, list(gram(kernel, X, sq)), u)
     else:
         values = partial(_block_values, kernel, X, sq, u)
     v = [0.0] * n  # read only at trace points and at the end, so a list

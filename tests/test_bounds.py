@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -83,7 +84,8 @@ class TestComputeBounds:
         assert M[2] == compute_bounds(1.0, 0.01, 3.0, 1.0, 1.0).M
 
     def test_underflowed_a_at_p_gt_2_saturates(self):
-        """C' (2R)^p p underflows to a = 0: certified with M = G = inf."""
+        """C' (2R)^p p underflows to a = 0, and the exact M ~ 2.1e328 is past
+        the float range: certified with M = G = inf."""
         r = compute_bounds(1.0, 1e-300, 3.0, 1e-10, 1e-10)
         assert r.a == 0.0 and r.condition_holds
         assert r.M == math.inf and r.G == math.inf
@@ -373,3 +375,20 @@ def test_recommended_sigma_f_round_trip_where_a_leaves_the_float_range():
         exact_a = ctx.multiply(ctx.power(2 * Decimal(sf), p), p)
         want_M, want_G = decimal_M_G(exact_a, r.b, r.p)
         assert ulps_from(r.M, want_M) <= 2.0 and ulps_from(r.G, want_G) <= 2.0, p
+
+
+@pytest.mark.parametrize("args", [(1.0, 1e-300, 4.0, 1e-10, 1e-10), (1.0, 1e-300, 4.0, 1e-5, 1e-10),
+                                  (1.0, 1e300, 4.0, 1.58e-78, 1e-10)])
+def test_M_where_a_underflows_to_zero_or_a_subnormal(args):
+    """a = C' (2R)^p p underflows to 0 (exact a ~ 6.4e-339) or to a subnormal
+    (~ 6.4e-319), or is a normal ~ 4e-10 over a subnormal (2R)^p, while M is
+    a float: the condition, M and G come from a's factors, within 2 ulp of
+    the decimal oracle at the exact a (the third put M 40 ulp off)."""
+    C, C_prime, p, R, A = args
+    r = compute_bounds(*args)
+    assert min((2.0 * R) ** p, r.a) < sys.float_info.min
+    assert r.condition_holds and r.reason == REASON_P_GT_2
+    ctx = decimal.Context(prec=60)
+    exact_a = ctx.multiply(ctx.multiply(Decimal(C_prime), ctx.power(2 * Decimal(R), int(p))), Decimal(p))
+    want_M, want_G = decimal_M_G(exact_a, r.b, r.p)
+    assert ulps_from(r.M, want_M) <= 2.0 and ulps_from(r.G, want_G) <= 2.0

@@ -133,6 +133,23 @@ class TestDataset:
         with pytest.raises(InvalidLabelError, match="labels must be -1, 0"):
             Dataset(pts, np.array([bad, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("labels, ok", [
+        (np.array([1.5, 1.0, 0.0]), False),
+        (np.array([np.nan, 1.0, 0.0]), False),
+        (np.array([1.0, -1.0, -0.0]), True),
+        (np.array([True, True, False]), True),
+        (np.array([2**40, 1, 0], dtype=np.int64), False),
+        (np.array(["1", "-1", "0"]), False),
+    ])
+    def test_label_values_accepted_or_rejected_before_the_cast(self, labels, ok):
+        pts = Points.from_rows([(1, float(i))] for i in range(3))
+        if ok:
+            ds = Dataset(pts, labels)
+            assert ds.labels.dtype == np.int8 and ds.labels.tolist() == labels.astype(int).tolist()
+        else:
+            with pytest.raises(InvalidLabelError, match="labels must be -1, 0"):
+                Dataset(pts, labels)
+
     def test_exact_float_labels_load(self):
         pts = Points.from_rows([(1, float(i))] for i in range(3))
         ds = Dataset(pts, np.array([1.0, -1.0, 0.0]))

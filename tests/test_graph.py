@@ -18,7 +18,7 @@ from gkm.graph import (
     read_edges,
     write_edges,
 )
-from gkm.kernel import SLAB_BYTES, Points, dense_rows, gram_sq_dists, sq_dist_pairs
+from gkm.kernel import SLAB_BYTES, Points, dense_rows, sq_dist_block, sq_dist_pairs
 
 
 def point(*pairs):
@@ -65,9 +65,17 @@ def pair_weight(x_i: Points, x_j: Points, sigma_s: float) -> float:
     return float(gaussian_weights(d2, sigma_s)[0])
 
 
+def sq_dists(dataset):
+    """Squared distances among the dataset's points; exact-zero diagonal."""
+    X, sq = dataset.dense()
+    d2 = sq_dist_block(X, sq, X, sq)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
 def knn_reference(dataset, k):
     n, l = dataset.n, dataset.labeled_count
-    d2 = gram_sq_dists(*dataset.dense())
+    d2 = sq_dists(dataset)
     nn = np.empty((n, k), dtype=np.int64)
     for i in range(n):
         row = d2[i].copy()
@@ -82,7 +90,7 @@ def knn_reference(dataset, k):
 
 def eps_reference(dataset, epsilon):
     n, l = dataset.n, dataset.labeled_count
-    d2 = gram_sq_dists(*dataset.dense())
+    d2 = sq_dists(dataset)
     iu, iv = np.triu_indices(n, k=1)
     keep = (d2[iu, iv] <= epsilon**2) & ~((iu < l) & (iv < l))
     return iu[keep].astype(np.int64), iv[keep].astype(np.int64), d2
@@ -273,7 +281,7 @@ class TestSlabBuildsMatchFullMatrix:
     def test_full_graph_weights(self, dim):
         ds = random_dataset(300, 60, dim, seed=dim)
         us, vs, ws = build_fully_connected(ds, GraphSpec("full", 2.0)).enumerate_edges()
-        d2 = gram_sq_dists(*ds.dense())
+        d2 = sq_dists(ds)
         np.testing.assert_allclose(ws, gaussian_weights(d2[us, vs], 2.0), rtol=1e-13, atol=0.0)
 
     def test_grid_ties(self):

@@ -223,7 +223,7 @@ def test_distance_bound_is_twice_the_gap_bound():
     by 2 (strong convexity modulus 1): median ||bar_w - w*||^2 * T stays
     under 4 G^2 = 2 * (2 G^2)."""
     from gkm.bounds import compute_bounds
-    from gkm.kernel import gram_sq_dists, kernel_matrix_from_sq_dists
+    from gkm.kernel import gram
 
     full = synth_two_gaussians(20, 2, 4.0, seed=9)
     hidden, _ = hide_labels(full, 0.7, seed=9)
@@ -232,7 +232,7 @@ def test_distance_bound_is_twice_the_gap_bound():
     report = compute_bounds(1.0, 0.05, 2.0, 1.0, 1.0)
     assert report.condition_holds
     ref = solve_reference_optimum(hidden, graph, cfg, KERNEL)
-    K = kernel_matrix_from_sq_dists(KERNEL, gram_sq_dists(*hidden.dense()))
+    K = gram(KERNEL, *hidden.dense())
     T = 500
     dists = []
     for seed in range(5):

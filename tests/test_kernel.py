@@ -17,7 +17,7 @@ from gkm.kernel import (
     columns,
     dense_rows,
     equal_rows,
-    gram_sq_dists,
+    gram,
     kernel_matrix_from_sq_dists,
     sq_dist_block,
     support_decisions,
@@ -47,8 +47,7 @@ def shared(*parts):
 
 # Literal scalar references, one pair or point at a time. Each test below
 # checks a property on the reference and on the block primitive that
-# computes the same quantity: sq_dist_block, kernel_matrix_from_sq_dists
-# over gram_sq_dists, and block_decisions.
+# computes the same quantity: sq_dist_block, gram and block_decisions.
 
 
 def squared_distance(x: Points, y: Points) -> float:
@@ -79,7 +78,7 @@ def block_sq_dist(x: Points, y: Points) -> float:
 
 
 def block_gram(spec: KernelSpec, *points: Points) -> np.ndarray:
-    return kernel_matrix_from_sq_dists(spec, gram_sq_dists(*dense_rows(stack(*points))))
+    return gram(spec, *dense_rows(stack(*points)))
 
 
 def block_kernel(spec: KernelSpec, x: Points, y: Points) -> float:
@@ -584,25 +583,69 @@ class TestBlockPrimitives:
         assert sq_dist_block(XA, sqA, XB, sqB, out=out) is out
         assert np.array_equal(out, self.old_block(XA, sqA, XB, sqB))
 
+    def triangle_slabs(self, spec, X, sq):
+        """The row slabs of support_decisions' walk, built one by one:
+        rows [start, stop) against the columns [start, n), diagonal
+        sigma_f^2."""
+        n = X.shape[0]
+        w = kernel_mod.slab_width(n)
+        for start in range(0, n, w):
+            stop = min(start + w, n)
+            block = sq_dist_block(X[start:stop], sq[start:stop], X[start:], sq[start:], spec=spec)
+            block[:, : stop - start][np.diag_indices(stop - start)] = spec.sigma_f**2
+            yield start, stop, block
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 65, 300, 1100])
+    @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
+    def test_gram_is_the_triangle_walk_mirrored(self, n, sigma_f):
+        """K's upper triangle has the bits of the slabs support_decisions
+        builds, K equals K.T exactly, and its diagonal is exactly sigma_f^2,
+        also at repeated points."""
+        spec = KernelSpec(sigma_f=sigma_f, sigma_l=0.9)
+        rng = np.random.default_rng(n)
+        X, _ = self.rows(rng, n)
+        X[n // 2 :: 7] = X[n // 3 : n // 3 + 1]  # repeated points off the diagonal
+        sq = np.einsum("ij,ij->i", X, X)
+        K = gram(spec, X, sq)
+        assert K.shape == (n, n) and K.flags.c_contiguous
+        for start, stop, block in self.triangle_slabs(spec, X, sq):
+            upper = np.triu(np.ones(block.shape, dtype=bool))
+            assert np.array_equal(K[start:stop, start:][upper], block[upper]), start
+        assert np.array_equal(K, K.T)
+        assert np.all(np.diagonal(K) == sigma_f**2)
+
     def test_gram_equals_old_formula(self):
+        """The literal formula with an exact-zero distance diagonal, to
+        rtol 1e-13: slab gemms and one full product round alike."""
         rng = np.random.default_rng(1)
-        X, sq = self.rows(rng, 64)
-        old = self.old_block(X, sq, X, sq)
-        np.fill_diagonal(old, 0.0)
-        got = gram_sq_dists(X, sq)
-        assert np.array_equal(got, old)
-        assert np.array_equal(got, got.T)
+        for n, sigma_f in [(64, 1.0), (300, 1.3), (1100, 1.3)]:
+            spec = KernelSpec(sigma_f=sigma_f, sigma_l=0.9)
+            X, sq = self.rows(rng, n)
+            d2 = self.old_block(X, sq, X, sq)
+            np.fill_diagonal(d2, 0.0)
+            np.testing.assert_allclose(gram(spec, X, sq), self.literal_kernel(spec, d2), rtol=1e-13, atol=0.0)
+
+    def test_gram_over_the_narrowest_slabs(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X, sq = self.rows(rng, 60)
+        monkeypatch.setattr(kernel_mod, "SLAB_BYTES", 8 * 60 - 1)  # below one row
+        assert kernel_mod.slab_width(60) == 8  # eight row slabs, the last of 4 rows
+        K = gram(self.SPEC, X, sq)
+        for start, stop, block in self.triangle_slabs(self.SPEC, X, sq):
+            upper = np.triu(np.ones(block.shape, dtype=bool))
+            assert np.array_equal(K[start:stop, start:][upper], block[upper]), start
+        assert np.array_equal(K, K.T)
 
     def test_gram_build_holds_one_gram_plus_slabs(self):
         rng = np.random.default_rng(5)
         X, sq = self.rows(rng, 1024)
         tracemalloc.start()
         try:
-            d2 = gram_sq_dists(X, sq)
+            K = gram(self.SPEC, X, sq)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= d2.nbytes + 2 * SLAB_BYTES
+        assert peak <= K.nbytes + 2 * SLAB_BYTES
 
     def test_in_place_kernel_equals_allocating_kernel(self):
         rng = np.random.default_rng(4)

@@ -23,7 +23,7 @@ from gkm.exceptions import (
 )
 from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
 from gkm.harness import evaluate, solve_reference_optimum
-from gkm.kernel import KernelSpec, Points, dense_rows, gram_sq_dists, kernel_matrix_from_sq_dists
+from gkm.kernel import KernelSpec, Points, dense_rows, gram, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 from gkm.losses import LossSpec, SmoothnessSpec, loss_slope, loss_value, lp_slope, lp_value
 from gkm.optimizer import (
@@ -342,7 +342,7 @@ def literal_gram_train(dataset, graph, config, kernel):
     and their maxima."""
     main_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(main_ss)
-    K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*dataset.dense()))
+    K = gram(kernel, *dataset.dense())
     loss_grad, lp_grad = loss_slope(config.loss), lp_slope(config.smoothness)
     y = dataset.labels.astype(np.float64)
     kxx = kernel.sigma_f**2
@@ -454,7 +454,7 @@ class TestGeometry:
         X, sq = dataset.dense()
         targets = np.array(triples).T.tolist()
         if dataset.n <= gram_cap:
-            K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(X, sq))
+            K = gram(kernel, X, sq)
             return optimizer_mod._gram_values(list(K), u, *targets)
         return optimizer_mod._block_values(kernel, X, sq, u, *targets)
 
@@ -462,7 +462,7 @@ class TestGeometry:
     def test_halves_match_dense_gram(self, small_problem, gram_cap):
         hidden, _, _ = small_problem
         kernel = KernelSpec(1.3, 0.9)
-        K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
+        K = gram(kernel, *hidden.dense())
         n, kxx = hidden.n, kernel.sigma_f**2
         triples = self.triples(n)
         assert len(triples) > 2 * optimizer_mod._BLOCK_STEPS
@@ -486,7 +486,7 @@ class TestGeometry:
         numpy expressions on the cached Gram, not merely close ones."""
         hidden, _, _ = small_problem
         kernel = KernelSpec(1.3, 0.9)
-        K = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(*hidden.dense()))
+        K = gram(kernel, *hidden.dense())
         rng = np.random.default_rng(1)
         u = rng.standard_normal(hidden.n)
         triples = self.triples(hidden.n)
@@ -1264,8 +1264,8 @@ class TestHilbertNorm:
         kernel = KernelSpec(1.3, 2.2)
         state = ModelState(kernel, Points.from_dense(X), beta, hinge_cfg(T=1), 1.0)
         sq = np.einsum("ij,ij->i", X, X)
-        gram = kernel_matrix_from_sq_dists(kernel, gram_sq_dists(X, sq))
-        assert hilbert_norm(state) == pytest.approx(math.sqrt(beta @ gram @ beta), rel=1e-12, abs=0.0)
+        K = gram(kernel, X, sq)
+        assert hilbert_norm(state) == pytest.approx(math.sqrt(beta @ K @ beta), rel=1e-12, abs=0.0)
 
 
 class TestModelFile:
