@@ -22,8 +22,8 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -113,14 +113,12 @@ class Diagnostics:
 class ModelState:
     """The model: coefficients ``beta`` of the averaged iterate over
     ``points``, which it predicts with, and everything needed to evaluate
-    decisions. It is immutable, ``beta`` a read-only copy, so it keeps the
-    decisions at its own points that it has computed: f(S) at its support
-    (decisions_at_support), and those at its other points that the
-    objective computes on the model's own dataset. decision_values reads
-    that memo and writes only f(S). Every decision is taken over the
-    support's columns by one rule, so a held decision has the bits of a
-    fresh one; ``dataclasses.replace`` makes a new model, which starts
-    without a memo."""
+    decisions. Its inputs are checked when it is built (ValueError): one
+    finite coefficient per point and, when ``labels`` are given, one label
+    in {-1, 0, +1} per point. It is immutable, ``beta`` and ``labels``
+    read-only copies, so it keeps every decision at its own points that it
+    computes (decisions_at); ``dataclasses.replace`` makes a new model,
+    which starts with none."""
 
     kernel: KernelSpec
     points: Points
@@ -128,31 +126,61 @@ class ModelState:
     config: TrainConfig
     sigma_s: float
     labels: np.ndarray | None = None
-    _memo: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        n = len(self.points)
         beta = np.array(self.beta, dtype=np.float64)
+        if beta.shape != (n,):
+            raise ValueError(f"beta must hold one coefficient per point ({n}), got shape {beta.shape}")
+        if not np.isfinite(beta).all():
+            raise ValueError("beta must be finite (no NaN or inf)")
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
+        if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.shape != (n,) or not ((labels == -1) | (labels == 0) | (labels == 1)).all():
+                raise ValueError(f"labels must hold one of -1, 0, +1 per point ({n})")
+            labels = labels.astype(np.int8)
+            labels.flags.writeable = False
+            object.__setattr__(self, "labels", labels)
 
-    def _decisions(self) -> np.ndarray:
-        """The memo: the decision at each of the model's points, NaN where
-        none is computed yet (a NaN decision is computed again)."""
-        if self._memo is None:
-            object.__setattr__(self, "_memo", np.full(len(self.points), np.nan))
-        return self._memo
+    @cached_property
+    def _memo(self) -> np.ndarray:
+        """The decision at each of the model's points, NaN where none is
+        computed yet (a NaN decision is computed again)."""
+        return np.full(len(self.points), np.nan)
 
-    def decisions_at_support(self) -> np.ndarray:
-        """f(S) = beta[S] @ K(S, S) at the support S (beta's nonzeros, in
-        order), from the upper triangle (support_decisions) over the dense
-        rows of the support alone; computed on the first call, a copy."""
-        sup = np.flatnonzero(self.beta)
-        memo = self._decisions()
-        dec = memo[sup]
-        if np.isnan(dec).any():
-            dec = support_decisions(self.kernel, self.beta[sup], *dense_rows(self.points[sup]))
-            memo[sup] = dec
-        return dec
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The support's columns, and the dense rows of all the model's
+        points over them with their squared norms (kernel.dense_rows)."""
+        cols = columns(self.points[np.flatnonzero(self.beta)])
+        return (cols, *dense_rows(self.points, cols))
+
+    def decisions_at(self, rows: np.ndarray) -> np.ndarray:
+        """The decisions at the model's own points ``rows`` (indices, in any
+        order, repeats allowed), each computed once per model and kept. As
+        soon as any support row is asked for, f(S) = beta[S] @ K(S, S) at
+        the whole support S (beta's nonzeros) comes from the upper triangle
+        of K(S, S) (support_decisions); any other point goes through
+        block_decisions, its row gathered one slab at a time (Rows). Both
+        read the rows of ``_rows``, so a decision has the same bits however
+        it is reached."""
+        memo = self._memo
+        todo = np.zeros(memo.size, dtype=bool)  # a mask: np.unique would load numpy.ma
+        todo[rows] = True
+        todo &= np.isnan(memo)
+        if todo.any():
+            sup = np.flatnonzero(self.beta)
+            _, X, sq = self._rows
+            c, XS, sqS = self.beta[sup], X[sup], sq[sup]
+            if todo[sup].any():
+                memo[sup] = support_decisions(self.kernel, c, XS, sqS)
+                todo[sup] = False
+            at = np.flatnonzero(todo)
+            if at.size:
+                memo[at] = block_decisions(self.kernel, c, XS, sqS, Rows(X, at), sq[at])
+        return memo[rows]
 
 
 def _gram_values(K_rows: list[np.ndarray], u: np.ndarray, lab_idx, eu, ev):
@@ -323,8 +351,8 @@ def train(
                     iterates.append(u * s)
 
                 if every is not None and t % every == 0 and t < T:
-                    bar = s * (Q * u - np.array(v))
-                    j_avg = _objective_core(bar, dataset, trace_graph, config, kernel, diag_rng)
+                    bar = ModelState(kernel, dataset.points, s * (Q * u - np.array(v)), config, sigma_s)
+                    j_avg = _objective_core(bar, dataset, trace_graph, config, diag_rng)
                     trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
         state = ModelState(
@@ -336,7 +364,7 @@ def train(
             labels=dataset.labels,
         )
         if every is not None:  # the last trace point, t = T: its coefficients are beta
-            j_avg = _objective_core(state.beta, dataset, trace_graph, config, kernel, diag_rng, state)
+            j_avg = _objective_core(state, dataset, trace_graph, config, diag_rng)
             trace.append((T, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
     diag = Diagnostics(
@@ -358,24 +386,16 @@ def _resolve_mode(config: TrainConfig, graph: EdgeSet) -> str:
 
 
 def _objective_core(
-    coefs: np.ndarray,
+    model: ModelState,
     dataset: Dataset,
     graph: EdgeSet,
     config: TrainConfig,
-    kernel: KernelSpec,
     rng: np.random.Generator | None,
-    model: ModelState | None = None,
 ) -> float:
-    """J from one decision evaluation over the dense rows of every point on
-    the support's columns (kernel.dense_rows), as decision_values takes
-    them: at the support from the upper triangle of K(S, S)
-    (support_decisions), then at every other point when the edge term is
-    exact, otherwise at the labeled points and the sampled edge endpoints
-    outside the support, their rows gathered one slab at a time (Rows). The
-    regularizer is c . dec[support]. ``model``, a model over the dataset's
-    own points whose ``beta`` is ``coefs``, gives the decisions it holds and
-    keeps those computed here (ModelState), each the one decision_values
-    would compute."""
+    """J of a model over the dataset's points, from the decisions it holds
+    or computes (decisions_at) at its support, the labeled points and the
+    edge endpoints, or at every point when the edge term is exact. The
+    regularizer is beta[S] . f(S)."""
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
@@ -386,27 +406,14 @@ def _objective_core(
             rng = np.random.default_rng(config.seed)
         us, vs, ws = graph.sample_batch(rng, config.objective_samples)
 
-    sup = np.flatnonzero(coefs)
+    sup = np.flatnonzero(model.beta)
+    wanted = np.full(dataset.n, exact)
+    wanted[sup] = wanted[:l] = wanted[us] = wanted[vs] = True
+    at = np.flatnonzero(wanted)
     dec = np.zeros(dataset.n)
-    if sup.size:
-        X, sq = dense_rows(dataset.points, columns(dataset.points[sup]))
-        c, XS, sqS = coefs[sup], X[sup], sq[sup]
-        outside = np.full(dataset.n, exact)
-        outside[:l] = outside[us] = outside[vs] = True
-        outside[sup] = False
-        at = np.flatnonzero(outside)
-        if model is None:
-            dec[sup] = support_decisions(kernel, c, XS, sqS)
-        else:
-            dec[sup] = model.decisions_at_support()
-            memo = model._decisions()
-            dec[at] = memo[at]
-            at = at[np.isnan(dec[at])]
-        dec[at] = block_decisions(kernel, c, XS, sqS, Rows(X, at), sq[at])
-        if model is not None:
-            memo[at] = dec[at]
+    dec[at] = model.decisions_at(at)
 
-    reg = 0.5 * max(float(coefs[sup] @ dec[sup]), 0.0)
+    reg = 0.5 * max(float(model.beta[sup] @ dec[sup]), 0.0)
     lab = 0.0
     if l:
         losses = loss_value(config.loss, dec[:l], dataset.labels[:l].astype(np.float64))
@@ -431,58 +438,46 @@ def objective(
 ) -> float:
     """Full objective J: regularizer + labeled loss term + edge smoothness.
 
-    Accepts a ModelState (evaluates its coefficients ``beta``) or a raw
-    coefficient array over the dataset points. A model whose ``points`` are
-    the dataset's own object reads the decisions it holds (its f(S) from
-    ``decisions_at_support``, computed once per model, and those outside
-    its support from earlier objectives) and keeps those computed here;
-    the bits are the same either way (block_decisions). Exact mode
-    enumerates the edge universe
-    (an implicit full graph only up to graph.EXACT_EDGE_CAP edges); sampled
-    mode draws config.objective_samples edges for an unbiased estimate,
-    labeled term always exact.
+    Evaluates a ModelState, or raw coefficients over the dataset's points
+    with ``kernel``, as a model over the dataset's points: the model itself
+    when its ``points`` are the dataset's object, so it keeps the decisions
+    computed here, otherwise a new one; the bits are the same either way.
+    Exact mode enumerates the edge universe (an implicit full graph only up
+    to graph.EXACT_EDGE_CAP edges); sampled mode draws
+    config.objective_samples edges for an unbiased estimate, labeled term
+    always exact.
     """
-    model = model_or_coefs if isinstance(model_or_coefs, ModelState) else None
-    if model is not None:
-        coefs, kernel = model.beta, model.kernel
-    else:
-        coefs = np.asarray(model_or_coefs, dtype=np.float64)
+    model = model_or_coefs
+    if not isinstance(model, ModelState):
         if kernel is None:
             raise ValueError("kernel is required with raw coefficients")
-    if coefs.shape != (dataset.n,):
-        raise ValueError("coefficient array must align with the dataset")
+        model = ModelState(kernel, dataset.points, model, config, kernel.sigma_l)
+    elif model.points is not dataset.points:
+        model = replace(model, points=dataset.points)
     check_vertices(graph, dataset)
-    own = model is not None and dataset.points is model.points
-    return _objective_core(coefs, dataset, graph, config, kernel, rng, model if own else None)
+    return _objective_core(model, dataset, graph, config, rng)
 
 
 def decision_values(state: ModelState, points: Points) -> np.ndarray:
     """Decision function of the model on arbitrary points: f(x) depends on
-    the model and x alone. Rows are dense over the support's columns, with
-    squared norms from all their stored values (kernel.dense_rows), and
-    each query row is matched to the first of the model's points with the
-    same dense row, bit for bit (kernel.equal_rows), and the same norm. A
-    row matched to a support row reads f(S) (decisions_at_support, computed
-    first if the model lacks it); one matched to another point whose
-    decision the model holds (ModelState) reads it; every other row goes
-    through block_decisions, which gives a row the same bits in any query.
-    So under one BLAS thread a decision never depends on the rest of the
-    query or on earlier calls. A first query of a few support rows on a
-    fresh model pays for all of f(S)."""
-    sup = np.flatnonzero(state.beta)
-    cols = columns(state.points[sup])
-    XM, sqM = dense_rows(state.points, cols)
+    the model and x alone. Query rows are dense over the support's columns,
+    with squared norms from all their stored values (kernel.dense_rows).
+    A row with the dense row, bit for bit, and the norm of one of the
+    model's points (the first, kernel.equal_rows) takes that point's
+    decision (decisions_at, which keeps it); every other row goes through
+    block_decisions, which gives a row the same bits in any query. So
+    under one BLAS thread a decision never depends on the rest of the query
+    or on earlier calls."""
+    cols, XM, sqM = state._rows
     XT, sqT = dense_rows(points, cols)
     mine = equal_rows(XM, XT)
-    hit = np.flatnonzero(mine >= 0)
-    hit = hit[sqM[mine[hit]] == sqT[hit]]
-    if state.beta[mine[hit]].any():
-        state.decisions_at_support()
-    out = np.full(len(points), np.nan)
-    if state._memo is not None:
-        out[hit] = state._memo[mine[hit]]
-    rest = np.flatnonzero(np.isnan(out))
+    hit = mine >= 0
+    hit[hit] = sqM[mine[hit]] == sqT[hit]
+    out = np.empty(len(points))
+    out[hit] = state.decisions_at(mine[hit])
+    rest = np.flatnonzero(~hit)
     if rest.size:
+        sup = np.flatnonzero(state.beta)
         c, XS, sqS = state.beta[sup], XM[sup], sqM[sup]
         out[rest] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, rest), sqT[rest])
     return out
@@ -495,10 +490,10 @@ def predict_batch(state: ModelState, points: Points) -> np.ndarray:
 
 def hilbert_norm(state: ModelState) -> float:
     """RKHS norm of the model (the averaged iterate it predicts with):
-    sqrt(beta[S] . f(S)) over its support S, f(S) = beta[S] @ K(S, S) read
-    from decisions_at_support, as the objective's regularizer is."""
-    c = state.beta[np.flatnonzero(state.beta)]
-    return math.sqrt(max(float(c @ state.decisions_at_support()), 0.0))
+    sqrt(beta[S] . f(S)) over its support S, as the objective's
+    regularizer reads it (decisions_at)."""
+    sup = np.flatnonzero(state.beta)
+    return math.sqrt(max(float(state.beta[sup] @ state.decisions_at(sup)), 0.0))
 
 
 MODEL_FORMAT_TAG = "gkm-model 1"

@@ -2,12 +2,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkm import graph as graph_mod
 from gkm import kernel as kernel_mod
@@ -39,6 +42,7 @@ from gkm.optimizer import (
     save_model,
     train,
 )
+from test_kernel import POINT_ROWS
 
 KERNEL = KernelSpec(1.0, 1.0)
 
@@ -688,7 +692,8 @@ class TestSingleEvaluationObjective:
         got = objective(coefs, hidden, graph, cfg, kernel, rng=np.random.default_rng(7))
         ref = old_objective(coefs, hidden, graph, cfg, kernel, np.random.default_rng(7))
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
-        assert targets == [np.count_nonzero(coefs[wanted] == 0)]  # the targets outside the support
+        outside = np.count_nonzero(coefs[wanted] == 0)  # the targets outside the support
+        assert targets == ([outside] if outside else [])  # one call, none when it has no target
 
     def test_matches_reference_for_trained_model(self, small_problem):
         hidden, _, graph = small_problem
@@ -940,7 +945,8 @@ class TestMatchedDecisions:
         XT, sqT = dense_rows(query[:300])
         want = kernel_mod.block_decisions(state.kernel, state.beta[sup], *dense_rows(state.points[sup]), XT, sqT)
         assert np.array_equal(got[:300], want)
-        assert np.array_equal(got[300:], state.decisions_at_support()[:matched])
+        assert np.array_equal(got[300:], state.decisions_at(sup[:matched]))
+        assert triangles == ([] if matched == 0 else [self.K])  # read, not computed again
 
 
 def count_triangles(monkeypatch) -> list[int]:
@@ -1115,7 +1121,74 @@ class TestOwnDecisions:
         again = objective(model, hidden, graph, cfg, rng=np.random.default_rng(0))
         other = objective(model, hidden, graph, cfg, rng=np.random.default_rng(1))
         assert [first, other] == want and again == first
-        assert targets[1] == 0 and 0 < targets[2] < targets[0]
+        assert len(targets) == 2 and 0 < targets[1] < targets[0]  # again computes none
+
+    def test_decisions_at_computes_each_decision_once(self, monkeypatch):
+        """decisions_at on empty, non-support, repeated and support-only
+        rows: each decision is computed once, f(S) as one triangle over the
+        whole support, the others as block_decisions targets, with the bits
+        of those kernel functions over the model's dense rows."""
+        rng = np.random.default_rng(23)
+        n, k = 300, 120
+        beta = np.zeros(n)
+        sup = np.sort(rng.permutation(n)[:k])
+        beta[sup] = rng.normal(size=k)
+        model = ModelState(KernelSpec(1.3, 1.7), Points.from_dense(rng.normal(size=(n, 4))), beta,
+                           hinge_cfg(T=1), 1.0)
+        other = np.setdiff1d(np.arange(n), sup)
+        X, sq = dense_rows(model.points)
+        f_S = kernel_mod.support_decisions(model.kernel, beta[sup], X[sup], sq[sup])
+        f_other = kernel_mod.block_decisions(model.kernel, beta[sup], X[sup], sq[sup], X[other], sq[other])
+        targets, triangles = count_block_targets(monkeypatch), count_triangles(monkeypatch)
+        assert model.decisions_at(np.empty(0, dtype=np.int64)).shape == (0,)
+        assert targets == triangles == []
+        assert np.array_equal(model.decisions_at(other[:50]), f_other[:50])
+        assert targets == [50] and triangles == []
+        rows = np.r_[other[40:60], other[:50], other[45:55]]  # ten new, the rest repeats
+        assert np.array_equal(model.decisions_at(rows), f_other[np.r_[40:60, :50, 45:55]])
+        assert targets == [50, 10] and triangles == []
+        assert np.array_equal(model.decisions_at(sup[[5, 0, 5]]), f_S[[5, 0, 5]])
+        assert targets == [50, 10] and triangles == [k]
+        assert np.array_equal(model.decisions_at(np.arange(n))[sup], f_S)
+        assert targets == [50, 10, other.size - 60] and triangles == [k]
+        assert np.array_equal(model.decisions_at(other), f_other)
+        assert targets == [50, 10, other.size - 60] and triangles == [k]
+
+    def test_a_second_query_of_its_own_points_computes_nothing(self, monkeypatch):
+        """decision_values keeps the decisions it takes at the model's own
+        points, so asking again computes no kernel entry."""
+        full = synth_two_gaussians(400, 5, 3.0, seed=6)
+        hidden, truth = hide_labels(full, 0.8, seed=6)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        model, _ = train(hidden, graph, hinge_cfg(T=80, seed=2), KERNEL)
+        first = decision_values(model, truth.points)
+        targets, triangles = count_block_targets(monkeypatch), count_triangles(monkeypatch)
+        assert np.array_equal(decision_values(model, truth.points), first)
+        part = np.random.default_rng(6).permutation(truth.n)[:150]
+        assert np.array_equal(decision_values(model, hidden.points[part]), first[part])
+        assert targets == [] and triangles == []
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_objective_of_coefficients_or_equal_points_leaves_the_model_alone(self, mode):
+        """objective on raw coefficients, and on a model with a dataset whose
+        points are equal but another object, evaluates a new model over the
+        dataset's points: J has the bits of a fresh model's, and the
+        caller's model keeps the decisions it held, no more."""
+        full = synth_two_gaussians(300, 5, 3.0, seed=8)
+        hidden, _ = hide_labels(full, 0.8, seed=8)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        model, _ = train(hidden, graph, hinge_cfg(T=60, seed=1), KERNEL)
+        cfg = hinge_cfg(T=1, objective_mode=mode, objective_samples=40)
+        hilbert_norm(model)  # the model holds f(S), nothing else
+        held = model._memo.copy()
+        rng = np.random.default_rng
+        want = objective(replace(model), hidden, graph, cfg, rng=rng(3))
+        copy = Dataset(hidden.points[:], hidden.labels)
+        got = [objective(model.beta, hidden, graph, cfg, KERNEL, rng=rng(3)),
+               objective(model, copy, graph, cfg, rng=rng(3)),
+               objective(model.beta, copy, graph, cfg, KERNEL, rng=rng(3))]
+        assert [j.hex() for j in got] == [want.hex()] * 3
+        assert np.array_equal(model._memo, held, equal_nan=True)
 
     def test_a_query_over_other_columns_reads_the_memo(self, monkeypatch):
         """On sparse rows every decision comes from dense rows over the
@@ -1266,6 +1339,74 @@ class TestHilbertNorm:
         sq = np.einsum("ij,ij->i", X, X)
         K = gram(kernel, X, sq)
         assert hilbert_norm(state) == pytest.approx(math.sqrt(beta @ K @ beta), rel=1e-12, abs=0.0)
+
+
+class TestModelChecks:
+    """A ModelState checks its inputs when it is built, and every one that
+    builds is one save_model writes and load_model reads back."""
+
+    @staticmethod
+    def build(beta, labels=None, n=10):
+        points = Points.from_dense(np.arange(2.0 * n).reshape(n, 2))
+        return ModelState(KERNEL, points, beta, hinge_cfg(T=1), 1.0, labels)
+
+    @pytest.mark.parametrize("beta, labels", [
+        (np.ones(5), None),  # 5 coefficients over 10 points
+        (np.ones((10, 1)), None),
+        (np.r_[np.ones(9), np.nan], None),
+        (np.r_[np.ones(9), -np.inf], None),
+        (np.ones(10), np.ones(3, dtype=np.int8)),  # 3 labels over 10 points
+        (np.ones(10), np.r_[np.ones(9), 5].astype(np.int8)),
+        (np.ones(10), np.r_[np.ones(9), 0.5]),
+    ])
+    def test_bad_inputs_raise_when_built(self, beta, labels):
+        with pytest.raises(ValueError):
+            self.build(beta, labels)
+        good = self.build(np.ones(10), np.ones(10, dtype=np.int8))
+        with pytest.raises(ValueError):
+            replace(good, beta=beta, labels=labels)
+        with pytest.raises(ValueError):  # a model over other points than its beta's
+            replace(good, points=good.points[:5])
+
+    def test_labels_are_a_read_only_int8_copy(self):
+        labels = np.array([1, -1, 0] * 3 + [1], dtype=np.int64)
+        state = self.build(np.ones(10), labels)
+        labels[:] = 1
+        assert state.labels.dtype == np.int8 and list(state.labels[:3]) == [1, -1, 0]
+        with pytest.raises(ValueError):
+            state.labels[0] = 0
+
+    @given(rows=POINT_ROWS, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_state_that_builds_round_trips(self, rows, data):
+        n = len(rows)
+        finite = st.just(0.0) | st.floats(allow_nan=False, allow_infinity=False)
+        beta = data.draw(st.lists(finite, min_size=n, max_size=n))
+        labels = data.draw(st.none() | st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        fault = data.draw(st.sampled_from([None, None, "beta", "labels"]))
+        if fault is not None:  # one more entry, one fewer, or a bad value
+            bad = st.sampled_from([math.nan, math.inf]) if fault == "beta" else st.sampled_from([2, -5])
+            a = beta if fault == "beta" else [0] * n if labels is None else labels
+            how = data.draw(st.sampled_from(["more", "fewer", "value"] if n else ["more"]))
+            a = a + [0] if how == "more" else a[:-1] if how == "fewer" else a[:-1] + [data.draw(bad)]
+            beta, labels = (a, labels) if fault == "beta" else (beta, a)
+        valid = (len(beta) == n and np.isfinite(beta).all()
+                 and (labels is None or len(labels) == n and all(abs(y) <= 1 for y in labels)))
+        points = Points.from_rows(rows)
+        if not valid:
+            with pytest.raises(ValueError):
+                ModelState(KERNEL, points, beta, hinge_cfg(T=1), 1.5, labels)
+            return
+        state = ModelState(KERNEL, points, beta, hinge_cfg(T=1), 1.5, labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(state, Path(tmp) / "model.txt")
+            back = load_model(Path(tmp) / "model.txt")
+        sup = np.flatnonzero(state.beta)
+        assert np.array_equal(back.beta.view(np.uint64), state.beta[sup].view(np.uint64))
+        assert np.array_equal(back.labels, np.zeros(sup.size) if labels is None else state.labels[sup])
+        for name in ("indptr", "indices", "values"):
+            assert np.array_equal(getattr(back.points, name), getattr(points[sup], name))
+        assert (back.kernel, back.config, back.sigma_s) == (state.kernel, state.config, state.sigma_s)
 
 
 class TestModelFile:
