@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InfeasibleSigmaError
+from .losses import SmoothnessSpec
 
 REASON_P_LT_2 = "p_less_than_2"
 REASON_P_EQ_2 = "p_eq_2_a_lt_1"
@@ -123,8 +124,7 @@ def compute_bounds(C: float, C_prime: float, p: float, R: float, A: float) -> Bo
     reported, never raised.
     """
     _require_positive(C=C, C_prime=C_prime, R=R, A=A)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    SmoothnessSpec(p)  # p finite and >= 1: the trainer's rule
     try:
         rp = (2.0 * R) ** p
     except OverflowError:
@@ -163,8 +163,7 @@ def max_cprime(p: float, C: float = 1.0, R: float = 1.0) -> float:
     strict (C' < 1/(8 R^2)); for p > 2 it is non-strict.
     """
     _require_positive(C=C, R=R)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    SmoothnessSpec(p)  # p finite and >= 1: the trainer's rule
     if p < 2.0:
         return math.inf
     if p == 2.0:

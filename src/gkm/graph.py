@@ -25,7 +25,8 @@ from .exceptions import (
     InvalidKError,
     ParseError,
 )
-from .kernel import SLAB_BYTES, KernelSpec, kernel_matrix_from_sq_dists, sq_dist_block, sq_dist_pairs
+from .kernel import SLAB_BYTES, KernelSpec, kernel_matrix_from_sq_dists, require_scale
+from .kernel import sq_dist_block, sq_dist_pairs
 
 GRAPH_KINDS = ("full", "knn", "eps")
 
@@ -48,12 +49,11 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
-        if not self.sigma_s > 0:
-            raise ValueError("sigma_s must be positive")
+        require_scale(sigma_s=self.sigma_s)
         if self.kind == "knn" and (self.k is None or self.k < 1):
             raise ValueError("knn graphs need k >= 1")
-        if self.kind == "eps" and (self.epsilon is None or not self.epsilon > 0):
-            raise ValueError("eps graphs need epsilon > 0")
+        if self.kind == "eps":
+            require_scale(radius=self.epsilon)
 
 
 class FullyConnectedEdges:

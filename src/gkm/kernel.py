@@ -7,6 +7,7 @@ what the convergence machinery in :mod:`gkm.bounds` leans on (R = sigma_f).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable
@@ -118,8 +119,16 @@ class KernelSpec:
     sigma_l: float
 
     def __post_init__(self):
-        if not (self.sigma_f > 0 and self.sigma_l > 0):
-            raise ValueError("sigma_f and sigma_l must be positive")
+        require_scale(sigma_f=self.sigma_f, sigma_l=self.sigma_l)
+
+
+def require_scale(**values: float) -> None:
+    """Reject a scale sigma, naming it, unless it is positive with sigma^2 and
+    2 sigma^2 normal floats: squaring it neither overflows nor underflows to 0."""
+    for name, value in values.items():
+        x = float(value or 0.0)  # None as 0
+        if not (x > 0.0 and sys.float_info.min <= x * x and 2.0 * x * x <= sys.float_info.max):
+            raise ValueError(f"{name} must be positive with {name}^2 and 2 {name}^2 normal, got {value!r}")
 
 
 def kernel_matrix_from_sq_dists(spec: KernelSpec, d2, out=None):

@@ -202,8 +202,9 @@ def lp_value(spec: SmoothnessSpec, t):
 
 
 def lp_slope(spec: SmoothnessSpec):
-    """p * sign(t) * |t|^(p-1) as a plain-float function, odd and zero at 0:
-    the one definition, which the trainer steps with and lp_grad_scalar maps."""
+    """p * sign(t) * |t|^(p-1) as a plain-float function, odd and zero at 0,
+    +-inf where |t|^(p-1) overflows: the one definition, which the trainer
+    steps with and lp_grad_scalar maps."""
     p = spec.p
     if p == 1.0:
         return lambda t: -1.0 if t < 0.0 else (1.0 if t > 0.0 else 0.0)
@@ -214,7 +215,10 @@ def lp_slope(spec: SmoothnessSpec):
     def slope(t, p=p, pm1=pm1):
         if t == 0.0:
             return 0.0
-        return p * math.copysign(abs(t) ** pm1, t)
+        try:
+            return p * math.copysign(abs(t) ** pm1, t)
+        except OverflowError:
+            return math.copysign(math.inf, t)
 
     return slope
 

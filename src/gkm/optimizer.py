@@ -27,6 +27,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .bounds import _require_positive
 from .data import RNG_ALGORITHM, Dataset, format_points, parse_float, parse_label, parse_point
 from .data import records, write_lines
 from .exceptions import EmptyEdgeSetError, NoLabeledDataError, NonFiniteStateError, ParseError
@@ -40,6 +41,7 @@ from .kernel import (
     dense_rows,
     equal_rows,
     gram,
+    require_scale,
     support_decisions,
 )
 from .labelprop import threshold_labels
@@ -68,27 +70,18 @@ class TrainConfig:
     objective_samples: int = 10_000
 
     def __post_init__(self):
-        for name in ("C", "C_prime"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("T", "seed", "objective_samples", "diagnostics_every"):
+        _require_positive(C=self.C, C_prime=self.C_prime)
+        for name, least in (("T", 1), ("seed", 0), ("objective_samples", 1), ("diagnostics_every", 1)):
             value = getattr(self, name)
             if value is None and name == "diagnostics_every":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
             object.__setattr__(self, name, int(value))  # a numpy integer's + 1 can wrap
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"objective_mode must be one of {OBJECTIVE_MODES}")
-        if self.objective_samples < 1:
-            raise ValueError("objective_samples must be >= 1")
-        if self.diagnostics_every is not None and self.diagnostics_every < 1:
-            raise ValueError("diagnostics_every must be >= 1")
 
 
 def default_iterations(n: int) -> int:
@@ -236,10 +229,12 @@ def train(
     Per step t: draw a labeled index and an edge and form the stochastic
     gradient g_t = w_t + C s_loss Phi_i + C' mu s_p (Phi_u - Phi_v). The step
     w_{t+1} = w_t - 2/(t+1) g_t is applied in closed form: w_{t+1} = s_t u_t
-    with s_t = 2/(t(t+1)), where u_t = u_{t-1} - t (C s_loss Phi_i +
-    C' mu s_p (Phi_u - Phi_v)). The returned model predicts with the averaged
-    iterate 2/(T(T+1)) sum_t t w_{t+1} and records the graph's sigma_s
-    (sigma_l when the graph has none).
+    with s_t = 2/(t(t+1)), where u_t = u_{t-1} - t (C s_loss Phi_i + C' mu s_p
+    (Phi_u - Phi_v)). The returned model predicts with the averaged iterate
+    2/(T(T+1)) sum_t t w_{t+1}, the model the last trace point (t = T)
+    evaluates, and records the graph's sigma_s (sigma_l when the graph has
+    none). A diverging run raises NonFiniteStateError at the first step whose
+    decision, edge slope or averaged coefficients are not finite.
     """
     check_vertices(graph, dataset)
     l = dataset.labeled_count
@@ -350,22 +345,15 @@ def train(
                 if iterates is not None:
                     iterates.append(u * s)
 
-                if every is not None and t % every == 0 and t < T:
-                    bar = ModelState(kernel, dataset.points, s * (Q * u - np.array(v)), config, sigma_s)
-                    j_avg = _objective_core(bar, dataset, trace_graph, config, diag_rng)
-                    trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
-
-        state = ModelState(
-            kernel=kernel,
-            points=dataset.points,
-            beta=s * (Q * u - np.array(v)),
-            config=config,
-            sigma_s=float(sigma_s),
-            labels=dataset.labels,
-        )
-        if every is not None:  # the last trace point, t = T: its coefficients are beta
-            j_avg = _objective_core(state, dataset, trace_graph, config, diag_rng)
-            trace.append((T, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
+                if every is not None and t % every == 0 or t == T:  # t = T: the model returned
+                    try:
+                        model = ModelState(kernel, dataset.points, s * (Q * u - np.array(v)),
+                                           config, float(sigma_s), dataset.labels)
+                    except ValueError:  # beta, the one input not yet checked, is not finite
+                        raise NonFiniteStateError(f"non-finite coefficient at step {t}") from None
+                    if every is not None:
+                        j_avg = _objective_core(model, dataset, trace_graph, config, diag_rng)
+                        trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
 
     diag = Diagnostics(
         trace_t=np.array([r[0] for r in trace], dtype=np.int64),
@@ -376,7 +364,7 @@ def train(
         max_norm_g=math.sqrt(max_g2),
         iterates=iterates,
     )
-    return state, diag
+    return model, diag
 
 
 def _resolve_mode(config: TrainConfig, graph: EdgeSet) -> str:
@@ -581,8 +569,7 @@ def load_model(path) -> ModelState:
                 objective_mode=kv.get("objective_mode", "auto"),
             )
             sigma_s = num(field("sigma_s")[0])
-            if not sigma_s > 0:
-                raise ValueError("sigma_s must be positive")
+            require_scale(sigma_s=sigma_s)
             at, tok = record
             k = int(tok[1])
             if k < 0:

@@ -139,7 +139,10 @@ class TestTrainPredictEval:
         assert out.read_text().split() == ["-1", "+1", "-1"]
 
     @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C-prime", "nan"], ["--sigma-s", "nan"],
-                                       ["--epsilon", "nan"], ["--graph", "eps", "--radius", "nan"]])
+                                       ["--epsilon", "nan"], ["--graph", "eps", "--radius", "nan"],
+                                       # a square, or twice it, outside the normal floats
+                                       ["--sigma-f", "1e160"], ["--sigma-l", "1e-170"],
+                                       ["--sigma-s", "1e200"], ["--graph", "eps", "--radius", "1e200"]])
     def test_nan_parameter_exit_two(self, data_file, flags, capsys):
         assert run(["train", data_file, "--T", "20", *flags]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -406,6 +409,9 @@ def malformed_models():
         ("sigma_s-negative", replace("sigma_s ", "sigma_s -1.0")),
         ("sigma_s-zero", replace("sigma_s ", "sigma_s 0.0")),
         ("kernel-repeated", repeat("kernel ", "kernel sigma_f 2.0 sigma_l 1.0 offset 0.0")),
+        # sigma_f^2 overflows; sigma_l^2 underflows past the normal range
+        ("kernel-sigma_f-huge", replace("kernel ", "kernel sigma_f 1e200 sigma_l 1.0")),
+        ("kernel-sigma_l-tiny", replace("kernel ", "kernel sigma_f 1.0 sigma_l 1e-170")),
         ("text-after-end", lambda lines: lines + ["junk"]),
     ]
     return [pytest.param(edit, id=case) for case, edit in cases]
@@ -439,6 +445,12 @@ class TestValidationErrors:
         code = run(["converge", data_file, "--losses", "hinge", "--p-list", "2,inf",
                     "--T-grid", "30", "--seeds", "0", "--out", out])
         assert code == 2 and not out.exists()
+
+    def test_diverging_run_exit_two(self, data_file, capsys):
+        """p = 3 with a huge C': the slope |t|^2 overflows at step 9."""
+        assert run(["train", data_file, "--p", "3", "--C-prime", "1e5"]) == 2
+        err = capsys.readouterr().err
+        assert "error: non-finite decision value or gradient at step 9" in err
 
     def test_bad_loss_value_rejected_by_argparse(self, data_file):
         with pytest.raises(SystemExit):

@@ -434,7 +434,8 @@ class TestEnumerationCap:
 @pytest.mark.parametrize(
     "kind, fields",
     [("full", {"sigma_s": math.nan}), ("full", {"sigma_s": 0.0}),
-     ("eps", {"epsilon": math.nan}), ("eps", {"epsilon": 0.0})],
+     ("eps", {"epsilon": math.nan}), ("eps", {"epsilon": 0.0}),
+     ("full", {"sigma_s": 1e200}), ("full", {"sigma_s": 1e-170}), ("eps", {"epsilon": 1e200})],
 )
 def test_graph_spec_rejects_nan_and_nonpositive(kind, fields):
     with pytest.raises(ValueError):

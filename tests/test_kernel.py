@@ -555,6 +555,14 @@ class TestKernelSpec:
             KernelSpec(0.0, 1.0)
         with pytest.raises(ValueError):
             KernelSpec(1.0, -1.0)
+        # sigma^2 and 2 sigma^2 must be normal floats: 1.49e-154 squares to a
+        # subnormal, 9.5e153 doubles its square past the largest float
+        for sigma in (1e160, 1e-170, 1.49e-154, np.float64(9.5e153), math.inf, math.nan):
+            for name, spec in [("sigma_f", (sigma, 1.0)), ("sigma_l", (1.0, sigma))]:
+                with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                    KernelSpec(*spec)
+        for sigma in (1.5e-154, 9.4e153):
+            KernelSpec(sigma, sigma)
 
 
 class TestBlockPrimitives:

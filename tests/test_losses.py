@@ -179,6 +179,15 @@ class TestLpFamily:
         spec = SmoothnessSpec(p)
         assert lp_grad_scalar(spec, -t) == -lp_grad_scalar(spec, t)
 
+    def test_grad_is_infinite_where_the_power_overflows(self):
+        """|t|^(p-1) past the float range gives +-inf, not an OverflowError;
+        the overflow sets the FP flag that np.frompyfunc reports."""
+        spec = SmoothnessSpec(3.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            grad = lp_grad_scalar(spec, [1e200, -1e200])
+        assert grad.tolist() == [math.inf, -math.inf]
+        assert lp_slope(spec)(1e200) == math.inf and lp_slope(spec)(-1e200) == -math.inf
+
     def test_zero_grad_at_origin_all_p(self):
         for p in (1.0, 1.5, 2.0, 3.0):
             assert lp_grad_scalar(SmoothnessSpec(p), 0.0) == 0.0

@@ -149,26 +149,43 @@ class TestTrainBasics:
             ExplicitEdges([0, 1], [1, 7], [0.5, 0.5], n=3)
 
     def test_divergent_config_raises_nonfinite(self, small_problem, monkeypatch):
+        """A diverging run (p = 3 with a huge C') leaves through
+        NonFiniteStateError, at the same step on both value streams: where a
+        decision goes non-finite, where the slope |t|^2 overflows while the
+        decisions are finite (C' = 1e5), or where the coefficients of the
+        model built at t = T do (C' = 1e50)."""
         hidden, _, graph = small_problem
-        # wildly uncertified: p = 3 with a huge C' blows up |o|^2 growth
-        cfg = TrainConfig(
-            C=1.0,
-            C_prime=500.0,
-            loss=LossSpec("hinge"),
-            smoothness=SmoothnessSpec(3.0),
-            T=5000,
-            seed=1,
-        )
-        messages = []  # both halves of the value stream fail at the same step
+        overflows = []  # finite edge differences whose slope overflowed
+
+        def recording(spec):
+            slope = lp_slope(spec)
+
+            def recorded(t):
+                out = slope(t)
+                if math.isfinite(t) and not math.isfinite(out):
+                    overflows.append(t)
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(optimizer_mod, "lp_slope", recording)
         calls = count_halves(monkeypatch)
-        for gram_cap, half in [(optimizer_mod._GRAM_CAP, "_gram_values"), (0, "_block_values")]:
-            monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
-            with pytest.raises(NonFiniteStateError, match="at step") as err:
-                train(hidden, graph, cfg, KERNEL)
-            messages.append(str(err.value))
-            assert calls[half] > 0 and sum(calls.values()) == calls[half]
-            calls.update(dict.fromkeys(calls, 0))
-        assert messages[0] == messages[1]
+        halves = [(optimizer_mod._GRAM_CAP, "_gram_values"), (0, "_block_values")]
+        for C_prime, T, seed, message, overflowed in [
+            (500.0, 5000, 1, "non-finite decision value or gradient at step 13", False),
+            (1e5, 5000, 1, "non-finite decision value or gradient at step 9", True),
+            (1e50, 4, 0, "non-finite coefficient at step 4", False),
+        ]:
+            cfg = TrainConfig(C=1.0, C_prime=C_prime, loss=LossSpec("hinge"),
+                              smoothness=SmoothnessSpec(3.0), T=T, seed=seed)
+            for gram_cap, half in halves:
+                monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
+                overflows.clear()
+                with pytest.raises(NonFiniteStateError, match=f"^{message}$"):
+                    train(hidden, graph, cfg, KERNEL)
+                assert bool(overflows) == overflowed, (C_prime, half)
+                assert calls[half] > 0 and sum(calls.values()) == calls[half]
+                calls.update(dict.fromkeys(calls, 0))
 
     def test_default_iterations_rule(self):
         assert default_iterations(4000) == 4000
@@ -261,6 +278,24 @@ class TestDeterminismAndPaths:
         assert np.array_equal(d1.iterates[-1], d2.iterates[-1])
         assert np.array_equal(m1.beta, m2.beta)
         assert np.array_equal(d1.trace_j_avg, d2.trace_j_avg)
+
+    def test_the_last_trace_point_is_the_returned_model(self, small_problem):
+        """Tracing changes no coefficient bit. The trace runs at every
+        multiple of diagnostics_every and at T, and its last J is the
+        objective of the model returned, which holds every decision that J
+        computed (exact mode: all of them)."""
+        hidden, _, graph = small_problem
+        untraced, _ = train(hidden, graph, hinge_cfg(T=300, seed=9), KERNEL)
+        for every, ts in [(97, [97, 194, 291, 300]), (100, [100, 200, 300]), (300, [300])]:
+            cfg = hinge_cfg(T=300, seed=9, diagnostics_every=every)
+            model, diag = train(hidden, graph, cfg, KERNEL)
+            assert np.array_equal(model.beta, untraced.beta)
+            assert diag.trace_t.tolist() == ts
+            held = model._memo.copy()
+            assert not np.isnan(held).any()
+            assert diag.trace_j_avg[-1] == objective(model, hidden, graph, cfg)
+            assert diag.trace_j_avg[-1] == objective(untraced, hidden, graph, cfg)
+            assert np.array_equal(model._memo, held)
 
     def test_seed_changes_trajectory(self, small_problem):
         hidden, _, graph = small_problem
