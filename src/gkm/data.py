@@ -30,23 +30,29 @@ def _labeled_first(labels: np.ndarray) -> np.ndarray:
     return np.concatenate([np.flatnonzero(labels != 0), np.flatnonzero(labels == 0)])
 
 
+def checked_labels(labels, n: int) -> np.ndarray:
+    """The one label rule: a read-only int8 copy of ``labels``, or
+    InvalidLabelError unless they hold one of -1, 0, +1 per point (n)."""
+    labels = np.asarray(labels)
+    # before the cast, which would truncate; three compares: np.isin is ~5x slower
+    if labels.shape != (n,) or not ((labels == 1) | (labels == 0) | (labels == -1)).all():
+        raise InvalidLabelError(f"labels must be -1, 0 or +1, one per point ({n})")
+    labels = labels.astype(np.int8)
+    labels.flags.writeable = False
+    return labels
+
+
 @dataclass
 class Dataset:
-    """Immutable-by-convention collection of points with {-1, 0, +1} labels,
-    0 meaning unlabeled. Labeled points occupy indices 0..l-1."""
+    """Points with {-1, 0, +1} labels, 0 meaning unlabeled, kept as a
+    read-only copy (checked_labels). Labeled points occupy indices 0..l-1."""
 
     points: Points
     labels: np.ndarray
     _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.shape != (len(self.points),):
-            raise ValueError("labels must align with points")
-        # before the cast, which would truncate; three compares: np.isin is ~5x slower
-        if not np.all((labels == 1) | (labels == 0) | (labels == -1)):
-            raise InvalidLabelError("labels must be -1, 0 (unlabeled) or +1")
-        labels = labels.astype(np.int8, copy=False)
+        labels = checked_labels(self.labels, len(self.points))
         l = int(np.count_nonzero(labels))
         if np.any(labels[:l] == 0):
             raise ValueError("labeled points must occupy the leading indices")

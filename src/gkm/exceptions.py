@@ -13,7 +13,7 @@ class InvalidKError(GkmError):
     """k-NN construction requested with k >= n."""
 
 
-class InvalidLabelError(GkmError):
+class InvalidLabelError(GkmError, ValueError):
     """A label is outside the accepted set for the operation."""
 
 

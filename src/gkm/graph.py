@@ -2,13 +2,14 @@
 
 The vertex set is the whole dataset; edges carry Gaussian weights
 mu_ij = exp(-||x_i - x_j||^2 / (2 sigma_s^2)), all computed by one formula
-(``_pair_weights``), so every graph kind gives a pair the same bits. Pairs of
-labeled vertices are never connected, since no label needs to propagate
-between them. The fully connected graph is kept implicit: edges are drawn
-by rejection sampling of ordered pairs and weights computed on the fly. The
-k-NN and eps graphs are found by scanning the squared distances in row slabs
-of at most ``kernel.SLAB_BYTES``. So no graph kind ever materializes anything
-O(n^2) beyond its own edge list, which for the full graph only an explicitly
+(``_pair_weights``), so every graph kind gives a pair the same bits. With
+the l labeled vertices first, every kind keeps a pair u < v when v >= l (the
+edge rule): no label needs to propagate between two labeled vertices. The
+fully connected graph is kept implicit: edges are drawn by rejection
+sampling of ordered pairs and weights computed on the fly. The k-NN and eps
+graphs are found by scanning the squared distances in row slabs of at most
+``kernel.SLAB_BYTES``. So no graph kind ever materializes anything O(n^2)
+beyond its own edge list, which for the full graph only an explicitly
 requested exact enumeration builds, and only up to ``EXACT_EDGE_CAP`` edges.
 """
 
@@ -59,9 +60,9 @@ class GraphSpec:
 class FullyConnectedEdges:
     """Implicit edge universe: all unordered pairs minus labeled-labeled.
 
-    |E| = n(n-1)/2 - l(l-1)/2. Sampling draws an ordered pair uniformly and
-    rejects self-loops and labeled-labeled pairs, which is exactly uniform on
-    the unordered universe; weights come from the dataset's dense view.
+    |E| = n(n-1)/2 - l(l-1)/2. Sampling draws an ordered pair uniformly, sorts
+    it and rejects u == v and v < l, which is exactly uniform on the
+    unordered universe; weights come from the dataset's dense view.
     """
 
     def __init__(self, dataset: Dataset, sigma_s: float):
@@ -89,23 +90,23 @@ class FullyConnectedEdges:
             want = size - filled
             a = rng.integers(0, n, size=want)
             b = rng.integers(0, n, size=want)
-            ok = (a != b) & ~((a < l) & (b < l))
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            ok = (lo != hi) & (hi >= l)  # the edge rule: u < v, kept when v >= l
             k = int(ok.sum())
-            us[filled : filled + k] = a[ok]
-            vs[filled : filled + k] = b[ok]
+            us[filled : filled + k] = lo[ok]
+            vs[filled : filled + k] = hi[ok]
             filled += k
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        return lo, hi, self.weights_for(lo, hi)
+        return us, vs, self.weights_for(us, vs)
 
     def enumerate_edges(self):
         if self.n_edges > EXACT_EDGE_CAP:
             raise EdgeEnumerationTooLargeError(
                 f"{self.n_edges} edges exceed the enumeration cap {EXACT_EDGE_CAP}"
             )
-        iu, iv = np.triu_indices(self.n, k=1)
-        keep = ~((iu < self.labeled_count) & (iv < self.labeled_count))
-        us, vs = iu[keep].astype(np.int64), iv[keep].astype(np.int64)
+        us, vs = np.triu_indices(self.n, k=1)
+        keep = vs >= self.labeled_count  # the edge rule; u < v
+        us = us[keep]  # one full-size index array freed before the next is cut
+        vs = vs[keep]
         return us, vs, self.weights_for(us, vs)
 
 
@@ -157,8 +158,9 @@ def check_vertices(graph: EdgeSet, dataset: Dataset) -> None:
 
 def _pair_weights(X, sq, us, vs, sigma_s: float) -> np.ndarray:
     """Gaussian weights of the pairs (us[i], vs[i]) of rows of X (squared
-    norms sq), floored at _WEIGHT_FLOOR."""
-    w = kernel_matrix_from_sq_dists(KernelSpec(1.0, sigma_s), sq_dist_pairs(X, sq, us, vs))
+    norms sq), floored at _WEIGHT_FLOOR, computed in place over the distances."""
+    d2 = sq_dist_pairs(X, sq, us, vs)
+    w = kernel_matrix_from_sq_dists(KernelSpec(1.0, sigma_s), d2, out=d2)
     return np.maximum(w, _WEIGHT_FLOOR, out=w)
 
 
@@ -171,6 +173,12 @@ def _row_slabs(X, sq):
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         yield start, sq_dist_block(X[start:stop], sq[start:stop], X, sq)
+
+
+def _require_unlabeled(dataset: Dataset) -> None:
+    """EmptyEdgeSetError where no pair has an unlabeled end (the edge rule)."""
+    if dataset.labeled_count == dataset.n:
+        raise EmptyEdgeSetError("every pair of vertices is labeled-labeled")
 
 
 def _weighted_edges(X, sq, us, vs, sigma_s: float) -> ExplicitEdges:
@@ -214,8 +222,7 @@ def build_knn(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     n, k, l = dataset.n, spec.k, dataset.labeled_count
     if k >= n:
         raise InvalidKError(f"k = {k} must be below n = {n}")
-    if l == n:  # an unlabeled point's nominations would be kept
-        raise EmptyEdgeSetError("every pair of vertices is labeled-labeled")
+    _require_unlabeled(dataset)
     X, sq = dataset.dense()
     nn = np.empty((n, k), dtype=np.int64)
     for start, d2 in _row_slabs(X, sq):
@@ -226,14 +233,16 @@ def build_knn(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
     # canonical pairs u < v, deduplicated, in (u, v) order
     code = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
     us, vs = code // n, code % n
-    keep = vs >= l  # u < v, so a labeled-labeled pair has v < l
+    keep = vs >= l  # the edge rule
     return _weighted_edges(X, sq, us[keep], vs[keep], spec.sigma_s)
 
 
 def build_eps(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
-    """All pairs within distance epsilon, minus labeled-labeled; may be empty."""
+    """All pairs within distance epsilon, minus labeled-labeled: empty at a
+    small radius, EmptyEdgeSetError on a fully labeled dataset (build_knn)."""
     if spec.kind != "eps":
         raise ValueError("spec kind must be 'eps'")
+    _require_unlabeled(dataset)
     l, eps2 = dataset.labeled_count, spec.epsilon**2
     X, sq = dataset.dense()
     us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -241,7 +250,7 @@ def build_eps(dataset: Dataset, spec: GraphSpec) -> ExplicitEdges:
         # row-major nonzero: pairs come out in (u, v) order
         u, v = np.nonzero(d2 <= eps2)
         u += start
-        keep = (u < v) & (v >= l)  # u < v, so a labeled-labeled pair has v < l
+        keep = (u < v) & (v >= l)  # the edge rule
         us.append(u[keep])
         vs.append(v[keep])
     return _weighted_edges(X, sq, np.concatenate(us), np.concatenate(vs), spec.sigma_s)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import checked_labels
 from .exceptions import DisconnectedUnlabeledError, SingularSystemError
 from .graph import ExplicitEdges
 
@@ -27,12 +28,7 @@ class PropagationProblem:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1:
-            raise ValueError("labels must be a 1-d array")
-        if not np.all(np.isin(labels, (-1, 0, 1))):  # before the cast, which would truncate
-            raise ValueError("labels must be -1, 0 or +1")
-        labels = labels.astype(np.int8, copy=False)
+        labels = checked_labels(self.labels, np.size(self.labels))
         if labels.size < self.edges.n:
             raise ValueError("labels must cover every vertex")
         if not np.any(labels != 0):

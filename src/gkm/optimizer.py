@@ -28,9 +28,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bounds import _require_positive
-from .data import RNG_ALGORITHM, Dataset, format_points, parse_float, parse_label, parse_point
-from .data import records, write_lines
-from .exceptions import EmptyEdgeSetError, NoLabeledDataError, NonFiniteStateError, ParseError
+from .data import RNG_ALGORITHM, Dataset, checked_labels, format_points, parse_float, parse_label
+from .data import parse_point, records, write_lines
+from .exceptions import EmptyEdgeSetError, GkmError, NoLabeledDataError, NonFiniteStateError, ParseError
 from .graph import EdgeSet, ExplicitEdges, check_vertices
 from .kernel import (
     KernelSpec,
@@ -130,12 +130,7 @@ class ModelState:
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != (n,) or not ((labels == -1) | (labels == 0) | (labels == 1)).all():
-                raise ValueError(f"labels must hold one of -1, 0, +1 per point ({n})")
-            labels = labels.astype(np.int8)
-            labels.flags.writeable = False
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", checked_labels(self.labels, n))
 
     @cached_property
     def _memo(self) -> np.ndarray:
@@ -234,7 +229,9 @@ def train(
     2/(T(T+1)) sum_t t w_{t+1}, the model the last trace point (t = T)
     evaluates, and records the graph's sigma_s (sigma_l when the graph has
     none). A diverging run raises NonFiniteStateError at the first step whose
-    decision, edge slope or averaged coefficients are not finite.
+    decision, edge slope or averaged coefficients are not finite, or at the
+    first trace point (or t = T) where ||w_t||^2, its running maximum, the
+    largest ||g_t||^2 or the traced J is not finite.
     """
     check_vertices(graph, dataset)
     l = dataset.labeled_count
@@ -351,9 +348,12 @@ def train(
                                            config, float(sigma_s), dataset.labels)
                     except ValueError:  # beta, the one input not yet checked, is not finite
                         raise NonFiniteStateError(f"non-finite coefficient at step {t}") from None
+                    j_avg = 0.0
                     if every is not None:
-                        j_avg = _objective_core(model, dataset, trace_graph, config, diag_rng)
+                        j_avg = objective(model, dataset, trace_graph, config, rng=diag_rng)
                         trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
+                    if not all(map(isfinite, (nw2, max_nw2, max_g2, j_avg))):
+                        raise NonFiniteStateError(f"non-finite norm or objective at step {t}")
 
     diag = Diagnostics(
         trace_t=np.array([r[0] for r in trace], dtype=np.int64),
@@ -373,17 +373,35 @@ def _resolve_mode(config: TrainConfig, graph: EdgeSet) -> str:
     return "exact" if graph.n_edges <= _AUTO_EXACT_EDGES else "sampled"
 
 
-def _objective_core(
-    model: ModelState,
+def objective(
+    model_or_coefs,
     dataset: Dataset,
     graph: EdgeSet,
     config: TrainConfig,
-    rng: np.random.Generator | None,
+    kernel: KernelSpec | None = None,
+    rng: np.random.Generator | None = None,
 ) -> float:
-    """J of a model over the dataset's points, from the decisions it holds
-    or computes (decisions_at) at its support, the labeled points and the
-    edge endpoints, or at every point when the edge term is exact. The
-    regularizer is beta[S] . f(S)."""
+    """The paper's objective J = ||w||^2 / 2 + (C / l) sum_labeled loss +
+    (C' / |E|) sum_edges mu_uv |f(u) - f(v)|^p, its one definition.
+
+    Evaluates a ModelState, or raw coefficients over the dataset's points
+    with ``kernel``, as a model over the dataset's points: the model itself
+    when its ``points`` are the dataset's object, so it keeps the decisions
+    it computes here (decisions_at) at the support, the labeled points and
+    the edge endpoints (every point when the edge term is exact), otherwise
+    a new one; the bits are the same either way. ||w||^2 is beta[S] . f(S).
+    Exact mode enumerates the edge universe (an implicit full graph only up
+    to graph.EXACT_EDGE_CAP edges); sampled mode draws
+    config.objective_samples edges for an unbiased estimate of the edge term.
+    """
+    model = model_or_coefs
+    if not isinstance(model, ModelState):
+        if kernel is None:
+            raise ValueError("kernel is required with raw coefficients")
+        model = ModelState(kernel, dataset.points, model, config, kernel.sigma_l)
+    elif model.points is not dataset.points:
+        model = replace(model, points=dataset.points)
+    check_vertices(graph, dataset)
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
     us = vs = np.empty(0, dtype=np.int64)
@@ -414,36 +432,6 @@ def _objective_core(
         else:
             edge = config.C_prime * float(np.mean(ws * t_e))
     return reg + lab + edge
-
-
-def objective(
-    model_or_coefs,
-    dataset: Dataset,
-    graph: EdgeSet,
-    config: TrainConfig,
-    kernel: KernelSpec | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Full objective J: regularizer + labeled loss term + edge smoothness.
-
-    Evaluates a ModelState, or raw coefficients over the dataset's points
-    with ``kernel``, as a model over the dataset's points: the model itself
-    when its ``points`` are the dataset's object, so it keeps the decisions
-    computed here, otherwise a new one; the bits are the same either way.
-    Exact mode enumerates the edge universe (an implicit full graph only up
-    to graph.EXACT_EDGE_CAP edges); sampled mode draws
-    config.objective_samples edges for an unbiased estimate, labeled term
-    always exact.
-    """
-    model = model_or_coefs
-    if not isinstance(model, ModelState):
-        if kernel is None:
-            raise ValueError("kernel is required with raw coefficients")
-        model = ModelState(kernel, dataset.points, model, config, kernel.sigma_l)
-    elif model.points is not dataset.points:
-        model = replace(model, points=dataset.points)
-    check_vertices(graph, dataset)
-    return _objective_core(model, dataset, graph, config, rng)
 
 
 def decision_values(state: ModelState, points: Points) -> np.ndarray:
@@ -587,8 +575,8 @@ def load_model(path) -> ModelState:
                     yield parse_point(tok[2:], at)
 
             points = Points.from_rows(support())
-        except UnicodeDecodeError:
-            raise  # text that does not decode fails as reading the header does
+        except (UnicodeDecodeError, GkmError):
+            raise  # text that does not decode fails as reading the header does; a named line stands
         except (ValueError, IndexError, KeyError, OverflowError) as exc:
             raise ParseError(f"bad line ({type(exc).__name__}: {exc})", at) from None
         at, tok = next(lines, (at + 1, None))

@@ -297,13 +297,15 @@ class TestGraphExport:
         code = run(["graph", "export", data_file, "--graph", "full", "--out", out])
         assert code == 0
 
-    @pytest.mark.parametrize("graph", ["full", "knn"])
+    @pytest.mark.parametrize("graph", ["full", "knn", "eps"])
     def test_fully_labeled_file_exits_two(self, tmp_path, graph, capsys):
-        """A fully labeled file has no edges: both graphs fail alike and
-        write no edge file."""
+        """A fully labeled file has no edges: every graph kind fails alike,
+        the eps graph at a radius that covers every pair, and writes no edge
+        file."""
         data, out = tmp_path / "labeled.txt", tmp_path / "edges.txt"
         save_libsvm(synth_two_gaussians(30, 2, 4.0, seed=0), data)
-        assert run(["graph", "export", data, "--graph", graph, "--k", "3", "--out", out]) == 2
+        argv = ["graph", "export", data, "--graph", graph, "--k", "3", "--radius", "100", "--out", out]
+        assert run(argv) == 2
         assert "labeled-labeled" in capsys.readouterr().err and not out.exists()
 
 
@@ -435,6 +437,17 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line" in err  # a ParseError, not a raw message
 
+    def test_bad_support_label_keeps_its_message(self, tmp_path, data_file, model_lines, capsys):
+        """A support label outside {-1, 0, +1} fails with the data files'
+        label message, not rewrapped as a bad line."""
+        at = next(i for i, ln in enumerate(model_lines) if ln.startswith("support ")) + 1
+        tokens = model_lines[at].split()
+        tokens[1] = "5"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join([*model_lines[:at], " ".join(tokens), *model_lines[at + 1:]]) + "\n")
+        assert run(["predict", data_file, "--model-in", bad]) == 2
+        assert capsys.readouterr().err == f"error: line {at + 1}: label must be -1, 0 or +1, got 5\n"
+
 
 class TestValidationErrors:
     def test_missing_file_exit_two(self):
@@ -446,11 +459,18 @@ class TestValidationErrors:
                     "--T-grid", "30", "--seeds", "0", "--out", out])
         assert code == 2 and not out.exists()
 
-    def test_diverging_run_exit_two(self, data_file, capsys):
-        """p = 3 with a huge C': the slope |t|^2 overflows at step 9."""
-        assert run(["train", data_file, "--p", "3", "--C-prime", "1e5"]) == 2
-        err = capsys.readouterr().err
-        assert "error: non-finite decision value or gradient at step 9" in err
+    def test_diverging_run_exit_two(self, data_file, tmp_path, capsys):
+        """p = 3 with a huge C': the slope |t|^2 overflows at step 9. A huge
+        C: the norms overflow while every coefficient stays finite, so the
+        run ends at t = T. Neither writes a model."""
+        out = tmp_path / "model.txt"
+        for flags, message in [
+            (["--p", "3", "--C-prime", "1e5"], "non-finite decision value or gradient at step 9"),
+            (["--T", "500", "--loss", "logistic", "--C", "1e300"], "non-finite norm or objective at step 500"),
+        ]:
+            assert run(["train", data_file, *flags, "--model-out", out]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_loss_value_rejected_by_argparse(self, data_file):
         with pytest.raises(SystemExit):

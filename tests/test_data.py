@@ -23,7 +23,52 @@ from gkm.data import (
 )
 from gkm.exceptions import DegenerateSplitError, InvalidLabelError, ParseError
 from gkm import kernel as kernel_mod
-from gkm.kernel import Points
+from gkm.graph import ExplicitEdges
+from gkm.kernel import KernelSpec, Points
+from gkm.labelprop import PropagationProblem
+from gkm.losses import LossSpec, SmoothnessSpec
+from gkm.optimizer import ModelState, TrainConfig
+
+
+THREE_POINTS = Points.from_dense(np.arange(3.0).reshape(3, 1))
+
+
+def _model_labels(labels):
+    config = TrainConfig(C=1.0, C_prime=1.0, loss=LossSpec("hinge"), smoothness=SmoothnessSpec(2.0), T=1)
+    return ModelState(KernelSpec(1.0, 1.0), THREE_POINTS, np.ones(3), config, 1.0, labels).labels
+
+
+LABEL_HOLDERS = {  # each builds one over three points and returns its labels
+    "Dataset": lambda labels: Dataset(THREE_POINTS, labels).labels,
+    "ModelState": _model_labels,
+    "PropagationProblem": lambda labels: PropagationProblem(
+        ExplicitEdges([0, 1], [1, 2], [1.0, 1.0], 3), labels).labels,
+}
+
+
+@pytest.mark.parametrize("holder", LABEL_HOLDERS)
+@pytest.mark.parametrize("labels, kept", [
+    (np.array([1.5, 1.0, 0.0]), None),
+    (np.array([np.nan, 1.0, 0.0]), None),
+    (np.array([2**40, 1, 0], dtype=np.int64), None),  # the int8 cast would keep 0
+    (np.array(["1", "-1", "0"]), None),
+    (np.array([[1], [-1], [0]]), None),
+    (np.array([True, True, False]), [1, 1, 0]),
+    (np.array([1.0, -1.0, -0.0]), [1, -1, 0]),
+    (np.array([1, -1, 0], dtype=np.float32), [1, -1, 0]),
+    ([1, -1, 0], [1, -1, 0]),
+], ids=["1.5", "nan", "2**40", "strings", "2-d", "bool", "float", "float32", "list"])
+def test_one_label_rule(holder, labels, kept):
+    """Dataset, ModelState and PropagationProblem take labels by one rule
+    (checked_labels): one of -1, 0, +1 per point, checked before the cast
+    and kept as a read-only int8 copy."""
+    build = LABEL_HOLDERS[holder]
+    if kept is None:
+        with pytest.raises(InvalidLabelError, match=r"labels must be -1, 0 or \+1, one per point \(3\)"):
+            build(labels)
+        return
+    got = build(labels)
+    assert got.dtype == np.int8 and got.tolist() == kept and not got.flags.writeable
 
 
 class TestLoadLibsvm:
@@ -154,6 +199,17 @@ class TestDataset:
         pts = Points.from_rows([(1, float(i))] for i in range(3))
         ds = Dataset(pts, np.array([1.0, -1.0, 0.0]))
         assert ds.labels.dtype == np.int8 and ds.labels.tolist() == [1, -1, 0]
+
+    def test_labels_are_a_read_only_copy(self):
+        """Writing the caller's array afterwards changes nothing: no unlabeled
+        point joins the leading labeled block."""
+        pts = Points.from_rows([(1, float(i))] for i in range(4))
+        lab = np.array([1, -1, 0, 0], dtype=np.int8)
+        ds = Dataset(pts, lab)
+        lab[1], lab[3] = 0, 1
+        assert ds.labels.tolist() == [1, -1, 0, 0] and ds.labeled_count == 2
+        with pytest.raises(ValueError):
+            ds.labels[0] = 0
 
     def test_counts(self):
         pts = Points.from_rows([(1, float(i))] for i in range(4))

@@ -187,6 +187,25 @@ class TestTrainBasics:
                 assert calls[half] > 0 and sum(calls.values()) == calls[half]
                 calls.update(dict.fromkeys(calls, 0))
 
+    def test_overflowing_norms_raise_at_a_trace_point(self, small_problem, monkeypatch):
+        """With C = 1e200 every decision, slope and coefficient stays finite
+        while ||w_t||^2 overflows: the run ends at its first trace point, or
+        at t = T untraced, on both value streams. C = 1e150 keeps every norm
+        and J finite and trains."""
+        hidden, _, graph = small_problem
+        halves = [optimizer_mod._GRAM_CAP, 0]
+        for gram_cap in halves:
+            monkeypatch.setattr(optimizer_mod, "_GRAM_CAP", gram_cap)
+            for every, step in [(None, 50), (7, 7), (50, 50)]:
+                cfg = TrainConfig(C=1e200, C_prime=1.0, loss=LossSpec("logistic"),
+                                  smoothness=SmoothnessSpec(2.0), T=50, diagnostics_every=every)
+                with pytest.raises(NonFiniteStateError,
+                                   match=f"^non-finite norm or objective at step {step}$"):
+                    train(hidden, graph, cfg, KERNEL)
+            model, diag = train(hidden, graph, replace(cfg, C=1e150), KERNEL)
+            assert np.isfinite([diag.max_norm_w, diag.max_norm_g, *diag.trace_j_avg]).all()
+            assert np.isfinite(model.beta).all()
+
     def test_default_iterations_rule(self):
         assert default_iterations(4000) == 4000
         assert default_iterations(10_000) == 2000
