@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateSplitError, InvalidLabelError, ParseError
-from .kernel import Points, dense_rows
+from .kernel import Points, dense_rows, require_count
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -231,8 +231,7 @@ def synth_two_gaussians(n: int, dim: int, separation: float, seed: int) -> Datas
 
     n//2 points carry label -1, the rest +1; deterministic per seed.
     """
-    if n < 2 or dim < 1:
-        raise ValueError("need n >= 2 and dim >= 1")
+    n, dim = require_count("n", n, 2), require_count("dim", dim, 1)
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation!r}")
     rng = np.random.default_rng(seed)

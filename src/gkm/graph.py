@@ -26,7 +26,7 @@ from .exceptions import (
     InvalidKError,
     ParseError,
 )
-from .kernel import SLAB_BYTES, KernelSpec, kernel_matrix_from_sq_dists, require_scale
+from .kernel import SLAB_BYTES, KernelSpec, kernel_matrix_from_sq_dists, require_count, require_scale
 from .kernel import sq_dist_block, sq_dist_pairs
 
 GRAPH_KINDS = ("full", "knn", "eps")
@@ -51,8 +51,8 @@ class GraphSpec:
         if self.kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         require_scale(sigma_s=self.sigma_s)
-        if self.kind == "knn" and (self.k is None or self.k < 1):
-            raise ValueError("knn graphs need k >= 1")
+        if self.kind == "knn":
+            object.__setattr__(self, "k", require_count("k", self.k, 1))
         if self.kind == "eps":
             require_scale(radius=self.epsilon)
 
@@ -103,10 +103,19 @@ class FullyConnectedEdges:
             raise EdgeEnumerationTooLargeError(
                 f"{self.n_edges} edges exceed the enumeration cap {EXACT_EDGE_CAP}"
             )
-        us, vs = np.triu_indices(self.n, k=1)
-        keep = vs >= self.labeled_count  # the edge rule; u < v
-        us = us[keep]  # one full-size index array freed before the next is cut
-        vs = vs[keep]
+        # the edge rule, row by row: row u's partners are v in [max(u + 1, l), n)
+        n, l = self.n, self.labeled_count
+        cols = np.arange(l, n)
+        us = np.empty(self.n_edges, dtype=np.int64)
+        vs = np.empty(self.n_edges, dtype=np.int64)
+        start = l * cols.size  # the labeled rows first, each against every unlabeled vertex
+        us[:start].reshape(l, cols.size)[:] = np.arange(l)[:, None]
+        vs[:start].reshape(l, cols.size)[:] = cols
+        for u in range(l, n - 1):
+            stop = start + n - 1 - u
+            us[start:stop] = u
+            vs[start:stop] = cols[u + 1 - l :]
+            start = stop
         return us, vs, self.weights_for(us, vs)
 
 
@@ -188,10 +197,8 @@ def _weighted_edges(X, sq, us, vs, sigma_s: float) -> ExplicitEdges:
 def build_fully_connected(dataset: Dataset, spec: GraphSpec) -> FullyConnectedEdges:
     if spec.kind != "full":
         raise ValueError("spec kind must be 'full'")
-    edges = FullyConnectedEdges(dataset, spec.sigma_s)
-    if edges.n_edges == 0:
-        raise EmptyEdgeSetError("every pair of vertices is labeled-labeled")
-    return edges
+    _require_unlabeled(dataset)
+    return FullyConnectedEdges(dataset, spec.sigma_s)
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:

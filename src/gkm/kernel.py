@@ -7,6 +7,7 @@ what the convergence machinery in :mod:`gkm.bounds` leans on (R = sigma_f).
 
 from __future__ import annotations
 
+import numbers
 import sys
 from array import array
 from dataclasses import dataclass
@@ -129,6 +130,17 @@ def require_scale(**values: float) -> None:
         x = float(value or 0.0)  # None as 0
         if not (x > 0.0 and sys.float_info.min <= x * x and 2.0 * x * x <= sys.float_info.max):
             raise ValueError(f"{name} must be positive with {name}^2 and 2 {name}^2 normal, got {value!r}")
+
+
+def require_count(name: str, value, least: int) -> int:
+    """``value`` as a Python int, or ValueError naming it unless it is an
+    integer (a numbers.Integral, not a bool) of at least ``least``. The int
+    copy matters: a numpy integer's + 1 can wrap."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 def kernel_matrix_from_sq_dists(spec: KernelSpec, d2, out=None):

@@ -36,8 +36,8 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
-        if not self.epsilon >= 0.0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0.0 <= self.epsilon < math.inf:  # save_model writes it for every kind
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
 
     @property
     def is_classification(self) -> bool:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -41,6 +40,7 @@ from .kernel import (
     dense_rows,
     equal_rows,
     gram,
+    require_count,
     require_scale,
     support_decisions,
 )
@@ -75,11 +75,7 @@ class TrainConfig:
             value = getattr(self, name)
             if value is None and name == "diagnostics_every":
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-            object.__setattr__(self, name, int(value))  # a numpy integer's + 1 can wrap
+            object.__setattr__(self, name, require_count(name, value, least))
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"objective_mode must be one of {OBJECTIVE_MODES}")
 

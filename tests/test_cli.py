@@ -142,7 +142,9 @@ class TestTrainPredictEval:
                                        ["--epsilon", "nan"], ["--graph", "eps", "--radius", "nan"],
                                        # a square, or twice it, outside the normal floats
                                        ["--sigma-f", "1e160"], ["--sigma-l", "1e-170"],
-                                       ["--sigma-s", "1e200"], ["--graph", "eps", "--radius", "1e200"]])
+                                       ["--sigma-s", "1e200"], ["--graph", "eps", "--radius", "1e200"],
+                                       # a model file must read its epsilon back
+                                       ["--epsilon", "inf"], ["--epsilon", "1e400"]])
     def test_nan_parameter_exit_two(self, data_file, flags, capsys):
         assert run(["train", data_file, "--T", "20", *flags]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -291,6 +293,14 @@ class TestGraphExport:
         assert run(["labelprop", edges, labels, "--out", out]) == 0
         hard = [int(line.split()[1]) for line in out.read_text().splitlines()]
         assert hard[1] == 1 and hard[3] == -1
+
+    @pytest.mark.parametrize("graph", ["full", "eps"])
+    def test_one_point_file_exports_no_edges(self, tmp_path, graph, capsys):
+        """One unlabeled line has no pair: an empty edge file, exit 0."""
+        data, out = tmp_path / "one.txt", tmp_path / "edges.txt"
+        data.write_text("0 1:0.5\n")
+        assert run(["graph", "export", data, "--graph", graph, "--radius", "1", "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("0 edges written") and out.read_text() == ""
 
     def test_full_export_small(self, tmp_path, data_file):
         out = tmp_path / "edges_full.txt"

@@ -307,6 +307,19 @@ class TestSynth:
         neg = X[ds.labels == -1, 0].mean()
         assert pos - neg == pytest.approx(3.0, abs=0.15)
 
+    @pytest.mark.parametrize("field, least", [("n", 2), ("dim", 1)])
+    def test_counts_are_checked_integers(self, field, least):
+        def synth(value):
+            counts = {"n": 10, "dim": 2, field: value}
+            return synth_two_gaussians(counts["n"], counts["dim"], 2.0, seed=0)
+
+        for bad in (2.5, True, np.float64(3), None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                synth(bad)
+        with pytest.raises(ValueError, match=f"{field} must be >= {least}"):
+            synth(least - 1)
+        assert synth(np.int32(3)).dense()[0].shape == ((3, 2) if field == "n" else (10, 3))
+
     @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_separation_rejected(self, separation):
         with pytest.raises(ValueError, match="separation must be finite"):

@@ -140,6 +140,15 @@ class TestFullyConnected:
         with pytest.raises(EmptyEdgeSetError):
             build_fully_connected(ds, GraphSpec("full", 1.0))
 
+    def test_one_point_graph_is_empty(self):
+        """One unlabeled vertex has no pair: the full and eps graphs are
+        empty edge sets, not errors."""
+        ds = line_dataset([0.0], [0])
+        full = build_fully_connected(ds, GraphSpec("full", 1.0))
+        eps = build_eps(ds, GraphSpec("eps", 1.0, epsilon=5.0))
+        assert full.n_edges == eps.n_edges == 0
+        assert all(a.size == 0 for a in full.enumerate_edges())
+
     def test_no_labels_gives_complete_graph(self):
         ds = line_dataset([0, 1, 2, 3], [0, 0, 0, 0])
         edges = build_fully_connected(ds, GraphSpec("full", 1.0))
@@ -169,6 +178,17 @@ class TestFullyConnected:
 
 
 class TestKnn:
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(3), None])
+    def test_k_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            GraphSpec("knn", 1.0, k=bad)
+
+    def test_numpy_k_is_stored_as_int(self):
+        spec = GraphSpec("knn", 1.0, k=np.int32(3))
+        assert spec.k == 3 and type(spec.k) is int
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            GraphSpec("knn", 1.0, k=0)
+
     def test_collinear_example(self):
         ds = line_dataset([0, 1, 10], [0, 0, 0])
         edges = build_knn(ds, GraphSpec("knn", 1.0, k=1))
@@ -408,9 +428,8 @@ class TestSampling:
 
 @pytest.mark.parametrize("n, l", [(40, 0), (40, 1), (40, 17), (40, 39), (2, 1)])
 def test_edge_rule_keeps_the_pairs_of_the_first_rules(n, l):
-    """The sampler and the enumeration keep the pairs, in order, of the
-    rules as first written: ordered draws rejected where they are equal or
-    both labeled, then sorted; triangle pairs dropped where both are labeled."""
+    """The sampler keeps the pairs, in order, of the rule as first written:
+    ordered draws rejected where they are equal or both labeled, then sorted."""
     edges = build_fully_connected(random_dataset(n, l, 3, seed=n + l), GraphSpec("full", 1.0))
     for seed in range(3):
         rng, literal = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -427,12 +446,21 @@ def test_edge_rule_keeps_the_pairs_of_the_first_rules(n, l):
         assert np.array_equal(us, np.minimum(a, b)) and np.array_equal(vs, np.maximum(a, b))
         assert np.array_equal(ws, edges.weights_for(us, vs))
         assert rng.bit_generator.state == literal.bit_generator.state
-    iu, iv = np.triu_indices(n, k=1)
-    keep = ~((iu < l) & (iv < l))
-    us, vs, ws = edges.enumerate_edges()
-    assert us.dtype == vs.dtype == np.int64
-    assert np.array_equal(us, iu[keep]) and np.array_equal(vs, iv[keep])
-    assert np.array_equal(ws, edges.weights_for(us, vs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 301])
+def test_enumeration_keeps_the_triangle_pairs_of_the_edge_rule(n):
+    """The enumeration gives the pairs, in order, of the triangle rule as
+    first written: every pair u < v of the upper triangle, dropped where both
+    ends are labeled. Built directly, so l = n (no edge) is checked too."""
+    for l in sorted({0, 1, n // 2, n - 1, n}):
+        edges = FullyConnectedEdges(random_dataset(n, l, 3, seed=n + l), 1.0)
+        iu, iv = np.triu_indices(n, k=1)
+        keep = ~((iu < l) & (iv < l))
+        us, vs, ws = edges.enumerate_edges()
+        assert us.dtype == vs.dtype == np.int64
+        assert np.array_equal(us, iu[keep]) and np.array_equal(vs, iv[keep])
+        assert np.array_equal(ws, edges.weights_for(us, vs))
 
 
 def test_enumeration_holds_little_beyond_its_edges():
@@ -448,6 +476,23 @@ def test_enumeration_holds_little_beyond_its_edges():
         tracemalloc.stop()
     assert us.size == edges.n_edges == 1_919_200
     assert peak <= 1.5 * (us.nbytes + vs.nbytes + ws.nbytes)
+
+
+@pytest.mark.parametrize("l, n_edges", [(1999, 1999), (1900, 194_950)])
+def test_enumeration_memory_follows_its_edges_not_n_squared(l, n_edges):
+    """At n = 2000 with few unlabeled vertices, the enumeration's peak is at
+    most 1.5x the three arrays it returns plus the weights' row slabs: no
+    n(n-1)/2 index array is built beside the kept pairs."""
+    edges = build_fully_connected(random_dataset(2000, l, 5, seed=6), GraphSpec("full", 1.0))
+    edges.dataset.dense()
+    tracemalloc.start()
+    try:
+        us, vs, ws = edges.enumerate_edges()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert us.size == edges.n_edges == n_edges
+    assert peak <= 1.5 * (us.nbytes + vs.nbytes + ws.nbytes) + 3 * SLAB_BYTES
 
 
 class TestEnumerationCap:

@@ -73,6 +73,13 @@ class TestLossValues:
         with pytest.raises(ValueError):
             LossSpec("eps-insensitive", **field)
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_epsilon_finite_for_every_kind(self, kind):
+        """A model file records epsilon whatever the loss, and reads back
+        finite numbers only."""
+        with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
+            LossSpec(kind, epsilon=math.inf)
+
     def test_classification_labels_validated(self):
         for kind in ("hinge", "smooth-hinge", "logistic"):
             with pytest.raises(InvalidLabelError):

@@ -24,7 +24,7 @@ from gkm.exceptions import (
     NoLabeledDataError,
     NonFiniteStateError,
 )
-from gkm.graph import ExplicitEdges, GraphSpec, build_fully_connected, build_knn
+from gkm.graph import ExplicitEdges, GraphSpec, build_eps, build_fully_connected, build_knn
 from gkm.harness import evaluate, solve_reference_optimum
 from gkm.kernel import KernelSpec, Points, dense_rows, gram, kernel_matrix_from_sq_dists
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
@@ -119,6 +119,16 @@ class TestTrainBasics:
         graph = build_fully_connected(ds, GraphSpec("full", 1.0))
         with pytest.raises(NoLabeledDataError):
             train(ds, graph, hinge_cfg(T=5), KERNEL)
+
+    def test_rejects_one_point_graphs_alike(self):
+        """One unlabeled point: its full and eps graphs are both empty, and
+        train() rejects both at its first check, the missing label."""
+        ds = Dataset(Points.from_rows([[(1, 0.5)]]), np.zeros(1, dtype=np.int8))
+        for graph in (build_fully_connected(ds, GraphSpec("full", 1.0)),
+                      build_eps(ds, GraphSpec("eps", 1.0, epsilon=5.0))):
+            assert graph.n_edges == 0
+            with pytest.raises(NoLabeledDataError):
+                train(ds, graph, hinge_cfg(T=5), KERNEL)
 
     def test_rejects_empty_edges(self, small_problem):
         hidden, _, _ = small_problem
