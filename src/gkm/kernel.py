@@ -11,6 +11,7 @@ import numbers
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -57,15 +58,23 @@ class Points:
     def __len__(self) -> int:
         return self.indptr.size - 1
 
+    @cached_property
+    def top(self) -> int:
+        """The largest feature index, 0 when there is none."""
+        return int(self.indices.max(initial=0))
+
+    @cached_property
+    def full(self) -> bool:
+        """Each row is 1..top: a row holds at most top indices, so n * top means all."""
+        return self.indices.size == len(self) * self.top
+
     def __getitem__(self, key) -> "Points":  # iteration stops at its IndexError
         if not (isinstance(key, slice) or np.ndim(key)):
             r = range(len(self))[key]
             a, b = self.indptr[r : r + 2]
             return _points(np.array([0, b - a]), self.indices[a:b], self.values[a:b])
-        n, rows = len(self), np.arange(len(self))[key]
-        width = int(self.indices.max(initial=0))
-        # dense_rows' counting rule: then each row is 1..width
-        if rows.size <= n and self.indices.size == n * width:
+        n, rows, width = len(self), np.arange(len(self))[key], self.top
+        if rows.size <= n and self.full:
             values = self.values.reshape(n, width)[rows].reshape(-1)
             return _points(np.arange(rows.size + 1) * width, self.indices[: values.size], values)
         sizes = self.indptr[rows + 1] - self.indptr[rows]
@@ -173,10 +182,8 @@ _SCATTER_ROWS = 1024
 def columns(points: Points) -> np.ndarray:
     """The feature indices that occur in the points, increasing: the
     columns of dense_rows(points), one per index."""
-    top = int(points.indices.max(initial=0))
-    # a row's indices rise from 1, so it has at most top of them, and
-    # n * top of them means each row is 1..top
-    if points.indices.size == len(points) * top:
+    top = points.top
+    if points.full:
         return np.arange(1, top + 1)
     if top <= points.indices.size:
         # compact indices: an occupancy table no larger than the input, much
@@ -201,10 +208,8 @@ def dense_rows(points: Points, cols: np.ndarray | None = None) -> tuple[np.ndarr
     own = cols is None
     if own:
         cols = columns(points)
-    n, width = len(points), cols.size
-    top = int(cols[-1]) if width else 0
-    if (width == top and points.indices.size == n * top
-            and (own or points.indices.max(initial=0) <= top)):  # each row is 1..top
+    n, width, top = len(points), cols.size, int(cols[-1]) if cols.size else 0
+    if points.full and width == top == points.top:  # each row is 1..top
         X = points.values.reshape(n, top)
         return X, np.einsum("ij,ij->i", X, X)
     X, extra = np.zeros((n, width)), np.zeros(0 if own else n)

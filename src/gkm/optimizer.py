@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -105,9 +105,9 @@ class ModelState:
     decisions. Its inputs are checked when it is built (ValueError): one
     finite coefficient per point and, when ``labels`` are given, one label
     in {-1, 0, +1} per point. It is immutable, ``beta`` and ``labels``
-    read-only copies, so it keeps every decision at its own points that it
-    computes (decisions_at); ``dataclasses.replace`` makes a new model,
-    which starts with none."""
+    read-only copies, so it keeps its support, its ||w||^2 and every
+    decision at its own points that it computes (decisions_at);
+    ``dataclasses.replace`` makes a new model, which starts with none."""
 
     kernel: KernelSpec
     points: Points
@@ -135,35 +135,47 @@ class ModelState:
         return np.full(len(self.points), np.nan)
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """The support S: beta's nonzeros, increasing, read-only."""
+        sup = np.flatnonzero(self.beta)
+        sup.flags.writeable = False
+        return sup
+
+    @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The support's columns, and the dense rows of all the model's
         points over them with their squared norms (kernel.dense_rows)."""
-        cols = columns(self.points[np.flatnonzero(self.beta)])
+        cols = columns(self.points[self.support])
         return (cols, *dense_rows(self.points, cols))
+
+    @cached_property
+    def sq_norm(self) -> float:
+        """||w||^2 = beta[S] . f(S), clamped at 0 (decisions_at)."""
+        return max(float(self.beta[self.support] @ self.decisions_at(self.support)), 0.0)
+
+    def _block(self, X, sq, rows) -> np.ndarray:
+        """block_decisions at the rows ``rows`` of X (norms sq, columns as in
+        ``_rows``) over the support's rows, gathered a slab at a time (Rows)."""
+        sup, (_, XM, sqM) = self.support, self._rows
+        return block_decisions(self.kernel, self.beta[sup], XM[sup], sqM[sup], Rows(X, rows), sq[rows])
 
     def decisions_at(self, rows: np.ndarray) -> np.ndarray:
         """The decisions at the model's own points ``rows`` (indices, in any
-        order, repeats allowed), each computed once per model and kept. As
-        soon as any support row is asked for, f(S) = beta[S] @ K(S, S) at
-        the whole support S (beta's nonzeros) comes from the upper triangle
-        of K(S, S) (support_decisions); any other point goes through
-        block_decisions, its row gathered one slab at a time (Rows). Both
-        read the rows of ``_rows``, so a decision has the same bits however
-        it is reached."""
-        memo = self._memo
+        order, repeats allowed), each computed once per model and kept: once
+        any support row is asked for, f(S) = beta[S] @ K(S, S) at the whole
+        support from the upper triangle of K(S, S) (support_decisions), and
+        any other point through _block. Both read the rows of ``_rows``, so
+        a decision has the same bits however it is reached."""
+        memo, sup, (_, X, sq) = self._memo, self.support, self._rows
         todo = np.zeros(memo.size, dtype=bool)  # a mask: np.unique would load numpy.ma
         todo[rows] = True
         todo &= np.isnan(memo)
-        if todo.any():
-            sup = np.flatnonzero(self.beta)
-            _, X, sq = self._rows
-            c, XS, sqS = self.beta[sup], X[sup], sq[sup]
-            if todo[sup].any():
-                memo[sup] = support_decisions(self.kernel, c, XS, sqS)
-                todo[sup] = False
-            at = np.flatnonzero(todo)
-            if at.size:
-                memo[at] = block_decisions(self.kernel, c, XS, sqS, Rows(X, at), sq[at])
+        if todo[sup].any():
+            memo[sup] = support_decisions(self.kernel, self.beta[sup], X[sup], sq[sup])
+            todo[sup] = False
+        at = np.flatnonzero(todo)
+        if at.size:
+            memo[at] = self._block(X, sq, at)
         return memo[rows]
 
 
@@ -381,11 +393,11 @@ def objective(
     (C' / |E|) sum_edges mu_uv |f(u) - f(v)|^p, its one definition.
 
     Evaluates a ModelState, or raw coefficients over the dataset's points
-    with ``kernel``, as a model over the dataset's points: the model itself
-    when its ``points`` are the dataset's object, so it keeps the decisions
-    it computes here (decisions_at) at the support, the labeled points and
-    the edge endpoints (every point when the edge term is exact), otherwise
-    a new one; the bits are the same either way. ||w||^2 is beta[S] . f(S).
+    with ``kernel``, at the labeled points and the edge endpoints (every
+    point when the edge term is exact): at the model's own points
+    (decisions_at) when its ``points`` are the dataset's object, otherwise
+    as prediction takes them (decision_values), so any model, a loaded one
+    too, has its own J. ||w||^2 is the model's sq_norm.
     Exact mode enumerates the edge universe (an implicit full graph only up
     to graph.EXACT_EDGE_CAP edges); sampled mode draws
     config.objective_samples edges for an unbiased estimate of the edge term.
@@ -395,8 +407,6 @@ def objective(
         if kernel is None:
             raise ValueError("kernel is required with raw coefficients")
         model = ModelState(kernel, dataset.points, model, config, kernel.sigma_l)
-    elif model.points is not dataset.points:
-        model = replace(model, points=dataset.points)
     check_vertices(graph, dataset)
     l = dataset.labeled_count
     exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
@@ -408,14 +418,13 @@ def objective(
             rng = np.random.default_rng(config.seed)
         us, vs, ws = graph.sample_batch(rng, config.objective_samples)
 
-    sup = np.flatnonzero(model.beta)
     wanted = np.full(dataset.n, exact)
-    wanted[sup] = wanted[:l] = wanted[us] = wanted[vs] = True
+    wanted[:l] = wanted[us] = wanted[vs] = True
     at = np.flatnonzero(wanted)
     dec = np.zeros(dataset.n)
-    dec[at] = model.decisions_at(at)
+    own = model.points is dataset.points
+    dec[at] = model.decisions_at(at) if own else decision_values(model, dataset.points[at])
 
-    reg = 0.5 * max(float(model.beta[sup] @ dec[sup]), 0.0)
     lab = 0.0
     if l:
         losses = loss_value(config.loss, dec[:l], dataset.labels[:l].astype(np.float64))
@@ -427,7 +436,7 @@ def objective(
             edge = config.C_prime / graph.n_edges * float(ws @ t_e)
         else:
             edge = config.C_prime * float(np.mean(ws * t_e))
-    return reg + lab + edge
+    return 0.5 * model.sq_norm + lab + edge
 
 
 def decision_values(state: ModelState, points: Points) -> np.ndarray:
@@ -437,9 +446,9 @@ def decision_values(state: ModelState, points: Points) -> np.ndarray:
     A row with the dense row, bit for bit, and the norm of one of the
     model's points (the first, kernel.equal_rows) takes that point's
     decision (decisions_at, which keeps it); every other row goes through
-    block_decisions, which gives a row the same bits in any query. So
-    under one BLAS thread a decision never depends on the rest of the query
-    or on earlier calls."""
+    the model's block rule (block_decisions), which gives a row the same
+    bits in any query. So under one BLAS thread a decision never depends on
+    the rest of the query or on earlier calls."""
     cols, XM, sqM = state._rows
     XT, sqT = dense_rows(points, cols)
     mine = equal_rows(XM, XT)
@@ -449,9 +458,7 @@ def decision_values(state: ModelState, points: Points) -> np.ndarray:
     out[hit] = state.decisions_at(mine[hit])
     rest = np.flatnonzero(~hit)
     if rest.size:
-        sup = np.flatnonzero(state.beta)
-        c, XS, sqS = state.beta[sup], XM[sup], sqM[sup]
-        out[rest] = block_decisions(state.kernel, c, XS, sqS, Rows(XT, rest), sqT[rest])
+        out[rest] = state._block(XT, sqT, rest)
     return out
 
 
@@ -461,11 +468,9 @@ def predict_batch(state: ModelState, points: Points) -> np.ndarray:
 
 
 def hilbert_norm(state: ModelState) -> float:
-    """RKHS norm of the model (the averaged iterate it predicts with):
-    sqrt(beta[S] . f(S)) over its support S, as the objective's
-    regularizer reads it (decisions_at)."""
-    sup = np.flatnonzero(state.beta)
-    return math.sqrt(max(float(state.beta[sup] @ state.decisions_at(sup)), 0.0))
+    """RKHS norm of the model (the averaged iterate it predicts with): the
+    root of its sq_norm, the ||w||^2 of the objective's regularizer."""
+    return math.sqrt(state.sq_norm)
 
 
 MODEL_FORMAT_TAG = "gkm-model 1"
@@ -478,7 +483,7 @@ def save_model(state: ModelState, path) -> None:
     coefficient carrying the coefficient, the point's label and its sparse
     features. Float fields use repr, so identical states give identical bytes.
     """
-    sup = np.flatnonzero(state.beta)
+    sup = state.support
     labels = state.labels if state.labels is not None else np.zeros(len(state.points), np.int8)
     cfg = state.config
     header = [

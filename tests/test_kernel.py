@@ -237,6 +237,38 @@ class TestPoints:
         for key in (rng.permutation(n), rng.integers(0, n, n + 700)):
             assert rows_of(p[key]) == [rows[j] for j in key]
 
+    @pytest.mark.parametrize("rows, full", [
+        ([], True),  # no points
+        ([[], [], []], True),  # all-empty rows: each is 1..0
+        ([[(1, 1.0), (2, 2.0)], [(1, 3.0), (2, 4.0)]], True),
+        ([[(1, 1.0), (2, 2.0)], [(1, 3.0)]], False),  # a row missing its last index
+        ([[(2, 1.0)], [(2, 3.0)]], False),  # one size, but not from 1
+    ])
+    def test_the_full_row_rule(self, rows, full):
+        """Points.full (each row 1..top) is the one rule that a gather, the
+        columns and the dense view read: full rows share the index array and
+        view the values, and every path gives the rows' own values, over
+        explicit columns too (no points: a 0-row X)."""
+        p = Points.from_rows(rows)
+        top = max((i for r in rows for i, _ in r), default=0)
+        assert (p.top, p.full) == (top, full)
+        assert columns(p).tolist() == sorted({i for r in rows for i, _ in r})
+        for key in (np.arange(len(p))[::-1], np.arange(2 * len(p) + 1) % max(len(p), 1)):
+            if len(p):  # a reorder, then a repeated-row gather of more than n rows
+                got = p[key]
+                assert rows_of(got) == [rows[j] for j in key] and got.full == full
+                assert np.shares_memory(got.indices, p.indices) == (full and key.size <= len(p) and top > 0)
+        for cols in (columns(p), np.arange(1, 4)):
+            X, sq = dense_rows(p, cols)
+            want = np.zeros((len(rows), cols.size))
+            for r, pairs in enumerate(rows):
+                for i, v in pairs:
+                    if i in cols:
+                        want[r, np.searchsorted(cols, i)] = v
+            assert np.array_equal(X, want) and X.shape == want.shape
+            assert sq.tolist() == [sum(v * v for _, v in pairs) for pairs in rows]
+            assert np.shares_memory(X, p.values) == (full and top > 0 and cols.size == top)
+
     def test_out_of_range_index_arrays_rejected(self):
         p = Points.from_dense(np.ones((3, 2)))
         with pytest.raises(IndexError):

@@ -669,6 +669,33 @@ class TestObjective:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 3 * se
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_a_model_on_other_points_has_its_own_j(self, mode):
+        """On a dataset of the same size with other points, J is the
+        model's own: 1/2 ||w||^2 from its support, plus the loss and edge
+        terms over its decisions at the dataset's points (decision_values),
+        not its coefficients read over those points."""
+        def problem(seed):
+            hidden, _ = hide_labels(synth_two_gaussians(60, 3, 2.0, seed), 0.5, seed)
+            return hidden, build_fully_connected(hidden, GraphSpec("full", 1.0))
+
+        (own, own_graph), (other, graph) = problem(0), problem(1)
+        cfg = hinge_cfg(T=200, objective_mode=mode, objective_samples=500)
+        model, _ = train(own, own_graph, cfg, KERNEL)
+        sup = np.flatnonzero(model.beta)
+        reg = 0.5 * max(float(model.beta[sup] @ decision_values(model, model.points[sup])), 0.0)
+        dec, l = decision_values(model, other.points), other.labeled_count
+        lab = cfg.C / l * float(np.sum(loss_value(cfg.loss, dec[:l], other.labels[:l].astype(float))))
+        if mode == "exact":
+            us, vs, ws = graph.enumerate_edges()
+            edge = cfg.C_prime / graph.n_edges * float(ws @ lp_value(cfg.smoothness, dec[us] - dec[vs]))
+        else:
+            us, vs, ws = graph.sample_batch(np.random.default_rng(4), cfg.objective_samples)
+            edge = cfg.C_prime * float(np.mean(ws * lp_value(cfg.smoothness, dec[us] - dec[vs])))
+        got = objective(model, other, graph, cfg, rng=np.random.default_rng(4))
+        assert got == reg + lab + edge
+        assert got != objective(model.beta, other, graph, cfg, KERNEL, rng=np.random.default_rng(4))
+
 
 def old_objective(coefs, dataset, graph, config, kernel, rng):
     """The objective as three separate kernel blocks (support x support,
@@ -1089,7 +1116,8 @@ class TestModelMemo:
         j = objective(model, hidden, graph, cfg)
         assert objective(model, hidden, graph, cfg) == j and calls == [k]
         copy = Dataset(hidden.points[:], hidden.labels)  # equal points, another object
-        assert objective(model, copy, graph, cfg) == j and calls == [k, k]
+        # its rows equal the model's own, so they read the model's memo (decision_values)
+        assert objective(model, copy, graph, cfg) == j and calls == [k]
 
     def test_a_traced_fit_leaves_evaluate_and_the_norm_no_triangle(self, past_the_cap, monkeypatch,
                                                                    tmp_path):
@@ -1234,10 +1262,11 @@ class TestOwnDecisions:
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_objective_of_coefficients_or_equal_points_leaves_the_model_alone(self, mode):
-        """objective on raw coefficients, and on a model with a dataset whose
-        points are equal but another object, evaluates a new model over the
-        dataset's points: J has the bits of a fresh model's, and the
-        caller's model keeps the decisions it held, no more."""
+        """objective on raw coefficients evaluates a new model over the
+        dataset's points, and on a model with a dataset whose points are
+        equal but another object takes the decisions as prediction does: J
+        has the bits of a fresh model's either way. The caller's model then
+        also holds the decisions at the rows the copy matched, no others."""
         full = synth_two_gaussians(300, 5, 3.0, seed=8)
         hidden, _ = hide_labels(full, 0.8, seed=8)
         graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
@@ -1246,13 +1275,15 @@ class TestOwnDecisions:
         hilbert_norm(model)  # the model holds f(S), nothing else
         held = model._memo.copy()
         rng = np.random.default_rng
-        want = objective(replace(model), hidden, graph, cfg, rng=rng(3))
+        fresh = replace(model)
+        want = objective(fresh, hidden, graph, cfg, rng=rng(3))
         copy = Dataset(hidden.points[:], hidden.labels)
         got = [objective(model.beta, hidden, graph, cfg, KERNEL, rng=rng(3)),
                objective(model, copy, graph, cfg, rng=rng(3)),
                objective(model.beta, copy, graph, cfg, KERNEL, rng=rng(3))]
         assert [j.hex() for j in got] == [want.hex()] * 3
-        assert np.array_equal(model._memo, held, equal_nan=True)
+        matched = ~np.isnan(fresh._memo)  # the rows J reads: each copy row matches its own
+        assert np.array_equal(model._memo, np.where(matched, fresh._memo, held), equal_nan=True)
 
     def test_a_query_over_other_columns_reads_the_memo(self, monkeypatch):
         """On sparse rows every decision comes from dense rows over the
@@ -1493,6 +1524,24 @@ class TestModelFile:
         save_model(model, path)
         assert hilbert_norm(model) > 0.0
         assert hilbert_norm(load_model(path)) == pytest.approx(hilbert_norm(model), rel=1e-12)
+
+    @pytest.mark.parametrize("T", [40, 300])
+    def test_a_saved_models_j_is_its_traces_last_row(self, T, tmp_path):
+        """objective evaluates a model read back from its file, whose points
+        are its support only, at the data's points: in exact mode J has the
+        bits of the last trace point, which evaluated the same model."""
+        full = synth_two_gaussians(300, 5, 3.0, seed=0)
+        hidden, _ = hide_labels(full, 0.8, seed=0)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        cfg = hinge_cfg(T=T, diagnostics_every=T, objective_mode="exact")
+        model, diag = train(hidden, graph, cfg, KERNEL)
+        save_model(model, tmp_path / "model.txt")
+        back = load_model(tmp_path / "model.txt")
+        assert len(back.points) == np.count_nonzero(model.beta) < hidden.n
+        assert objective(back, hidden, graph, back.config).hex() == diag.trace_j_avg[-1].hex()
+        assert back.support.tolist() == list(range(len(back.points)))  # the file keeps beta's nonzeros
+        assert model.support.tolist() == np.flatnonzero(model.beta).tolist()
+        assert not model.support.flags.writeable and model.support is model.support
 
     def test_reads_kernel_line_with_zero_offset(self, small_problem, tmp_path):
         """The kernel line carries no offset and no 't' line is written; a
