@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import data as data_mod
 from . import graph as graph_mod
@@ -148,10 +146,7 @@ def _cmd_labelprop(args) -> int:
 def _cmd_graph_export(args) -> int:
     dataset, perm = data_mod.load_libsvm(args.data)
     graph = graph_mod.build_graph(dataset, _graph_spec(args))
-    us, vs, ws = graph.enumerate_edges()
-    us, vs = perm[us], perm[vs]  # vertex i is the i-th data record
-    in_file_order = graph_mod.ExplicitEdges(np.minimum(us, vs), np.maximum(us, vs), ws, dataset.n)
-    graph_mod.write_edges(in_file_order, args.out)
+    graph_mod.write_edges(graph, args.out, perm)  # vertex i is the i-th data record
     print(f"{graph.n_edges} edges written to {args.out}")
     return EXIT_OK
 

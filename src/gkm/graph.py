@@ -8,13 +8,15 @@ edge rule): no label needs to propagate between two labeled vertices. The
 fully connected graph is kept implicit: edges are drawn by rejection
 sampling of ordered pairs and weights computed on the fly. The k-NN and eps
 graphs are found by scanning the squared distances in row slabs of at most
-``kernel.SLAB_BYTES``. So no graph kind ever materializes anything O(n^2)
-beyond its own edge list, which for the full graph only an explicitly
-requested exact enumeration builds, and only up to ``EXACT_EDGE_CAP`` edges.
+``kernel.SLAB_BYTES``. Passes over the edges (exact J, export) read one walk
+of chunks of at most SLAB_BYTES per array, ``edge_chunks``. So no graph
+kind materializes anything O(n^2) beyond its own edge list, which for the
+full graph only ``enumerate_edges`` builds, up to ``EXACT_EDGE_CAP`` edges.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,25 +100,37 @@ class FullyConnectedEdges:
             filled += k
         return us, vs, self.weights_for(us, vs)
 
+    def _rows(self, lo: int, hi: int):
+        """The edges of rows lo..hi-1 in (u, v) order, by the edge rule: row
+        u's partners are v in [max(u + 1, l), n), built from those pairs only."""
+        rows = np.arange(lo, hi)
+        counts = self.n - np.maximum(rows + 1, self.labeled_count)
+        us = np.repeat(rows, counts)
+        vs = np.arange(us.size)  # edge k of row u, which starts at s_u, has v = first_u + k - s_u
+        vs -= np.repeat(np.cumsum(counts) - self.n, counts)  # s_u - first_u = s_u + count_u - n
+        return us, vs, self.weights_for(us, vs)
+
+    def edge_chunks(self):
+        """Yield (us, vs, ws) over whole rows, in enumerate_edges' order, each
+        array at most SLAB_BYTES, or one row where a row is larger."""
+        lo = size = 0
+        for u in range(self.n):
+            count = self.n - max(u + 1, self.labeled_count)
+            if size and size + count > SLAB_BYTES // 8:
+                yield self._rows(lo, u)
+                lo, size = u, 0
+            size += count
+        if size:
+            yield self._rows(lo, self.n)
+
     def enumerate_edges(self):
+        """edge_chunks' rows at once, capped at EXACT_EDGE_CAP: only it and
+        the reference solver hold every edge."""
         if self.n_edges > EXACT_EDGE_CAP:
             raise EdgeEnumerationTooLargeError(
                 f"{self.n_edges} edges exceed the enumeration cap {EXACT_EDGE_CAP}"
             )
-        # the edge rule, row by row: row u's partners are v in [max(u + 1, l), n)
-        n, l = self.n, self.labeled_count
-        cols = np.arange(l, n)
-        us = np.empty(self.n_edges, dtype=np.int64)
-        vs = np.empty(self.n_edges, dtype=np.int64)
-        start = l * cols.size  # the labeled rows first, each against every unlabeled vertex
-        us[:start].reshape(l, cols.size)[:] = np.arange(l)[:, None]
-        vs[:start].reshape(l, cols.size)[:] = cols
-        for u in range(l, n - 1):
-            stop = start + n - 1 - u
-            us[start:stop] = u
-            vs[start:stop] = cols[u + 1 - l :]
-            start = stop
-        return us, vs, self.weights_for(us, vs)
+        return self._rows(0, self.n)
 
 
 class ExplicitEdges:
@@ -151,6 +165,12 @@ class ExplicitEdges:
             raise EmptyEdgeSetError("explicit edge set is empty")
         idx = rng.integers(0, self.n_edges, size=size)
         return self.us[idx], self.vs[idx], self.ws[idx]
+
+    def edge_chunks(self):
+        """Yield (us, vs, ws) slices of the list, in order, SLAB_BYTES each."""
+        step = SLAB_BYTES // 8
+        for start in range(0, self.n_edges, step):
+            yield self.us[start : start + step], self.vs[start : start + step], self.ws[start : start + step]
 
     def enumerate_edges(self):
         return self.us, self.vs, self.ws
@@ -271,16 +291,23 @@ def build_graph(dataset: Dataset, spec: GraphSpec) -> EdgeSet:
     return build_eps(dataset, spec)
 
 
-def write_edges(edges: EdgeSet, path) -> None:
-    """Serialize as text lines ``i j weight`` with 1-based vertex indices
-    (an implicit full graph only up to EXACT_EDGE_CAP edges)."""
-    us, vs, ws = edges.enumerate_edges()
-    write_lines(path, (f"{u + 1} {v + 1} {repr(float(w))}" for u, v, w in zip(us, vs, ws)))
+def write_edges(edges: EdgeSet, path, numbering=None) -> None:
+    """Serialize as text lines ``i j weight``, one per edge in the order of
+    edge_chunks, streamed a chunk at a time, with 1-based vertex indices:
+    vertex u is numbering[u] + 1 (u + 1 without one), the smaller first."""
+
+    def lines():
+        for us, vs, ws in edges.edge_chunks():
+            if numbering is not None:
+                us, vs = np.sort(numbering[np.stack([us, vs])], axis=0)
+            yield from map("{} {} {!r}".format, (us + 1).tolist(), (vs + 1).tolist(), ws.tolist())
+
+    write_lines(path, lines())
 
 
 def read_edges(path, n: int | None = None) -> ExplicitEdges:
-    """Parse an ``i j weight`` edge file back into an explicit edge set."""
-    us, vs, ws = [], [], []
+    """Parse an ``i j weight`` edge file into an explicit edge set, via flat arrays."""
+    us, vs, ws = array("q"), array("q"), array("d")
     for lineno, tok in records(path):
         try:
             i_s, j_s, w_s = tok
@@ -294,5 +321,4 @@ def read_edges(path, n: int | None = None) -> ExplicitEdges:
         us.append(min(i, j))
         vs.append(max(i, j))
         ws.append(w)
-    n_seen = max((v + 1 for v in vs), default=0)
-    return ExplicitEdges(us, vs, ws, n if n is not None else n_seen)
+    return ExplicitEdges(us, vs, ws, n if n is not None else max(vs, default=-1) + 1)

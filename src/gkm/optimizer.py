@@ -30,7 +30,7 @@ from .bounds import _require_positive
 from .data import RNG_ALGORITHM, Dataset, checked_labels, format_points, parse_float, parse_label
 from .data import parse_point, records, write_lines
 from .exceptions import EmptyEdgeSetError, GkmError, NoLabeledDataError, NonFiniteStateError, ParseError
-from .graph import EdgeSet, ExplicitEdges, check_vertices
+from .graph import EdgeSet, check_vertices
 from .kernel import (
     KernelSpec,
     Points,
@@ -274,11 +274,6 @@ def train(
     max_nw2 = max_g2 = 0.0
 
     every = config.diagnostics_every
-    # an exact trace enumerates the edges once, before step 1, so an edge set
-    # over graph.EXACT_EDGE_CAP fails before any training step
-    trace_graph = graph
-    if every is not None and _resolve_mode(config, graph) == "exact":
-        trace_graph = ExplicitEdges(*graph.enumerate_edges(), n)
     trace: list[tuple[int, float, float, float]] = []
     iterates: list[np.ndarray] | None = [] if record_iterates else None
 
@@ -358,7 +353,7 @@ def train(
                         raise NonFiniteStateError(f"non-finite coefficient at step {t}") from None
                     j_avg = 0.0
                     if every is not None:
-                        j_avg = objective(model, dataset, trace_graph, config, rng=diag_rng)
+                        j_avg = objective(model, dataset, graph, config, rng=diag_rng)
                         trace.append((t, j_avg, math.sqrt(nw2), math.sqrt(max(g2, 0.0))))
                     if not all(map(isfinite, (nw2, max_nw2, max_g2, j_avg))):
                         raise NonFiniteStateError(f"non-finite norm or objective at step {t}")
@@ -373,12 +368,6 @@ def train(
         iterates=iterates,
     )
     return model, diag
-
-
-def _resolve_mode(config: TrainConfig, graph: EdgeSet) -> str:
-    if config.objective_mode != "auto":
-        return config.objective_mode
-    return "exact" if graph.n_edges <= _AUTO_EXACT_EDGES else "sampled"
 
 
 def objective(
@@ -398,9 +387,9 @@ def objective(
     (decisions_at) when its ``points`` are the dataset's object, otherwise
     as prediction takes them (decision_values), so any model, a loaded one
     too, has its own J. ||w||^2 is the model's sq_norm.
-    Exact mode enumerates the edge universe (an implicit full graph only up
-    to graph.EXACT_EDGE_CAP edges); sampled mode draws
-    config.objective_samples edges for an unbiased estimate of the edge term.
+    Exact mode sums the edge term a chunk at a time (edge_chunks): O(chunk)
+    memory, one pass over the edges per call; sampled mode draws
+    config.objective_samples edges for an unbiased estimate of it.
     """
     model = model_or_coefs
     if not isinstance(model, ModelState):
@@ -409,11 +398,12 @@ def objective(
         model = ModelState(kernel, dataset.points, model, config, kernel.sigma_l)
     check_vertices(graph, dataset)
     l = dataset.labeled_count
-    exact = graph.n_edges > 0 and _resolve_mode(config, graph) == "exact"
+    mode = config.objective_mode
+    if mode == "auto":
+        mode = "exact" if graph.n_edges <= _AUTO_EXACT_EDGES else "sampled"
+    exact = graph.n_edges > 0 and mode == "exact"
     us = vs = np.empty(0, dtype=np.int64)
-    if exact:
-        us, vs, ws = graph.enumerate_edges()
-    elif graph.n_edges > 0:
+    if mode == "sampled" and graph.n_edges > 0:
         if rng is None:
             rng = np.random.default_rng(config.seed)
         us, vs, ws = graph.sample_batch(rng, config.objective_samples)
@@ -430,12 +420,11 @@ def objective(
         losses = loss_value(config.loss, dec[:l], dataset.labels[:l].astype(np.float64))
         lab = config.C / l * float(np.sum(losses))
     edge = 0.0
-    if us.size:
-        t_e = lp_value(config.smoothness, dec[us] - dec[vs])
-        if exact:
-            edge = config.C_prime / graph.n_edges * float(ws @ t_e)
-        else:
-            edge = config.C_prime * float(np.mean(ws * t_e))
+    if exact:
+        terms = (float(ws @ lp_value(config.smoothness, dec[us] - dec[vs])) for us, vs, ws in graph.edge_chunks())
+        edge = config.C_prime / graph.n_edges * sum(terms)
+    elif us.size:
+        edge = config.C_prime * float(np.mean(ws * lp_value(config.smoothness, dec[us] - dec[vs])))
     return 0.5 * model.sq_norm + lab + edge
 
 

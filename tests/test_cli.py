@@ -294,6 +294,35 @@ class TestGraphExport:
         hard = [int(line.split()[1]) for line in out.read_text().splitlines()]
         assert hard[1] == 1 and hard[3] == -1
 
+    @pytest.mark.parametrize("graph, labeled", [("full", 0), ("full", 9), ("knn", 9), ("eps", 9)])
+    @pytest.mark.parametrize("most", [7, None])
+    def test_export_is_the_edge_list_in_file_order(self, tmp_path, monkeypatch, graph, labeled, most):
+        """The exported file is, byte for byte, the graph's edge list in its
+        order, vertex i written as its data line (1-based), the smaller
+        number first, the weight as repr: at the default chunk and at
+        chunks of 7 edges (one row per chunk on the full graph)."""
+        from gkm import graph as graph_mod
+        from gkm.graph import GraphSpec, build_graph
+
+        lines = []
+        save_libsvm(synth_two_gaussians(40, 3, 2.0, seed=1), tmp_path / "full.txt")
+        keep = set(np.random.default_rng(2).permutation(40)[:labeled].tolist())
+        for k, line in enumerate((tmp_path / "full.txt").read_text().splitlines()):
+            lines.append(line if k in keep else "0" + line[line.index(" "):])
+        data, out = tmp_path / "d.txt", tmp_path / "e.txt"
+        data.write_text("\n".join(lines) + "\n")
+        dataset, perm = load_libsvm(data)
+        spec = GraphSpec(graph, 1.5, k=4, epsilon=1.2)
+        us, vs, ws = build_graph(dataset, spec).enumerate_edges()
+        a, b = perm[us], perm[vs]
+        want = "".join(f"{i + 1} {j + 1} {float(w)!r}\n" for i, j, w in zip(np.minimum(a, b), np.maximum(a, b), ws))
+        if most is not None:
+            monkeypatch.setattr(graph_mod, "SLAB_BYTES", 8 * most)
+        argv = ["graph", "export", data, "--graph", graph, "--sigma-s", "1.5", "--k", "4", "--radius", "1.2"]
+        assert run([*argv, "--out", out]) == 0
+        assert us.size > 7 and (perm != np.arange(40)).any() == (labeled > 0)
+        assert out.read_text() == want
+
     @pytest.mark.parametrize("graph", ["full", "eps"])
     def test_one_point_file_exports_no_edges(self, tmp_path, graph, capsys):
         """One unlabeled line has no pair: an empty edge file, exit 0."""

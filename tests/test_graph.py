@@ -448,11 +448,20 @@ def test_edge_rule_keeps_the_pairs_of_the_first_rules(n, l):
         assert rng.bit_generator.state == literal.bit_generator.state
 
 
+def walk(edges):
+    """The edge chunks of a graph, concatenated, and the chunks' sizes."""
+    chunks = list(edges.edge_chunks())
+    joined = [np.concatenate([c[k] for c in chunks]) if chunks else np.empty(0) for k in range(3)]
+    return joined, [c[0].size for c in chunks]
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 301])
-def test_enumeration_keeps_the_triangle_pairs_of_the_edge_rule(n):
+def test_enumeration_keeps_the_triangle_pairs_of_the_edge_rule(n, monkeypatch):
     """The enumeration gives the pairs, in order, of the triangle rule as
     first written: every pair u < v of the upper triangle, dropped where both
-    ends are labeled. Built directly, so l = n (no edge) is checked too."""
+    ends are labeled. Built directly, so l = n (no edge) is checked too. The
+    walk's chunks concatenate to it bit for bit at a chunk of 1, 7 and the
+    default number of edges; a chunk holds at most that many, or one row."""
     for l in sorted({0, 1, n // 2, n - 1, n}):
         edges = FullyConnectedEdges(random_dataset(n, l, 3, seed=n + l), 1.0)
         iu, iv = np.triu_indices(n, k=1)
@@ -461,6 +470,25 @@ def test_enumeration_keeps_the_triangle_pairs_of_the_edge_rule(n):
         assert us.dtype == vs.dtype == np.int64
         assert np.array_equal(us, iu[keep]) and np.array_equal(vs, iv[keep])
         assert np.array_equal(ws, edges.weights_for(us, vs))
+        for most in (1, 7, SLAB_BYTES // 8):
+            monkeypatch.setattr(graph_mod, "SLAB_BYTES", 8 * most)
+            (wus, wvs, wws), sizes = walk(edges)
+            assert np.array_equal(wus, us) and np.array_equal(wvs, vs)
+            assert np.array_equal(wws.view(np.uint64), ws.view(np.uint64))
+            row = n - max(1, l)  # the longest row
+            assert all(0 < size <= max(most, row) for size in sizes)
+
+
+@pytest.mark.parametrize("most", [1, 7, SLAB_BYTES // 8])
+def test_explicit_walk_is_slices_of_the_list(most, monkeypatch):
+    """An explicit list walks as its own arrays' slices, in order, each of
+    at most the chunk's number of edges."""
+    knn = build_knn(random_dataset(60, 10, 3, seed=4), GraphSpec("knn", 1.0, k=4))
+    monkeypatch.setattr(graph_mod, "SLAB_BYTES", 8 * most)
+    (us, vs, ws), sizes = walk(knn)
+    assert np.array_equal(us, knn.us) and np.array_equal(vs, knn.vs) and np.array_equal(ws, knn.ws)
+    assert sizes == [min(most, knn.n_edges - k) for k in range(0, knn.n_edges, most)]
+    assert all(np.shares_memory(c[0], knn.us) for c in knn.edge_chunks())
 
 
 def test_enumeration_holds_little_beyond_its_edges():
@@ -534,6 +562,48 @@ def test_graph_spec_rejects_nan_and_nonpositive(kind, fields):
 
 
 class TestSerialization:
+    def test_write_holds_one_chunk_not_the_edges(self, tmp_path, monkeypatch):
+        """A full graph of 20 chunks of 4 096 edges (79 800 edges, n = 400)
+        is written a chunk at a time: the writer's peak is at most 256 bytes
+        per chunk edge (its three arrays, their weights' temporaries and the
+        chunk's Python numbers), below the 24 bytes per edge of the whole
+        list (1.9 MB). Its lines are those of the list, in order."""
+        edges = build_fully_connected(random_dataset(400, 0, 5, seed=2), GraphSpec("full", 1.0))
+        edges.dataset.dense()
+        us, vs, ws = edges.enumerate_edges()
+        monkeypatch.setattr(graph_mod, "SLAB_BYTES", 8 * 4096)
+        path = tmp_path / "full.txt"
+        tracemalloc.start()
+        try:
+            write_edges(edges, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 4096
+        lines = path.read_text().splitlines()
+        assert lines == [f"{u + 1} {v + 1} {float(w)!r}" for u, v, w in zip(us, vs, ws)]
+
+    def test_read_collects_flat_arrays(self, tmp_path):
+        """Reading 20 000 edges holds at most twice their three 8-byte
+        arrays, not a list of Python numbers per field (about 100 bytes an
+        edge), and gives back the list written."""
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, 5000, size=20_000)
+        b = (a + rng.integers(1, 5000, size=a.size)) % 5000
+        edges = ExplicitEdges(np.minimum(a, b), np.maximum(a, b), rng.uniform(0.1, 1.0, a.size), 5000)
+        path = tmp_path / "e.txt"
+        write_edges(edges, path)
+        tracemalloc.start()
+        try:
+            back = read_edges(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 24 * edges.n_edges
+        assert back.n == int(edges.vs.max()) + 1
+        assert np.array_equal(back.us, edges.us) and np.array_equal(back.vs, edges.vs)
+        assert np.array_equal(back.ws, edges.ws)
+
     def test_round_trip(self, tmp_path):
         ds = random_dataset(8, 2, 3, seed=9)
         edges = build_knn(ds, GraphSpec("knn", 1.2, k=2))

@@ -636,22 +636,65 @@ class TestObjective:
         got = objective(coefs, ds, edges, cfg, KERNEL)
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_traced_exact_objective_over_the_cap_fails_before_step_one(
-        self, small_problem, monkeypatch
-    ):
+    def test_traced_exact_objective_walks_a_graph_over_the_cap(self, small_problem, monkeypatch):
+        """The cap guards a held edge list only: an exact trace walks the
+        graph it is given, so a graph over EXACT_EDGE_CAP trains, and its
+        last J is the returned model's objective() bit for bit."""
         hidden, _, graph = small_problem
         monkeypatch.setattr(graph_mod, "EXACT_EDGE_CAP", graph.n_edges - 1)
-        drawn, sample_batch = [], type(graph).sample_batch
-
-        def spy(self, rng, size):
-            drawn.append(size)
-            return sample_batch(self, rng, size)
-
-        monkeypatch.setattr(type(graph), "sample_batch", spy)
-        cfg = hinge_cfg(T=100, diagnostics_every=50, objective_mode="exact")
         with pytest.raises(EdgeEnumerationTooLargeError):
-            train(hidden, graph, cfg, KERNEL)
-        assert drawn == []
+            graph.enumerate_edges()
+        cfg = hinge_cfg(T=100, diagnostics_every=50, objective_mode="exact")
+        model, diag = train(hidden, graph, cfg, KERNEL)
+        assert diag.trace_t.tolist() == [50, 100]
+        assert diag.trace_j_avg[-1] == objective(model, hidden, graph, cfg)
+
+    @pytest.mark.parametrize("kind", ["full", "knn", "read back"])
+    def test_chunked_exact_objective_is_the_one_shot_sum(self, kind, monkeypatch, tmp_path):
+        """Exact J walks the edges a chunk at a time. At one chunk it is the
+        one-shot sum C'/|E| ws @ lp(f(u) - f(v)) bit for bit; at chunks of 7
+        edges it is within the worst-case rounding of two sums of |E|
+        nonnegative terms, 2 |E| eps times the edge term."""
+        hidden, _ = hide_labels(synth_two_gaussians(80, 3, 2.0, seed=5), 0.7, seed=5)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        if kind != "full":
+            graph = build_knn(hidden, GraphSpec("knn", 1.0, k=5))
+        if kind == "read back":
+            graph_mod.write_edges(graph, tmp_path / "e.txt")
+            graph = graph_mod.read_edges(tmp_path / "e.txt", hidden.n)
+        cfg = hinge_cfg(T=300, objective_mode="exact")
+        model, _ = train(hidden, graph, cfg, KERNEL)
+        dec, l = model.decisions_at(np.arange(hidden.n)), hidden.labeled_count
+        lab = cfg.C / l * float(np.sum(loss_value(cfg.loss, dec[:l], hidden.labels[:l].astype(float))))
+        us, vs, ws = graph.enumerate_edges()
+        edge = cfg.C_prime / graph.n_edges * float(ws @ lp_value(cfg.smoothness, dec[us] - dec[vs]))
+        assert edge > 0.0
+        one_shot = objective(model, hidden, graph, cfg)
+        assert one_shot == 0.5 * model.sq_norm + lab + edge
+        monkeypatch.setattr(graph_mod, "SLAB_BYTES", 8 * 7)
+        assert len(list(graph.edge_chunks())) > 1
+        chunked = objective(model, hidden, graph, cfg)
+        assert abs(chunked - one_shot) <= 2 * graph.n_edges * np.finfo(float).eps * edge
+
+    def test_exact_trace_past_the_gram_cap_holds_chunks_not_the_edges(self):
+        """Just past _GRAM_CAP (n = 2100, 80% hidden: 2 115 960 edges, 51 MB
+        as a list), an exact-traced train() walks the graph it is given: its
+        peak is at most a dozen chunk-sized arrays (24 MiB), the chunk's
+        edges, their weights' temporaries and the decisions gathered at them."""
+        n = optimizer_mod._GRAM_CAP + 52
+        hidden, _ = hide_labels(synth_two_gaussians(n, 5, 2.0, seed=0), 0.8, seed=0)
+        graph = build_fully_connected(hidden, GraphSpec("full", 1.0))
+        hidden.dense()
+        cfg = hinge_cfg(T=50, diagnostics_every=50, objective_mode="exact")
+        tracemalloc.start()
+        try:
+            model, diag = train(hidden, graph, cfg, KERNEL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.n_edges == 2_115_960 and diag.trace_t.tolist() == [50]
+        assert peak <= 12 * kernel_mod.SLAB_BYTES
+        assert diag.trace_j_avg[-1] == objective(model, hidden, graph, cfg)
 
     def test_sampled_mode_unbiased(self, small_problem):
         hidden, _, graph = small_problem
