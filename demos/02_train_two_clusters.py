@@ -38,8 +38,7 @@ print("objective trace:", [round(float(j), 4) for j in diag.trace_j_avg])
 
 # the exact propagation solution on the same graph agrees on every
 # unlabeled vertex
-us, vs, ws = graph.enumerate_edges()
-problem = gkm.PropagationProblem(gkm.ExplicitEdges(us, vs, ws, hidden.n), hidden.labels)
+problem = gkm.PropagationProblem(graph, hidden.labels)
 propagated = gkm.threshold_labels(gkm.solve_exact(problem))
 unlabeled = np.arange(hidden.labeled_count, hidden.n)
 model_preds = predict_batch(model, hidden.points[unlabeled])

@@ -273,33 +273,25 @@ def sq_dist_block(
 def sq_dist_pairs(X: np.ndarray, sq: np.ndarray, us, vs) -> np.ndarray:
     """Squared distances of the row pairs (us[k], vs[k]) of X, clamped at 0
     and exactly 0 where us[k] == vs[k]. The rows are gathered SLAB_BYTES at
-    a time; each distance depends on its own pair only, so the chunking
-    changes no bit."""
+    a time into two slab buffers allocated once per call, so the slabs of
+    a call reuse their pages; each distance depends on its own pair only,
+    so the chunking changes no bit."""
     us, vs = np.asarray(us), np.asarray(vs)
     d2 = np.empty(us.size)
     step = max(1, SLAB_BYTES // (8 * max(X.shape[1], 1)))
+    # two buffers of at most SLAB_BYTES, not one of twice that: the allocator
+    # serves each from memory that freed slabs left resident
+    shape = min(step, us.size), X.shape[1]
+    XU, XV = np.empty(shape), np.empty(shape)
     for start in range(0, us.size, step):
         u, v = us[start : start + step], vs[start : start + step]
-        d2[start : start + step] = sq[u] + sq[v] - 2.0 * np.einsum("ij,ij->i", X[u], X[v])
+        # mode="clip": the indices are in range, and the default mode buffers ``out``
+        a = X.take(u, axis=0, out=XU[: u.size], mode="clip")
+        b = X.take(v, axis=0, out=XV[: v.size], mode="clip")
+        d2[start : start + step] = sq[u] + sq[v] - 2.0 * np.einsum("ij,ij->i", a, b)
     np.maximum(d2, 0.0, out=d2)
     d2[us == vs] = 0.0
     return d2
-
-
-@dataclass(frozen=True, eq=False)
-class Rows:
-    """The rows ``index`` of the 2-d array ``X``, gathered only when sliced:
-    ``rows[a:b]`` is the array ``X[index[a:b]]``."""
-
-    X: np.ndarray
-    index: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.index.size, self.X.shape[1]
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        return self.X[self.index[key]]
 
 
 def slab_width(k: int) -> int:
@@ -310,28 +302,31 @@ def slab_width(k: int) -> int:
     return min(64, max(8, 8 * (SLAB_BYTES // (64 * max(k, 1)))))
 
 
-def block_decisions(spec: KernelSpec, coefs, XS, sqS, XT, sqT) -> np.ndarray:
-    """coefs @ K(S, T) for support rows XS and target rows XT, an array or
-    a Rows, over slabs of slab_width(len(XS)) targets built in one reused
-    buffer; the last slab is padded with zero rows to that width. Memory is
-    one slab beyond the inputs, plus one slab's rows of a Rows. Every slab
-    has one shape, so under one BLAS thread a target's decision depends on
-    coefs, the support rows and its own row alone, never on the rest of T:
-    decisions at any subset of T, in any order, have the same bits. It runs
-    in the calling thread; BLAS threads, as the environment sets them,
-    serve the slab's product, whose last bits can depend on that count."""
-    k, m = XS.shape[0], XT.shape[0]
+def block_decisions(spec: KernelSpec, coefs, XS, sqS, X, sq, index) -> np.ndarray:
+    """coefs @ K(S, T) for support rows XS and the targets T, the rows
+    ``index`` of X (norms sq; indices in range, in any order, repeats
+    allowed), over slabs of slab_width(len(XS)) targets gathered into one
+    zero-initialised buffer; the rows past the last slab's targets are
+    zeroed. Memory is one kernel slab and one slab of rows beyond the
+    inputs. Every slab has one shape, so under one BLAS thread a target's
+    decision depends on coefs, the support rows and its own row alone,
+    never on the rest of T: decisions at any subset of T, in any order,
+    have the same bits. It runs in the calling thread; BLAS threads, as the
+    environment sets them, serve the slab's product, whose last bits can
+    depend on that count."""
+    k, m = XS.shape[0], index.size
     width = slab_width(k)
     block = np.empty((k, width))
+    rows, norms = np.zeros((width, X.shape[1])), np.zeros(width)
     out = np.empty(m)
     for start in range(0, m, width):
-        stop = min(start + width, m)
-        rows, sq = XT[start:stop], sqT[start:stop]
-        if stop - start < width:  # the last slab: its targets, then zero rows
-            rows = np.concatenate([rows, np.zeros((width - rows.shape[0], rows.shape[1]))])
-            sq = np.concatenate([sq, np.zeros(width - sq.size)])
-        sq_dist_block(XS, sqS, rows, sq, out=block, spec=spec)
-        out[start:stop] = (coefs @ block)[: stop - start]
+        at = index[start : start + width]
+        j = at.size
+        X.take(at, axis=0, out=rows[:j], mode="clip")  # clip: as in sq_dist_pairs
+        sq.take(at, out=norms[:j], mode="clip")
+        rows[j:], norms[j:] = 0.0, 0.0  # the last slab: its targets, then zero rows
+        sq_dist_block(XS, sqS, rows, norms, out=block, spec=spec)
+        out[start : start + j] = (coefs @ block)[:j]
     return out
 
 

@@ -15,16 +15,17 @@ import numpy as np
 
 from .data import checked_labels
 from .exceptions import DisconnectedUnlabeledError, SingularSystemError
-from .graph import ExplicitEdges
+from .graph import EdgeSet
 
 MAX_DENSE_VERTICES = 2000
 
 
 @dataclass
 class PropagationProblem:
-    """Explicit weighted graph plus per-vertex labels (0 = unlabeled)."""
+    """A weighted graph, any EdgeSet (explicit or the implicit full graph),
+    plus per-vertex labels (0 = unlabeled)."""
 
-    edges: ExplicitEdges
+    edges: EdgeSet
     labels: np.ndarray
 
     def __post_init__(self):
@@ -43,11 +44,14 @@ class PropagationProblem:
 def solve_exact(problem: PropagationProblem) -> np.ndarray:
     """Return the per-vertex minimizer f with labeled entries clamped.
 
-    A repeated edge counts once per listing, as in the objective. Only the
-    unlabeled rows of the Laplacian are formed, so the dense system is
-    (unlabeled x unlabeled). Raises DisconnectedUnlabeledError when the
-    solution would be underdetermined, SingularSystemError if the
-    factorization fails or the residual exceeds 1e-10 relative.
+    W is built from the graph's enumerate_edges() once the vertex cap
+    holds, so a full graph lists at most MAX_DENSE_VERTICES^2 / 2 edges,
+    far below EXACT_EDGE_CAP. A repeated edge counts once per listing, as
+    in the objective. Only the unlabeled rows of the Laplacian are formed,
+    so the dense system is (unlabeled x unlabeled). Raises
+    DisconnectedUnlabeledError when the solution would be underdetermined,
+    SingularSystemError if the factorization fails or the residual exceeds
+    1e-10 relative.
     """
     # imported here, not at module level: scipy.sparse adds ~4 MB to every
     # process that imports gkm, scipy.linalg slows every `import gkm`, and
@@ -59,8 +63,8 @@ def solve_exact(problem: PropagationProblem) -> np.ndarray:
     n = problem.n
     if n > MAX_DENSE_VERTICES:
         raise ValueError(f"dense solver capped at {MAX_DENSE_VERTICES} vertices, got {n}")
-    edges = problem.edges
-    W = coo_array((edges.ws, (edges.us, edges.vs)), shape=(n, n)).tocsr()  # sums repeats
+    us, vs, ws = problem.edges.enumerate_edges()
+    W = coo_array((ws, (us, vs)), shape=(n, n)).tocsr()  # sums repeats
     W = W + W.T
     labeled = problem.labels != 0
     _, component = connected_components(W, directed=False)

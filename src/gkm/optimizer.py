@@ -34,7 +34,6 @@ from .graph import EdgeSet, check_vertices
 from .kernel import (
     KernelSpec,
     Points,
-    Rows,
     block_decisions,
     columns,
     dense_rows,
@@ -155,9 +154,9 @@ class ModelState:
 
     def _block(self, X, sq, rows) -> np.ndarray:
         """block_decisions at the rows ``rows`` of X (norms sq, columns as in
-        ``_rows``) over the support's rows, gathered a slab at a time (Rows)."""
+        ``_rows``) over the support's rows."""
         sup, (_, XM, sqM) = self.support, self._rows
-        return block_decisions(self.kernel, self.beta[sup], XM[sup], sqM[sup], Rows(X, rows), sq[rows])
+        return block_decisions(self.kernel, self.beta[sup], XM[sup], sqM[sup], X, sq, rows)
 
     def decisions_at(self, rows: np.ndarray) -> np.ndarray:
         """The decisions at the model's own points ``rows`` (indices, in any
@@ -209,7 +208,7 @@ def _block_values(kernel: KernelSpec, X, sq, u: np.ndarray, lab_idx, eu, ev):
         outside = u != 0.0
         outside[P] = False
         old = np.flatnonzero(outside)
-        base = block_decisions(kernel, u[old], X[old], sq[old], X[P], sq[P])
+        base = block_decisions(kernel, u[old], X[old], sq[old], X, sq, P)
         K = gram(kernel, X[P], sq[P])
         for r in rows.reshape(block.shape).tolist():
             r_i, r_a, r_b = r

@@ -12,7 +12,6 @@ from gkm.kernel import (
     SLAB_BYTES,
     KernelSpec,
     Points,
-    Rows,
     block_decisions,
     columns,
     dense_rows,
@@ -20,6 +19,7 @@ from gkm.kernel import (
     gram,
     kernel_matrix_from_sq_dists,
     sq_dist_block,
+    sq_dist_pairs,
     support_decisions,
 )
 
@@ -92,7 +92,7 @@ def block_feature_norms(spec: KernelSpec, *points: Points) -> np.ndarray:
 def block_decision(spec: KernelSpec, coefficients, x: Points) -> float:
     support = stack(*[xi for xi, _ in coefficients])
     coefs = np.array([alpha for _, alpha in coefficients])
-    return float(block_decisions(spec, coefs, *shared(support, x))[0])
+    return float(block_decisions(spec, coefs, *shared(support, x), np.arange(1))[0])
 
 
 class TestSparseVector:
@@ -623,6 +623,29 @@ class TestBlockPrimitives:
         assert sq_dist_block(XA, sqA, XB, sqB, out=out) is out
         assert np.array_equal(out, self.old_block(XA, sqA, XB, sqB))
 
+    @pytest.mark.parametrize("slab_rows", [1, 7, None], ids=["1-row", "7-rows", "default"])
+    def test_pair_distances_equal_the_one_shot_formula(self, slab_rows, monkeypatch):
+        """sq_dist_pairs over slabs of 1 row, 7 rows and the default width
+        has the bits of the one-shot formula: pairs with u == v, equal rows
+        at u != v (the clamp), no pair, and 12 001 pairs, which leave a
+        short last slab at 7 rows and at the default."""
+        rng = np.random.default_rng(12)
+        X, _ = self.rows(rng, 300, dim=50)
+        X[200:] = X[:100]  # equal rows at distinct indices
+        sq = np.einsum("ij,ij->i", X, X)
+        if slab_rows is not None:
+            monkeypatch.setattr(kernel_mod, "SLAB_BYTES", 8 * 50 * slab_rows)
+        assert 12_001 > kernel_mod.SLAB_BYTES // (8 * 50)  # several slabs
+        us, vs = rng.integers(0, 300, size=(2, 12_001))
+        us[::50] = vs[::50]
+        us[1::50] %= 100
+        vs[1::50] = us[1::50] + 200
+        d2 = sq[us] + sq[vs] - 2.0 * np.einsum("ij,ij->i", X[us], X[vs])
+        np.maximum(d2, 0.0, out=d2)
+        d2[us == vs] = 0.0
+        assert np.array_equal(sq_dist_pairs(X, sq, us, vs), d2)
+        assert sq_dist_pairs(X, sq, us[:0], vs[:0]).shape == (0,)
+
     def triangle_slabs(self, spec, X, sq):
         """The row slabs of support_decisions' walk, built one by one:
         rows [start, stop) against the columns [start, n), diagonal
@@ -716,7 +739,7 @@ class TestBlockPrimitives:
         assert kernel_mod.slab_width(40) == 64  # one slab, padded with 14 zero rows
         block = self.old_block(XS, sqS, *self.padded(XT, sqT, 64))
         one_shot = (c @ kernel_matrix_from_sq_dists(self.SPEC, block))[:50]
-        assert np.array_equal(block_decisions(self.SPEC, c, XS, sqS, XT, sqT), one_shot)
+        assert np.array_equal(block_decisions(self.SPEC, c, XS, sqS, XT, sqT, np.arange(50)), one_shot)
 
     def test_chunked_decisions_match_one_shot_block(self):
         rng = np.random.default_rng(3)
@@ -726,7 +749,7 @@ class TestBlockPrimitives:
         width = SLAB_BYTES // (8 * 1100)
         assert math.ceil(3000 / width) >= 3  # the check spans several slabs
         one_shot = c @ kernel_matrix_from_sq_dists(self.SPEC, self.old_block(XS, sqS, XT, sqT))
-        got = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
+        got = block_decisions(self.SPEC, c, XS, sqS, XT, sqT, np.arange(3000))
         assert np.allclose(got, one_shot, rtol=1e-12, atol=0.0)
 
     @staticmethod
@@ -780,7 +803,7 @@ class TestBlockPrimitives:
         spec = KernelSpec(sigma_f=sigma_f, sigma_l=0.9)
         args = self.slab_problem(m)
         assert self.K // (kernel_mod._PASS_BYTES // (8 * self.WIDTH)) >= 3  # several passes a slab
-        assert np.array_equal(block_decisions(spec, *args), self.literal_decisions(spec, *args))
+        assert np.array_equal(block_decisions(spec, *args, np.arange(m)), self.literal_decisions(spec, *args))
 
     @pytest.mark.parametrize("dim", [5, 50])
     @pytest.mark.parametrize("k", [1, 5, 63, 550, 1894, 4203])
@@ -794,10 +817,10 @@ class TestBlockPrimitives:
         width = kernel_mod.slab_width(k)
         m = 3 * width + 5
         XT, sqT = self.rows(rng, m, dim)
-        everything = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
+        everything = block_decisions(self.SPEC, c, XS, sqS, XT, sqT, np.arange(m))
         for size in [1, width - 1, width, width + 1, int(rng.integers(2, m))]:
             sel = rng.permutation(m)[:size]
-            got = block_decisions(self.SPEC, c, XS, sqS, XT[sel], sqT[sel])
+            got = block_decisions(self.SPEC, c, XS, sqS, XT[sel], sqT[sel], np.arange(size))
             assert np.array_equal(got, everything[sel]), size
 
     @pytest.mark.parametrize("k, width", [(0, 64), (1, 64), (4096, 64), (4097, 56), (8191, 32),
@@ -810,9 +833,10 @@ class TestBlockPrimitives:
 
     def test_decisions_hold_one_slab_and_one_pass_chunk(self):
         c, XS, sqS, XT, sqT = self.slab_problem(23 * self.WIDTH, seed=1)
+        index = np.arange(23 * self.WIDTH)
         tracemalloc.start()
         try:
-            out = block_decisions(self.SPEC, c, XS, sqS, XT, sqT)
+            out = block_decisions(self.SPEC, c, XS, sqS, XT, sqT, index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -872,27 +896,28 @@ class TestBlockPrimitives:
 
 
 class TestRowMatching:
-    """Rows, and equal_rows: the exact row matcher behind prediction at the
-    model's own points."""
-
-    def test_rows_gather_on_slicing(self):
-        X = np.arange(12.0).reshape(6, 2)
-        rows = Rows(X, np.array([4, 0, 4]))
-        assert rows.shape == (3, 2)
-        assert np.array_equal(rows[1:], X[[0, 4]])
-        assert rows[3:].shape == (0, 2)
+    """block_decisions at row indices, and equal_rows: the exact row matcher
+    behind prediction at the model's own points."""
 
     @pytest.mark.parametrize("sigma_f", [1.0, 1.3])
     def test_decisions_at_rows_equal_decisions_at_their_copy(self, sigma_f):
+        """block_decisions over an index of X has the bits it has over the
+        gathered rows: several slabs, fewer targets than one slab, no
+        target, and a shuffled index with repeats."""
         spec = KernelSpec(sigma_f=sigma_f, sigma_l=0.9)
         rng = np.random.default_rng(11)
         XS, sqS = TestBlockPrimitives.rows(rng, 600, dim=9)
         X, sq = TestBlockPrimitives.rows(rng, 2500, dim=9)
         c = rng.standard_normal(600)
-        index = rng.permutation(2500)[:2000]
-        assert math.ceil(2000 / (SLAB_BYTES // (8 * 600))) >= 3  # several slabs
-        got = block_decisions(spec, c, XS, sqS, Rows(X, index), sq[index])
-        assert np.array_equal(got, block_decisions(spec, c, XS, sqS, X[index], sq[index]))
+        width = kernel_mod.slab_width(600)
+        assert math.ceil(2000 / width) >= 3  # several slabs
+        shuffled = rng.permutation(2500)[:2000]
+        repeated = rng.integers(0, 40, size=3 * width + 5)  # each row several times
+        for index in [shuffled, shuffled[: width - 3], shuffled[:0], repeated]:
+            got = block_decisions(spec, c, XS, sqS, X, sq, index)
+            want = block_decisions(spec, c, XS, sqS, X[index], sq[index], np.arange(index.size))
+            assert got.shape == index.shape
+            assert np.array_equal(got, want), index.size
 
     def test_shuffled_and_repeated_rows_match(self):
         rng = np.random.default_rng(12)

@@ -10,7 +10,7 @@ import pytest
 import gkm
 from gkm.data import hide_labels, synth_two_gaussians
 from gkm.exceptions import DisconnectedUnlabeledError
-from gkm.graph import ExplicitEdges, GraphSpec, build_knn
+from gkm.graph import ExplicitEdges, GraphSpec, build_graph, build_knn
 from gkm.labelprop import PropagationProblem, solve_exact, threshold_labels
 
 
@@ -156,6 +156,17 @@ class TestSolveExact:
                 continue
             assert np.max(np.abs(solve_exact(prob) - brute_force(prob))) <= 1e-6
             done += 1
+
+    @pytest.mark.parametrize("spec", [GraphSpec("full", 1.5), GraphSpec("knn", 1.5, k=5)], ids=["full", "knn"])
+    def test_any_edge_set_solves_as_its_enumerated_edges(self, spec):
+        """The implicit full graph and a kNN list give the bits their
+        enumerated edges give as an ExplicitEdges."""
+        full = synth_two_gaussians(200, 5, 2.0, seed=3)
+        hidden, _ = hide_labels(full, 0.8, seed=3)
+        graph = build_graph(hidden, spec)
+        explicit = ExplicitEdges(*graph.enumerate_edges(), hidden.n)
+        got = solve_exact(PropagationProblem(graph, hidden.labels))
+        assert np.array_equal(got, solve_exact(PropagationProblem(explicit, hidden.labels)))
 
     def test_memory_stays_below_one_vertex_square_array(self):
         # 400 labeled of 2000: the only dense array is the 1600 x 1600 system

@@ -378,13 +378,13 @@ class TestStreamingKernelBlocks:
         cfg = hinge_cfg(T=1600, seed=3, diagnostics_every=400)  # sampled trace J
         calls = []
 
-        def literal(spec, coefs, XS, sqS, XT, sqT):
-            m = XT.shape[0]
+        def literal(spec, coefs, XS, sqS, X, sq, index):
+            m = index.size
             calls.append(m)
             width = min(64, max(8, 8 * (kernel_mod.SLAB_BYTES // (64 * max(XS.shape[0], 1)))))
             pad = -m % width  # zero rows up to a whole number of slabs
-            XT = np.vstack([XT[:m], np.zeros((pad, XT.shape[1]))])
-            sqT = np.concatenate([sqT, np.zeros(pad)])
+            XT = np.vstack([X[index], np.zeros((pad, X.shape[1]))])
+            sqT = np.concatenate([sq[index], np.zeros(pad)])
             out = np.empty(m + pad)
             for s in range(0, m + pad, width):
                 d2 = sqS[:, None] + sqT[None, s : s + width] - 2.0 * (XS @ XT[s : s + width].T)
@@ -817,9 +817,9 @@ class TestSingleEvaluationObjective:
             wanted = np.arange(hidden.n)
         targets = []
 
-        def block_decisions(spec, c, XS, sqS, XT, sqT):
-            targets.append(XT.shape[0])
-            return kernel_mod.block_decisions(spec, c, XS, sqS, XT, sqT)
+        def block_decisions(spec, c, XS, sqS, X, sq, index):
+            targets.append(index.size)
+            return kernel_mod.block_decisions(spec, c, XS, sqS, X, sq, index)
 
         monkeypatch.setattr(optimizer_mod, "block_decisions", block_decisions)
         kernel = KernelSpec(1.3, 1.7)
@@ -908,10 +908,7 @@ class TestPredict:
         preds = predict_batch(model, test_truth.points)
         assert np.array_equal(preds, test_truth.labels)
 
-        us, vs, ws = graph.enumerate_edges()
-        prop = solve_exact(
-            PropagationProblem(ExplicitEdges(us, vs, ws, hidden.n), hidden.labels)
-        )
+        prop = solve_exact(PropagationProblem(graph, hidden.labels))
         oracle_labels = threshold_labels(prop)[unlabeled]
         model_labels = predict_batch(model, hidden.points[unlabeled])
         assert np.array_equal(oracle_labels, model_labels)
@@ -1077,7 +1074,8 @@ class TestMatchedDecisions:
         got = decision_values(state, query)
         assert triangles == ([] if matched == 0 else [self.K])
         XT, sqT = dense_rows(query[:300])
-        want = kernel_mod.block_decisions(state.kernel, state.beta[sup], *dense_rows(state.points[sup]), XT, sqT)
+        XS, sqS = dense_rows(state.points[sup])
+        want = kernel_mod.block_decisions(state.kernel, state.beta[sup], XS, sqS, XT, sqT, np.arange(300))
         assert np.array_equal(got[:300], want)
         assert np.array_equal(got[300:], state.decisions_at(sup[:matched]))
         assert triangles == ([] if matched == 0 else [self.K])  # read, not computed again
@@ -1206,9 +1204,9 @@ def count_block_targets(monkeypatch) -> list[int]:
     """The target counts of the block_decisions calls made from now on."""
     calls = []
 
-    def block(spec, c, XS, sqS, XT, sqT):
-        calls.append(XT.shape[0])
-        return kernel_mod.block_decisions(spec, c, XS, sqS, XT, sqT)
+    def block(spec, c, XS, sqS, X, sq, index):
+        calls.append(index.size)
+        return kernel_mod.block_decisions(spec, c, XS, sqS, X, sq, index)
 
     monkeypatch.setattr(optimizer_mod, "block_decisions", block)
     return calls
@@ -1273,7 +1271,8 @@ class TestOwnDecisions:
         other = np.setdiff1d(np.arange(n), sup)
         X, sq = dense_rows(model.points)
         f_S = kernel_mod.support_decisions(model.kernel, beta[sup], X[sup], sq[sup])
-        f_other = kernel_mod.block_decisions(model.kernel, beta[sup], X[sup], sq[sup], X[other], sq[other])
+        f_other = kernel_mod.block_decisions(model.kernel, beta[sup], X[sup], sq[sup], X[other], sq[other],
+                                             np.arange(other.size))
         targets, triangles = count_block_targets(monkeypatch), count_triangles(monkeypatch)
         assert model.decisions_at(np.empty(0, dtype=np.int64)).shape == (0,)
         assert targets == triangles == []
